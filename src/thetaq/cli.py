@@ -6,9 +6,10 @@ relation and classical checks, or the whole embedded catalog), ``count``
 (non-representability of a residue class).
 
 Exit codes: 0 when every requested check passes, 1 on a mathematical
-mismatch, 2 on a usage error.  ``--format json`` emits one record per
-line with the shape {cmd, params, status, payload, elapsed_ms}; the
-payload is deterministic for a given command.
+mismatch, 2 on a usage error or a coefficient beyond the 64-bit width.
+``--format json`` emits one record per line with the shape
+{cmd, params, status, payload, elapsed_ms}; the payload is deterministic
+for a given command.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .relations import (
     verify_relation,
 )
 from .repcount import MixedSumSpec, count_enumerate, count_series, nonrep_scan
-from .series import TruncationError
+from .series import CoefficientOverflowError, TruncationError
 from .theta import ExpansionError, ThetaArg, theta_expand, theta_special
 
 _USAGE_ERROR = 2
@@ -424,7 +425,9 @@ def main(argv=None) -> int:
             _VERIFY_DISPATCH[args.target](args, reporter)
         else:
             _DISPATCH[args.command](args, reporter)
-    except (ValueError, KeyError, ExpansionError, TruncationError) as exc:
+    except (
+        ValueError, KeyError, ExpansionError, TruncationError, CoefficientOverflowError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     return 1 if reporter.failed else 0

@@ -99,6 +99,20 @@ def _negative_violation(side: str, s: HalfPowerSeries):
     return None
 
 
+def _compare_sides(
+    lhs: HalfPowerSeries, rhs: HalfPowerSeries, through: int, rhs_term_count: int
+) -> IdentityReport:
+    cmp = lhs.compare(rhs, through)
+    violation = _negative_violation("lhs", lhs) or _negative_violation("rhs", rhs)
+    return IdentityReport(
+        equal=cmp.equal,
+        checked_through=through,
+        mismatch=cmp.mismatch,
+        rhs_term_count=rhs_term_count,
+        negative_violation=violation,
+    )
+
+
 def _verify_terms(
     lhs_terms: Sequence[ThetaProduct],
     rhs_terms: Sequence[ThetaProduct],
@@ -106,15 +120,7 @@ def _verify_terms(
 ) -> IdentityReport:
     lhs = expand_sum(lhs_terms, through)
     rhs = expand_sum(rhs_terms, through)
-    cmp = lhs.compare(rhs, through)
-    violation = _negative_violation("lhs", lhs) or _negative_violation("rhs", rhs)
-    return IdentityReport(
-        equal=cmp.equal,
-        checked_through=through,
-        mismatch=cmp.mismatch,
-        rhs_term_count=len(rhs_terms),
-        negative_violation=violation,
-    )
+    return _compare_sides(lhs, rhs, through, len(rhs_terms))
 
 
 # ----------------------------------------------------------------------
@@ -488,17 +494,16 @@ def _all_even(terms: Sequence[ThetaProduct]) -> bool:
     return True
 
 
-def instantiate_signed_pair(
+def _reduced_signed_pair(
     cid: str, m: int
 ) -> tuple[list[ThetaProduct], list[ThetaProduct]]:
-    """Both sides of a signed two-theta identity as printed.
+    """Both sides of a signed two-theta identity on its source grid.
 
     Derivation from the triple-product decomposition: the second and
     third blocks vanish because their outer factor has a -q^0 argument;
     the surviving block shares the factor f(-q^S1, -q^S1) with the left
     side rewritten via f(a,b) f(-a,-b) = f(-a^2,-b^2) phi(-ab), so that
-    factor cancels structurally; finally exponents are halved when the
-    whole identity lives on even powers of q.
+    factor cancels structurally.
     """
     p = signed_pair_params(cid, m)
     rhs_full = triple_rhs(p)
@@ -524,6 +529,18 @@ def instantiate_signed_pair(
             ),
         )
     ]
+    return lhs, rhs
+
+
+def instantiate_signed_pair(
+    cid: str, m: int
+) -> tuple[list[ThetaProduct], list[ThetaProduct]]:
+    """Both sides of a signed two-theta identity as printed.
+
+    The reduced sides of :func:`_reduced_signed_pair`, with exponents
+    halved when the whole identity lives on even powers of q.
+    """
+    lhs, rhs = _reduced_signed_pair(cid, m)
     if _all_even(lhs + rhs):
         lhs = [_halve_product(t) for t in lhs]
         rhs = [_halve_product(t) for t in rhs]
@@ -535,43 +552,27 @@ def verify_signed_pair(cid: str, m: int, through: int) -> SignedPairReport:
 
     Checks the reduced identity on its source grid, asserts that odd-q
     coefficients vanish when the final form halves exponents, and then
-    checks the identity as printed through ``through`` half-units.
+    checks the identity as printed through ``through`` half-units.  Each
+    reduced side is expanded once; the final form is its dissection.
     """
-    p = signed_pair_params(cid, m)
-    rhs_full = triple_rhs(p)
-    head = rhs_full[:p.k]
-    reduced_rhs = [
-        ThetaProduct(t.sign, t.shift, t.factors[1:]) for t in head
-    ]
-    reduced_lhs = [
-        ThetaProduct(
-            1,
-            0,
-            (ThetaArg(-1, 4 * p.g, 4 * p.h), ThetaArg(p.eps3, 2 * p.i, 2 * p.j)),
-        )
-    ]
+    reduced_lhs, reduced_rhs = _reduced_signed_pair(cid, m)
     substituted = _all_even(reduced_lhs + reduced_rhs)
     source_bound = 2 * through if substituted else through
-    identity = _verify_terms(reduced_lhs, reduced_rhs, source_bound)
+    lhs = expand_sum(reduced_lhs, source_bound)
+    rhs = expand_sum(reduced_rhs, source_bound)
+    identity = _compare_sides(lhs, rhs, source_bound, len(reduced_rhs))
 
-    odd_clear = True
-    if substituted:
-        lhs_series = expand_sum(reduced_lhs, source_bound)
-        rhs_series = expand_sum(reduced_rhs, source_bound)
-        for s in (lhs_series, rhs_series):
-            for e, _ in s.items():
-                if e % 4 != 0:  # an odd power of q or off the q^2 grid
-                    odd_clear = False
-        final_lhs = lhs_series.dissect(2, 0, divide=True)
-        final_rhs = rhs_series.dissect(2, 0, divide=True)
-        cmp = final_lhs.compare(final_rhs, through)
-        final = IdentityReport(
-            cmp.equal, through, cmp.mismatch, len(reduced_rhs),
-            _negative_violation("lhs", final_lhs)
-            or _negative_violation("rhs", final_rhs),
-        )
-    else:
-        final = identity
+    if not substituted:
+        # the printed form is the reduced one, compared above
+        return SignedPairReport(identity, substituted, True, identity)
+    # every exponent on the q^2 grid: no odd or half-integer power of q
+    odd_clear = all(e % 4 == 0 for s in (lhs, rhs) for e, _ in s.items())
+    final = _compare_sides(
+        lhs.dissect(2, 0, divide=True),
+        rhs.dissect(2, 0, divide=True),
+        through,
+        len(reduced_rhs),
+    )
     # the printed form must agree with the structural construction
     printed_lhs, printed_rhs = instantiate_signed_pair(cid, m)
     printed = _verify_terms(printed_lhs, printed_rhs, through)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from thetaq import cli
 from thetaq.cli import main
+from thetaq.series import CoefficientOverflowError
 
 
 def run(capsys, *argv):
@@ -155,6 +157,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "classical", "--id", "gauss3tri",
                            "--nmax", "500")
         assert code == 0
+
+
+class TestOverflow:
+    def test_overflow_is_reported_not_raised(self, capsys, monkeypatch):
+        def overflow(args, reporter):
+            raise CoefficientOverflowError("coefficient 2**64 exceeds 64-bit width")
+
+        monkeypatch.setitem(cli._DISPATCH, "expand", overflow)
+        code, _, err = run(capsys, "expand", "--name", "phi", "--order", "10")
+        assert code == 2
+        assert err.startswith("error: coefficient 2**64")
 
 
 class TestJsonDeterminism:

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetaq.series import (
+    COEFF_LIMIT,
     CoefficientOverflowError,
     HalfPowerSeries,
     TruncationError,
+    _dense_convolve,
+    _exact_convolve,
+    _sparse_convolve,
 )
 from thetaq.theta import theta_expand, theta_special
 
@@ -156,6 +160,93 @@ class TestMul:
         a = HalfPowerSeries.monomial(2**40, 0, 4)
         b = HalfPowerSeries.monomial(2**22, 2, 4)
         assert (a * b).coeff(2) == 2**62
+
+
+@st.composite
+def mul_factor(draw, density: float):
+    """A factor for the multiply kernel with about ``density`` nonzeros."""
+    # long factors reach the shifted-copy route, whose call overhead
+    # keeps it off short ones
+    size = draw(st.integers(1, 60) | st.integers(200, 700))
+    lo = draw(st.integers(-12, 6))
+    magnitude = draw(st.sampled_from([3, 2**20, 2**61]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.integers(-magnitude, magnitude + 1, size)
+    coeffs[rng.random(size) >= density] = 0
+    coeffs[draw(st.integers(0, size - 1))] = draw(st.sampled_from([-1, 1, 2]))
+    return HalfPowerSeries(lo, lo + size - 1, coeffs)
+
+
+# sparse x sparse, sparse x dense (both orders) and dense x dense
+factor_pairs = st.sampled_from(
+    [(0.02, 0.02), (0.02, 1.0), (1.0, 0.02), (1.0, 1.0)]
+).flatmap(lambda d: st.tuples(mul_factor(d[0]), mul_factor(d[1])))
+
+
+def exact_window(a: np.ndarray, b: np.ndarray, width: int) -> list[int]:
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a  # the reference loops over the nonzeros of its first factor
+    return _exact_convolve(a.tolist(), b.tolist())[:width]
+
+
+class TestMulKernel:
+    """The one multiply kernel against the exact Python-int convolution."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_pairs)
+    def test_matches_exact_convolution(self, pair):
+        a, b = pair
+        width = min(a.hi + b.valuation(), b.hi + a.valuation()) - a.lo - b.lo + 1
+        ref = exact_window(a.coeffs, b.coeffs, width)
+        if any(abs(v) > COEFF_LIMIT for v in ref):
+            with pytest.raises(CoefficientOverflowError):
+                a * b
+            return
+        prod = a * b
+        assert (prod.lo, prod.hi - prod.lo + 1) == (a.lo + b.lo, width)
+        assert prod.coeffs.tolist() == ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_pairs, st.integers(1, 1400))
+    def test_routes_at_any_width(self, pair, width):
+        a, b = pair
+        # __mul__'s validity bound keeps every shifted segment full; a
+        # wider window reaches the guard for a segment shorter than
+        # width - s, and a narrower one cuts the product
+        x, y = a.coeffs[:width], b.coeffs[:width]
+        assume(x.any() and y.any())  # __mul__ returns zero before the routes
+        width = min(width, x.size + y.size - 1)
+        ref = exact_window(x, y, width)
+        if any(abs(v) > COEFF_LIMIT for v in ref):
+            return
+        out = _sparse_convolve(x, np.flatnonzero(x), y, np.flatnonzero(y), width)
+        if out is None:
+            out = _dense_convolve(x, y, width)
+        assert out.tolist() == ref
+
+    def test_route_choice(self):
+        phi = theta_expand(theta_special("phi"), 4000)
+        psi = theta_expand(theta_special("psi"), 4000)
+        prod = phi * psi
+        nz = np.flatnonzero
+        for a, b in ((phi.coeffs, psi.coeffs), (prod.coeffs, psi.coeffs)):
+            assert _sparse_convolve(a, nz(a), b, nz(b), a.size) is not None
+        noise = np.random.default_rng(3).integers(1, 100, 600)
+        assert _sparse_convolve(noise, nz(noise), noise, nz(noise), 600) is None
+
+    def test_sparse_bound_fails_exact_fits(self):
+        # sum|a| * max|b| = 2^63 rules out the sparse routes and the dense
+        # bound fails too, yet 2^62 (1 - q^100) fits: the exact route wins
+        a = series_of({0: 2**62, 100: 2**62}, 300)
+        b = series_of({0: 1, 100: -1}, 300)
+        prod = a * b
+        assert as_dict(prod) == {0: 2**62, 200: -(2**62)}
+
+    def test_true_overflow_raises(self):
+        a = series_of({0: 2**62, 100: 2**62}, 300)
+        b = series_of({0: 1, 100: 1}, 300)
+        with pytest.raises(CoefficientOverflowError):
+            a * b
 
 
 class TestCoeff:
