@@ -59,7 +59,8 @@ class Reporter:
         self.failed = False
 
     def emit(self, cmd: str, params: dict, status: str, payload, started: float) -> None:
-        if status != "pass":
+        # informational rows never flip the exit code
+        if status not in ("pass", "info"):
             self.failed = True
         elapsed_ms = int((time.perf_counter() - started) * 1000)
         if self.fmt == "json":
@@ -73,22 +74,6 @@ class Reporter:
             print(json.dumps(record, sort_keys=True))
         else:
             print(f"[{status}] {cmd} {_render_params(params)}")
-            _render_payload(payload)
-
-    def info(self, cmd: str, params: dict, payload, started: float) -> None:
-        # informational rows never flip the exit code
-        elapsed_ms = int((time.perf_counter() - started) * 1000)
-        if self.fmt == "json":
-            record = {
-                "cmd": cmd,
-                "params": params,
-                "status": "info",
-                "payload": payload,
-                "elapsed_ms": elapsed_ms,
-            }
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print(f"[info] {cmd} {_render_params(params)}")
             _render_payload(payload)
 
 
@@ -229,26 +214,38 @@ def _verify_corollary(args, reporter: Reporter) -> None:
     reporter.emit("verify corollary", params, status, payload, started)
 
 
-def _verify_relation(args, reporter: Reporter) -> None:
-    catalog = load_relation_catalog(args.catalog)
-    matches = [r for r in catalog if r.id == args.id or r.id.startswith(args.id + ".")]
-    if not matches:
-        raise ValueError(f"no relation with id {args.id!r}")
-    for stmt in matches:
+def _load_relations(path) -> list:
+    """The relation catalog; an unreadable extra catalog is a usage error."""
+    try:
+        return load_relation_catalog(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read catalog {path!r}: {exc.strerror or exc}") from None
+
+
+def _report_relations(relations, nmax: int, reporter: Reporter) -> None:
+    """One record per relation; empirical ones are informational."""
+    for stmt in relations:
         started = time.perf_counter()
-        counter = verify_relation(stmt, args.nmax)
+        counter = verify_relation(stmt, nmax)
         payload = {"relation": stmt.render(), "status_flag": stmt.status}
         if counter:
             payload["counterexample"] = {
                 "n": counter[0].n, "lhs": counter[0].lhs, "rhs": counter[0].rhs,
             }
-        params = {"id": stmt.id, "nmax": args.nmax}
-        if stmt.status == "pinned":
-            reporter.emit("verify relation", params, "pass" if not counter else "fail",
-                          payload, started)
-        else:
-            payload["outcome"] = "pass" if not counter else "fail"
-            reporter.info("verify relation", params, payload, started)
+        status = "pass" if not counter else "fail"
+        if stmt.status != "pinned":
+            payload["outcome"] = status
+            status = "info"
+        reporter.emit("verify relation", {"id": stmt.id, "nmax": nmax},
+                      status, payload, started)
+
+
+def _verify_relation(args, reporter: Reporter) -> None:
+    catalog = _load_relations(args.catalog)
+    matches = [r for r in catalog if r.id == args.id or r.id.startswith(args.id + ".")]
+    if not matches:
+        raise ValueError(f"no relation with id {args.id!r}")
+    _report_relations(matches, args.nmax, reporter)
 
 
 def _verify_classical(args, reporter: Reporter) -> None:
@@ -264,8 +261,8 @@ def _verify_classical(args, reporter: Reporter) -> None:
 
 
 def _verify_all(args, reporter: Reporter) -> None:
+    relations = _load_relations(args.catalog)  # fail before any record prints
     order = args.order
-    nmax = args.nmax
     for entry in load_identity_catalog():
         started = time.perf_counter()
         rep = entry.verify(2 * order)
@@ -273,21 +270,7 @@ def _verify_all(args, reporter: Reporter) -> None:
         payload["citation"] = entry.citation
         reporter.emit("verify identity", {"id": entry.id, "order": order},
                       status, payload, started)
-    for stmt in load_relation_catalog(args.catalog):
-        started = time.perf_counter()
-        counter = verify_relation(stmt, nmax)
-        payload = {"relation": stmt.render(), "status_flag": stmt.status}
-        if counter:
-            payload["counterexample"] = {
-                "n": counter[0].n, "lhs": counter[0].lhs, "rhs": counter[0].rhs,
-            }
-        params = {"id": stmt.id, "nmax": nmax}
-        if stmt.status == "pinned":
-            reporter.emit("verify relation", params,
-                          "pass" if not counter else "fail", payload, started)
-        else:
-            payload["outcome"] = "pass" if not counter else "fail"
-            reporter.info("verify relation", params, payload, started)
+    _report_relations(relations, args.nmax, reporter)
     for scan in load_scan_catalog():
         started = time.perf_counter()
         hits = nonrep_scan(scan.spec, scan.modulus, scan.residue, args.scan_nmax)
@@ -311,6 +294,13 @@ def _verify_all(args, reporter: Reporter) -> None:
 # ----------------------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for bounds: a negative bound would check nothing."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetaq",
@@ -324,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--theta", help="EPS,G,H whole-q exponents")
     group.add_argument("--name", choices=("phi", "psi", "f", "X", "Y"))
     p_expand.add_argument("--scale", type=int, default=1)
-    p_expand.add_argument("--order", type=int, required=True)
+    p_expand.add_argument("--order", type=_nonnegative_int, required=True)
 
     p_verify = sub.add_parser("verify", help="verify identities and relations")
     vsub = p_verify.add_subparsers(dest="target", required=True)
@@ -333,34 +323,34 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("k", "r", "g", "h", "u", "v", "i", "j"):
         pv1.add_argument(f"--{flag}", type=int, required=True)
     pv1.add_argument("--eps", default="1,1,1")
-    pv1.add_argument("--order", type=int, default=100)
+    pv1.add_argument("--order", type=_nonnegative_int, default=100)
 
     pv2 = vsub.add_parser("thm2")
     for flag in ("k", "r", "s", "t", "i", "j"):
         pv2.add_argument(f"--{flag}", type=int, required=True)
     pv2.add_argument("--eps", default="1")
-    pv2.add_argument("--order", type=int, default=100)
+    pv2.add_argument("--order", type=_nonnegative_int, default=100)
 
     pvc = vsub.add_parser("corollary")
     pvc.add_argument("--id", required=True)
     pvc.add_argument("--k", type=int)
     pvc.add_argument("--r", type=int)
     pvc.add_argument("--m", type=int)
-    pvc.add_argument("--order", type=int, default=100)
+    pvc.add_argument("--order", type=_nonnegative_int, default=100)
 
     pvr = vsub.add_parser("relation")
     pvr.add_argument("--id", required=True)
-    pvr.add_argument("--nmax", type=int, default=1000)
+    pvr.add_argument("--nmax", type=_nonnegative_int, default=1000)
     pvr.add_argument("--catalog", default=None)
 
     pvl = vsub.add_parser("classical")
     pvl.add_argument("--id", required=True, choices=CLASSICAL_IDS)
-    pvl.add_argument("--nmax", type=int, required=True)
+    pvl.add_argument("--nmax", type=_nonnegative_int, required=True)
 
     pva = vsub.add_parser("all")
-    pva.add_argument("--order", type=int, default=150)
-    pva.add_argument("--nmax", type=int, default=1000)
-    pva.add_argument("--scan-nmax", type=int, default=10000)
+    pva.add_argument("--order", type=_nonnegative_int, default=150)
+    pva.add_argument("--nmax", type=_nonnegative_int, default=1000)
+    pva.add_argument("--scan-nmax", type=_nonnegative_int, default=10000)
     pva.add_argument("--catalog", default=None)
 
     p_count = sub.add_parser("count", help="representation numbers")
@@ -375,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--form", required=True)
     p_scan.add_argument("--modulus", type=int, required=True)
     p_scan.add_argument("--residue", type=int, required=True)
-    p_scan.add_argument("--nmax", type=int, required=True)
+    p_scan.add_argument("--nmax", type=_nonnegative_int, required=True)
     return parser
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .repcount import TABLE_CACHE, MixedSumSpec, count_enumerate
+from .repcount import TABLE_CACHE, MixedSumSpec
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,6 @@ class CountRef:
     @property
     def spec(self) -> MixedSumSpec:
         return MixedSumSpec.of(self.form, self.coeffs)
-
-    def evaluate(self, n: int) -> int:
-        arg = self.alpha * n + self.beta
-        if arg < 0:
-            return 0
-        return self.scalar * TABLE_CACHE.count(self.spec, arg)
-
-    def evaluate_direct(self, n: int) -> int:
-        """Same value through the per-query enumeration path."""
-        arg = self.alpha * n + self.beta
-        if arg < 0:
-            return 0
-        return self.scalar * count_enumerate(self.spec, arg)
 
     def render(self, var: str = "N") -> str:
         arg = var

@@ -1,11 +1,12 @@
 """Representation counts for weighted ternary sums of figurate numbers.
 
 A :class:`MixedSumSpec` fixes an ordered triple of (coefficient, kind)
-slots; ``count_enumerate`` counts ordered index tuples representing N,
-``count_series`` produces the same numbers as coefficients of a product
-of theta expansions, and ``count_table`` computes the whole count
-vector at scale.  The three routes are independent enough to check one
-another.
+slots.  There are two routes to its counts, independent enough to check
+one another: ``count_enumerate`` counts ordered index tuples representing
+N one query at a time, and the generating series, the product of the
+three kinds' theta expansions, gives every count through a bound at
+once.  ``count_series`` returns that product as a series and
+``count_table`` reads the count vector off it.
 
 Index domains follow the classical conventions: squares, generalized
 pentagonal and generalized octagonal indices run over all integers,
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .series import HalfPowerSeries
-from .theta import theta_expand, theta_special
+from .theta import ThetaArg, theta_expand, theta_special
 
 
 class FigurateKind(enum.Enum):
@@ -194,42 +195,43 @@ def count_enumerate(spec: MixedSumSpec, n: int) -> int:
     return total
 
 
+def _count_product(spec: MixedSumSpec, limit: int) -> HalfPowerSeries:
+    """Product of the three generating thetas with q^N at index N.
+
+    Every generating theta has only even half-unit exponents, so halving
+    its ``ThetaArg`` exponents moves it exactly onto the whole-q grid; the
+    product is exact through ``limit``.  The sparsest factor goes last, so
+    the final product adds the fewest shifted copies; popping the factors
+    releases each one once it is multiplied.
+    """
+    parts = []
+    for a, kind in spec.terms:
+        arg = theta_special(kind.generating_special, a)
+        parts.append(theta_expand(ThetaArg(arg.eps, arg.a // 2, arg.b // 2), limit))
+    parts.sort(key=lambda part: np.count_nonzero(part.coeffs))
+    sparsest = parts.pop(0)
+    return parts.pop() * parts.pop() * sparsest
+
+
 def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
     """Generating series of the counts, exact through q^order.
 
-    The product of the three kinds' theta expansions, each at scale a_i;
-    the coefficient at q^N equals ``count_enumerate(spec, N)``.
+    The coefficient at q^N equals ``count_enumerate(spec, N)``; half-integer
+    exponents carry exact zeros.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    hi = 2 * order
-    series = None
-    for a, kind in spec.terms:
-        part = theta_expand(theta_special(kind.generating_special, a), hi)
-        series = part if series is None else series * part
-    assert series is not None
-    return series
+    return _count_product(spec, order).substitute_power(2)
 
 
 def count_table(spec: MixedSumSpec, limit: int) -> np.ndarray:
-    """counts[N] for all 0 <= N <= limit, via value-list convolution."""
+    """counts[N] for all 0 <= N <= limit, read off the generating series.
+
+    The array is the product's own read-only coefficient array.
+    """
     if limit < 0:
         return np.zeros(0, dtype=np.int64)
-    (a1, k1), (a2, k2), (a3, k3) = spec.terms
-    v1, c1 = _value_multiplicities(k1, limit // a1)
-    v2, c2 = _value_multiplicities(k2, limit // a2)
-    sums = (a1 * v1)[:, None] + (a2 * v2)[None, :]
-    weights = c1[:, None] * c2[None, :]
-    keep = sums.ravel() <= limit
-    pair = np.bincount(
-        sums.ravel()[keep], weights=weights.ravel()[keep], minlength=limit + 1
-    ).astype(np.int64)
-    out = np.zeros(limit + 1, dtype=np.int64)
-    v3, c3 = _value_multiplicities(k3, limit // a3)
-    for val, cnt in zip(v3.tolist(), c3.tolist()):
-        off = a3 * val
-        out[off:] += cnt * pair[: limit + 1 - off]
-    return out
+    return _count_product(spec, limit).coeffs
 
 
 class _TableCache:
@@ -246,11 +248,6 @@ class _TableCache:
             existing = count_table(spec, grown)
         self._tables[key] = existing
         return existing
-
-    def count(self, spec: MixedSumSpec, n: int) -> int:
-        if n < 0:
-            return 0
-        return int(self.get(spec, n)[n])
 
 
 TABLE_CACHE = _TableCache()

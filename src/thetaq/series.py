@@ -177,16 +177,19 @@ class HalfPowerSeries:
     def __mul__(self, other: "HalfPowerSeries") -> "HalfPowerSeries":
         if not isinstance(other, HalfPowerSeries):
             return NotImplemented
+        nz_a, nz_b = np.flatnonzero(self.coeffs), np.flatnonzero(other.coeffs)
         # Validity propagates through valuations: terms of one factor above
         # its bound pair with the other factor's valuation at least.
-        v1, v2 = self.valuation(), other.valuation()
+        v1 = self.lo + int(nz_a[0]) if nz_a.size else self.hi
+        v2 = other.lo + int(nz_b[0]) if nz_b.size else other.hi
         hi = min(self.hi + v2, other.hi + v1)
         lo = self.lo + other.lo
         width = hi - lo + 1
         # Output column k only sees factor columns 0..k, so both factors
         # are cut to the output width before the route is chosen.
         a, b = self.coeffs[:width], other.coeffs[:width]
-        nz_a, nz_b = np.flatnonzero(a), np.flatnonzero(b)
+        nz_a = nz_a[: np.searchsorted(nz_a, width)]
+        nz_b = nz_b[: np.searchsorted(nz_b, width)]
         if nz_a.size == 0 or nz_b.size == 0:
             return HalfPowerSeries.zero(hi, min(lo, hi))
         out = _sparse_convolve(a, nz_a, b, nz_b, width)

@@ -74,8 +74,9 @@ class ThetaArg:
         return best
 
 
-def _term_exponent(a: int, b: int, n: int) -> int:
-    return (a * n * (n + 1) + b * n * (n - 1)) // 2
+def _term_exponent(a: int, b: int, n):
+    """Exponent of the n-th term; ``n`` may be an int or an integer array."""
+    return ((a + b) * n + (a - b)) * n // 2
 
 
 def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
@@ -83,22 +84,28 @@ def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     if arg.is_zero_function():
         return HalfPowerSeries.zero(max(hi, 0), min(0, hi))
     a, b, eps = arg.a, arg.b, arg.eps
-    s = a + b
+    s, d = a + b, a - b
     if s <= 0:
         raise ExpansionError(f"divergent specialization {arg}")
-    # All n with ((a+b)n^2 + (a-b)n)/2 <= hi lie within the quadratic roots;
-    # two extra indices of slack absorb the integer rounding.
-    d = a - b
-    disc = d * d + 8 * s * max(hi, 0)
-    root = math.isqrt(disc) if disc >= 0 else 0
-    n_lo = (-d - root) // (2 * s) - 2
-    n_hi = (-d + root) // (2 * s) + 2
-    items = []
-    for n in range(n_lo, n_hi + 1):
-        e = _term_exponent(a, b, n)
-        if e <= hi:
-            items.append((e, 1 if eps == 1 or n % 2 == 0 else -1))
-    return HalfPowerSeries.from_items(items, hi)
+    # The exponent (s*n^2 + d*n)/2 is at most hi exactly when
+    # |2*s*n + d| <= isqrt(d^2 + 8*s*hi).
+    disc = d * d + 8 * s * hi
+    root = math.isqrt(disc) if disc >= 0 else -1
+    n_lo, n_hi = -((root + d) // (2 * s)), (root - d) // (2 * s)
+    # Every intermediate of the exponent formula is at most
+    # (|a| + |b|) * reach^2 in magnitude; past int64 the same formula
+    # runs on Python ints.
+    reach = max(-n_lo, n_hi) + 1
+    exact = (abs(a) + abs(b)) * reach * reach > COEFF_LIMIT
+    n = np.arange(n_lo, n_hi + 1, dtype=object if exact else np.int64)
+    e = _term_exponent(a, b, n)
+    lo = min(int(e.min()) if e.size else 0, 0, hi)
+    idx = (e - lo).astype(np.intp, copy=False)
+    arr = np.zeros(hi - lo + 1, dtype=np.int64)
+    even = n_lo % 2  # position of the first even index
+    np.add.at(arr, idx[even::2], 1)
+    np.add.at(arr, idx[1 - even :: 2], eps)
+    return HalfPowerSeries(lo, hi, arr)
 
 
 def jacobi_triple_product(arg: ThetaArg, hi: int) -> HalfPowerSeries:

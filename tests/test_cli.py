@@ -159,6 +159,42 @@ class TestVerify:
         assert code == 0
 
 
+class TestDomainErrors:
+    def test_missing_catalog_is_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "verify", "relation", "--id", "Athm1",
+                             "--catalog", missing)
+        assert code == 2
+        assert err.startswith("error: cannot read catalog") and "Traceback" not in err
+
+    def test_missing_catalog_stops_verify_all_before_any_record(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "all", "--catalog",
+                             str(tmp_path / "missing.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read catalog")
+
+    THM1 = ("verify", "thm1", "--k", "2", "--r", "1", "--g", "1", "--h", "0",
+            "--u", "1", "--v", "0", "--i", "1", "--j", "1")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "classical", "--id", "gauss3tri", "--nmax", "-5"),
+        THM1 + ("--order", "-1"),
+        ("verify", "all", "--scan-nmax", "-1"),
+        ("verify", "relation", "--id", "Athm1", "--nmax", "-1"),
+        ("scan", "--form", "r(1,1,2)", "--modulus", "2", "--residue", "1",
+         "--nmax", "-1"),
+        ("expand", "--name", "phi", "--order", "-1"),
+        ("verify", "classical", "--id", "gauss3tri", "--nmax", "ten"),
+    ], ids=["classical", "thm1", "all", "relation", "scan", "expand", "not-a-number"])
+    def test_negative_bound_is_usage_error(self, capsys, argv):
+        # a negative bound checks nothing, so it must not print a vacuous [pass]
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == "" and "expected a nonnegative integer" in out.err
+
+
 class TestOverflow:
     def test_overflow_is_reported_not_raised(self, capsys, monkeypatch):
         def overflow(args, reporter):

@@ -1,6 +1,8 @@
 """Counting routes against brute-force index enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaq.repcount import (
     REGISTRY,
@@ -136,6 +138,19 @@ class TestRouteAgreement:
             assert count_enumerate(spec, n) == expected
             assert series.coeff(2 * n) == expected
             assert int(table[n]) == expected
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @settings(max_examples=4, deadline=None)
+    @given(coeffs=st.tuples(*[st.integers(1, 8)] * 3), limit=st.integers(1000, 5000),
+           data=st.data())
+    def test_table_against_enumeration_at_scale(self, name, coeffs, limit, data):
+        # limits this large take the kernel's sparse routes
+        spec = MixedSumSpec.of(name, coeffs)
+        table = count_table(spec, limit)
+        assert table.shape == (limit + 1,)
+        ns = data.draw(st.lists(st.integers(0, limit), min_size=3, max_size=6))
+        for n in ns + [limit]:
+            assert int(table[n]) == count_enumerate(spec, n), (spec, n)
 
     def test_slot_symmetry(self):
         # identical (coefficient, kind) slots commute

@@ -1,6 +1,8 @@
 """Theta expansion, the product-form oracle, normalization, dissections."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaq.series import HalfPowerSeries
 from thetaq.theta import (
@@ -23,6 +25,21 @@ def expand(eps, a, b, hi=BOUND):
 
 def q_coeffs(series, n_max):
     return [series.coeff(2 * n) for n in range(n_max + 1)]
+
+
+def reference_expand(eps, a, b, hi):
+    """The bilateral sum in Python ints, walking out from the vertex."""
+    s, d = a + b, a - b
+    out = {}
+    for n, step in ((-d // (2 * s) + 1, 1), (-d // (2 * s), -1)):
+        while True:
+            e = (a * n * (n + 1) + b * n * (n - 1)) // 2
+            if e > hi and step * (2 * s * n + d) > 0:  # past the vertex
+                break
+            if e <= hi:
+                out[e] = out.get(e, 0) + eps ** (n % 2)
+            n += step
+    return {e: c for e, c in out.items() if c}
 
 
 class TestSpecials:
@@ -86,6 +103,29 @@ class TestExpand:
         want = theta_expand(theta_special("phi"), BOUND + 2).shift(-2)
         assert got.compare(want, BOUND).equal
         assert got.valuation() == -2
+
+    @pytest.mark.parametrize("eps,a,b,hi,want", [
+        (1, 2**63, 0, 100, {0: 2}),
+        (-1, 2**62 + 1, -1, 100, {-1: -1, 0: 1}),
+        (1, 2**62 - 3, 5, 200, {0: 1, 5: 1}),
+        (-1, 3, 2**63 + 7, 500, {0: 1, 3: -1}),
+    ])
+    def test_huge_exponents_stay_exact(self, eps, a, b, hi, want):
+        # (|a| + |b|) * n^2 passes 64 bits, so the exponents are Python ints
+        assert dict(expand(eps, a, b, hi).items()) == want == reference_expand(eps, a, b, hi)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from((1, -1)), st.integers(2**61, 2**63), st.integers(-50, 1000),
+           st.booleans(), st.integers(-60, 3000))
+    def test_huge_exponents_match_reference(self, eps, big, small, swap, hi):
+        a, b = (small, big) if swap else (big, small)
+        assert dict(expand(eps, a, b, hi).items()) == reference_expand(eps, a, b, hi)
+
+    @pytest.mark.parametrize("eps,a,b", [(1, 2, 6), (-1, 2, 4), (1, 0, 6), (-1, -2, 8),
+                                         (1, 3, 3), (1, -5, 7), (-1, 1, 20)])
+    def test_matches_reference(self, eps, a, b):
+        for hi in (-3, 0, 1, 57, 400):
+            assert dict(expand(eps, a, b, hi).items()) == reference_expand(eps, a, b, hi)
 
     def test_divergent_raises(self):
         with pytest.raises(ExpansionError):
