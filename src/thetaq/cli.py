@@ -140,15 +140,17 @@ def _cmd_count(args, reporter: Reporter) -> None:
     started = time.perf_counter()
     spec = _parse_form(args.form)
     if args.range:
-        a, b = (int(x) for x in args.range.split(".."))
-        ns = list(range(a, b + 1))
+        m = re.fullmatch(r"\s*(-?\d+)\.\.(-?\d+)\s*", args.range)
+        if not m or int(m[1]) > int(m[2]):  # an empty range would print a vacuous [pass]
+            raise ValueError(f"bad range {args.range!r}; expected A..B with A <= B")
+        ns = list(range(int(m[1]), int(m[2]) + 1))
     else:
         ns = [args.n]
     payload: dict = {"values": []}
     status = "pass"
     series = None
     if args.method in ("series", "both"):
-        series = count_series(spec, max(ns))
+        series = count_series(spec, max(max(ns), 0))  # negative N count 0
     for n in ns:
         row: dict = {"n": n}
         if args.method in ("enumerate", "both"):

@@ -634,7 +634,6 @@ class IdentityEntry:
     kind: str  # thm1 | thm2 | corollary
     params: dict
     citation: str = ""
-    prose_scale: int = 1  # LHS-as-built = prose_scale * prose identity
 
     def verify(self, through: int) -> IdentityReport:
         if self.kind == "thm1":
@@ -662,7 +661,6 @@ def load_identity_catalog() -> list[IdentityEntry]:
                 kind=item["kind"],
                 params=item["params"],
                 citation=item.get("citation", ""),
-                prose_scale=item.get("prose_scale", 1),
             )
         )
     return entries

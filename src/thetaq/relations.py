@@ -104,9 +104,10 @@ def verify_relation(rel: RelationStatement, n_max: int) -> list[Counterexample]:
     rhs = np.zeros(ns.size, dtype=np.int64)
     for ref in rel.rhs:
         rhs = rhs + side(ref)
-    bad = np.flatnonzero(lhs != rhs)
+    bad = lhs != rhs
     return [
-        Counterexample(int(ns[i]), int(lhs[i]), int(rhs[i])) for i in bad
+        Counterexample(n, l, r)
+        for n, l, r in zip(ns[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist())
     ]
 
 

@@ -6,7 +6,11 @@ one another: ``count_enumerate`` counts ordered index tuples representing
 N one query at a time, and the generating series, the product of the
 three kinds' theta expansions, gives every count through a bound at
 once.  ``count_series`` returns that product as a series and
-``count_table`` reads the count vector off it.
+``count_table`` reads the count vector off it.  ``TABLE_CACHE`` keeps one
+table per signature and grows it in place: a request past a table adds
+only the new columns, each the sum of the sparsest factor's shifted
+copies of the other two factors' product.  ``count_enumerate`` reads
+its value lists as prefixes of one grow-only entry per figurate kind.
 
 Index domains follow the classical conventions: squares, generalized
 pentagonal and generalized octagonal indices run over all integers,
@@ -17,11 +21,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .series import HalfPowerSeries
+from .series import HalfPowerSeries, shifted_copies
 from .theta import ThetaArg, theta_expand, theta_special
 
 
@@ -79,25 +82,36 @@ def figurate_values(kind: FigurateKind, limit: int) -> list[tuple[int, int]]:
     return pairs
 
 
-@lru_cache(maxsize=None)
+# One grow-only entry per kind: (limit, values, multiplicities) and the
+# membership table; a query at a smaller limit reads prefixes of them.
+_VALUES: dict[FigurateKind, tuple[int, np.ndarray, np.ndarray]] = {}
+_MEMBERSHIP: dict[FigurateKind, np.ndarray] = {}
+
+
 def _value_multiplicities(kind: FigurateKind, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, multiplicities): attainable values <= limit with index counts."""
-    mult: dict[int, int] = {}
-    for _, v in figurate_values(kind, limit):
-        mult[v] = mult.get(v, 0) + 1
-    values = np.array(sorted(mult), dtype=np.int64)
-    counts = np.array([mult[v] for v in sorted(mult)], dtype=np.int64)
-    return values, counts
+    entry = _VALUES.get(kind)
+    if entry is None or entry[0] < limit:
+        values, counts = np.unique(
+            np.array([v for _, v in figurate_values(kind, limit)], dtype=np.int64),
+            return_counts=True,
+        )
+        entry = _VALUES[kind] = (limit, values, counts.astype(np.int64))
+    _, values, counts = entry
+    end = int(np.searchsorted(values, limit, side="right"))
+    return values[:end], counts[:end]
 
 
-@lru_cache(maxsize=None)
 def _membership(kind: FigurateKind, limit: int) -> np.ndarray:
     """mult[x] = number of domain indices whose figurate value equals x."""
-    table = np.zeros(limit + 1, dtype=np.int64)
-    values, counts = _value_multiplicities(kind, limit)
-    if values.size:
+    table = _MEMBERSHIP.get(kind)
+    if table is None or table.size <= limit:
+        table = np.zeros(limit + 1, dtype=np.int64)
+        values, counts = _value_multiplicities(kind, limit)
         table[values] = counts
-    return table
+        table.setflags(write=False)
+        _MEMBERSHIP[kind] = table
+    return table[: limit + 1]
 
 
 @dataclass(frozen=True)
@@ -181,12 +195,13 @@ def count_enumerate(spec: MixedSumSpec, n: int) -> int:
     a2, _, v2, c2 = slots[i2]
     a3, kind3, _, _ = slots[i3]
     table = _membership(kind3, n // a3)
+    inner = list(zip(v2.tolist(), c2.tolist()))
     total = 0
     for x, cx in zip(v1.tolist(), c1.tolist()):
         rest = n - a1 * x
         if rest < 0:
             break
-        for y, cy in zip(v2.tolist(), c2.tolist()):
+        for y, cy in inner:
             rem = rest - a2 * y
             if rem < 0:
                 break
@@ -195,14 +210,17 @@ def count_enumerate(spec: MixedSumSpec, n: int) -> int:
     return total
 
 
-def _count_product(spec: MixedSumSpec, limit: int) -> HalfPowerSeries:
-    """Product of the three generating thetas with q^N at index N.
+def _count_columns(spec: MixedSumSpec, start: int, limit: int) -> np.ndarray:
+    """counts[N] for start <= N <= limit, read off the generating series.
 
     Every generating theta has only even half-unit exponents, so halving
-    its ``ThetaArg`` exponents moves it exactly onto the whole-q grid; the
-    product is exact through ``limit``.  The sparsest factor goes last, so
-    the final product adds the fewest shifted copies; popping the factors
-    releases each one once it is multiplied.
+    its ``ThetaArg`` exponents moves it exactly onto the whole-q grid.  The
+    two densest factors are multiplied first and the sparsest last, so the
+    final product adds the fewest shifted copies; popping the factors
+    releases each one once it is multiplied.  From ``start > 0`` only the
+    shifted copies landing on the requested columns are added; when their
+    coefficient bound is not proven to fit in 64 bits the whole product
+    goes through ``HalfPowerSeries.__mul__`` and its exact route.
     """
     parts = []
     for a, kind in spec.terms:
@@ -210,7 +228,13 @@ def _count_product(spec: MixedSumSpec, limit: int) -> HalfPowerSeries:
         parts.append(theta_expand(ThetaArg(arg.eps, arg.a // 2, arg.b // 2), limit))
     parts.sort(key=lambda part: np.count_nonzero(part.coeffs))
     sparsest = parts.pop(0)
-    return parts.pop() * parts.pop() * sparsest
+    pair = parts.pop() * parts.pop()
+    if start:
+        nz = np.flatnonzero(sparsest.coeffs)
+        cols = shifted_copies(sparsest.coeffs, nz, pair.coeffs, start, limit + 1)
+        if cols is not None:
+            return cols
+    return (pair * sparsest).coeffs[start:]
 
 
 def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
@@ -221,7 +245,7 @@ def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return _count_product(spec, order).substitute_power(2)
+    return HalfPowerSeries(0, order, _count_columns(spec, 0, order)).substitute_power(2)
 
 
 def count_table(spec: MixedSumSpec, limit: int) -> np.ndarray:
@@ -231,23 +255,33 @@ def count_table(spec: MixedSumSpec, limit: int) -> np.ndarray:
     """
     if limit < 0:
         return np.zeros(0, dtype=np.int64)
-    return _count_product(spec, limit).coeffs
+    return _count_columns(spec, 0, limit)
 
 
 class _TableCache:
-    """Grow-on-demand cache of count tables keyed by the sum signature."""
+    """Count tables keyed by the sum signature, grown in place.
+
+    A signature's first request builds its table at exactly the requested
+    limit.  A later request past the table computes only the new columns
+    and appends them; a request inside it returns the table as it is.  No
+    table is larger than the largest limit requested for its signature.
+    """
 
     def __init__(self) -> None:
         self._tables: dict[tuple, np.ndarray] = {}
 
     def get(self, spec: MixedSumSpec, limit: int) -> np.ndarray:
         key = spec.terms
-        existing = self._tables.get(key)
-        if existing is None or existing.size <= limit:
-            grown = max(limit, 2 * (existing.size if existing is not None else 0), 64)
-            existing = count_table(spec, grown)
-        self._tables[key] = existing
-        return existing
+        table = self._tables.get(key)
+        if table is None:
+            table = count_table(spec, limit)
+        elif table.size <= limit:
+            table = np.concatenate((table, _count_columns(spec, table.size, limit)))
+            table.setflags(write=False)
+        else:
+            return table
+        self._tables[key] = table
+        return table
 
 
 TABLE_CACHE = _TableCache()
@@ -260,6 +294,8 @@ def nonrep_scan(
     the non-representability statement up to the bound."""
     if not 0 <= residue < modulus:
         raise ValueError("need 0 <= residue < modulus")
+    if n_max < 0:
+        return []
     table = TABLE_CACHE.get(spec, n_max)
-    hits = np.flatnonzero(table[: n_max + 1])
-    return [int(n) for n in hits if n % modulus == residue]
+    hits = np.flatnonzero(table[residue : n_max + 1 : modulus])
+    return (residue + modulus * hits).tolist()

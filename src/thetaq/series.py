@@ -295,14 +295,21 @@ _SPARSE_SETUP = 10_000
 _SHIFT_OVERHEAD = 2000
 _PAIR_COST = 20
 _PAIR_BLOCK = 1 << 16  # pairwise products scattered per np.add.at call
+_SHIFT_TILE = 1 << 15  # output columns the shifted copies fill at a time
+
+
+def _sparse_bound_fits(vals: np.ndarray, other: np.ndarray) -> bool:
+    """Whether sum|vals| * max|other|, which bounds every partial sum of a
+    sparse route, fits in 64 bits."""
+    return sum(map(abs, vals.tolist())) * _max_abs(other) <= COEFF_LIMIT
 
 
 def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
     """First ``width`` columns of a * b from the nonzeros of the sparser factor.
 
     Returns ``None`` when the dense route is cheaper, or when the sparse
-    route's coefficient bound, sum|sparse| * max|other|, is not proven to
-    fit in 64 bits; the caller then runs the dense route.
+    route's coefficient bound is not proven to fit in 64 bits; the caller
+    then runs the dense route.
     """
     shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
     if shifts > nz_b.size * (a.size + _SHIFT_OVERHEAD):
@@ -311,22 +318,61 @@ def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
     pairs = _PAIR_COST * nz_a.size * nz_b.size
     if _SPARSE_SETUP + min(pairs, shifts) >= a.size * b.size:
         return None
+    if pairs > shifts:
+        return shifted_copies(a, nz_a, b, 0, width)
     vals = a[nz_a]
-    if sum(map(abs, vals.tolist())) * _max_abs(b) > COEFF_LIMIT:
+    if not _sparse_bound_fits(vals, b):
         return None
     out = np.zeros(width, dtype=np.int64)
-    if pairs <= shifts:
-        other = b[nz_b]
-        step = max(1, _PAIR_BLOCK // nz_b.size)  # bounds the scratch arrays
-        for i in range(0, nz_a.size, step):
-            cols = (nz_a[i : i + step, None] + nz_b).ravel()
-            prods = (vals[i : i + step, None] * other).ravel()
-            keep = cols < width
-            np.add.at(out, cols[keep], prods[keep])
-        return out
+    other = b[nz_b]
+    step = max(1, _PAIR_BLOCK // nz_b.size)  # bounds the scratch arrays
+    for i in range(0, nz_a.size, step):
+        cols = (nz_a[i : i + step, None] + nz_b).ravel()
+        prods = (vals[i : i + step, None] * other).ravel()
+        keep = cols < width
+        np.add.at(out, cols[keep], prods[keep])
+    return out
+
+
+def shifted_copies(a, nz_a, b, start: int, width: int) -> Optional[np.ndarray]:
+    """Columns ``start .. width-1`` of a * b: one shifted copy of ``b`` per
+    nonzero of ``a`` (``nz_a`` ascending).
+
+    The columns are filled one tile of ``_SHIFT_TILE`` at a time, so a
+    tile stays in cache while every copy lands on it.  Copies sharing a
+    coefficient are summed into one buffer and scaled once per tile (a
+    theta factor has one or two distinct coefficients); copies with
+    coefficient 1 are added straight into the tile.  Every add is in
+    place.  Returns ``None`` when sum|a| * max|b| is not proven to fit in
+    64 bits, before any column is written.
+    """
+    vals = a[nz_a]
+    if not _sparse_bound_fits(vals, b):
+        return None
+    groups: dict[int, list[int]] = {}
     for s, c in zip(nz_a.tolist(), vals.tolist()):
-        seg = b[: width - s]  # shorter than width - s when b ends early
-        out[s : s + seg.size] += c * seg
+        groups.setdefault(c, []).append(s)
+    out = np.zeros(width - start, dtype=np.int64)
+    scratch = np.empty(min(_SHIFT_TILE, out.size), dtype=np.int64)
+    for lo in range(start, width, _SHIFT_TILE):
+        hi = min(lo + _SHIFT_TILE, width)
+        tile = out[lo - start : hi - start]
+        for c, shifts in groups.items():
+            if c == 1:
+                acc = tile
+            else:
+                acc = scratch[: tile.size]
+                acc[:] = 0
+            for s in shifts:
+                if s >= hi:
+                    break
+                # b may end before hi - s
+                src_lo, src_hi = max(lo - s, 0), min(hi - s, b.size)
+                if src_lo < src_hi:
+                    acc[src_lo + s - lo : src_hi + s - lo] += b[src_lo:src_hi]
+            if c != 1:
+                np.multiply(acc, c, out=acc)
+                tile += acc
     return out
 
 

@@ -1,11 +1,17 @@
 """Command-line interface: flags, exit codes, JSON determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thetaq import cli
 from thetaq.cli import main
+from thetaq.relations import CLASSICAL_IDS
+from thetaq.repcount import REGISTRY
 from thetaq.series import CoefficientOverflowError
 
 
@@ -243,3 +249,99 @@ class TestJsonDeterminism:
                         "G(1,1,2)", "--n", "1")
         rec = json_records(out)[0]
         assert set(rec) == {"cmd", "params", "status", "payload", "elapsed_ms"}
+
+
+class TestCountRange:
+    @pytest.mark.parametrize("method", ["enumerate", "series", "both"])
+    @pytest.mark.parametrize("text", ["5..3", "7", "a..b", "1..2..3"])
+    def test_empty_or_malformed_range_is_usage_error(self, capsys, method, text):
+        # an empty range checks nothing, so it must not print a vacuous [pass]
+        code, out, err = run(capsys, "count", "--form", "r(1,1,1)", "--range", text,
+                             "--method", method)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad range")
+
+    @pytest.mark.parametrize("text,values", [("-3..-1", [0, 0, 0]), ("-1..1", [0, 1, 6])])
+    def test_negative_arguments_count_zero(self, capsys, text, values):
+        code, out, _ = run(capsys, "--format", "json", "count", "--form", "r(1,1,1)",
+                           f"--range={text}", "--method", "both")
+        rec = json_records(out)[0]
+        assert code == 0 and rec["status"] == "pass"
+        assert [row["value"] for row in rec["payload"]["values"]] == values
+
+
+def _bound(top=10**4):
+    return st.integers(-2, top).map(str)
+
+
+def _small():
+    return st.integers(-2, 7).map(str)
+
+
+def _form():
+    names = st.sampled_from(sorted(REGISTRY) + ["zz"])
+    coeff = st.integers(0, 6)
+    return st.builds(lambda n, a, b, c: f"{n}({a},{b},{c})", names, coeff, coeff, coeff)
+
+
+def _flags(optional=(), **pairs):
+    """argv pieces ``--flag value``; the flags named in ``optional`` may be left out."""
+    return st.fixed_dictionaries({
+        k: st.one_of(st.none(), v) if k in optional else v for k, v in pairs.items()
+    }).map(lambda d: [x for k, v in d.items() if v is not None
+                      for x in (f"--{k.replace('_', '-')}", v)])
+
+
+_EPS = st.sampled_from(["1", "-1", "0", "2", "1,1,1", "-1,1,-1", "1,-1", "x"])
+_THETA = st.tuples(*[st.integers(-3, 3)] * 3).map(lambda t: ",".join(map(str, t)))
+
+# argv drawn from each subcommand's grammar: values may lie outside their
+# domain and bounds reach 10^4 (2000 for the identity checks, and verify
+# all, which runs the whole catalog, stays small)
+_ARGV = st.one_of(
+    st.tuples(st.just(["expand"]), st.one_of(
+        st.builds(lambda n: ["--name", n], st.sampled_from(["phi", "psi", "f", "X", "Y"])),
+        st.builds(lambda t: ["--theta", t], _THETA),
+    ), _flags(("scale",), scale=_small(), order=_bound())),
+    st.tuples(st.just(["verify", "thm1"]),
+              _flags(("eps", "order"), **{f: _small() for f in "krghuvij"}, eps=_EPS,
+                     order=_bound(2000))),
+    st.tuples(st.just(["verify", "thm2"]),
+              _flags(("eps", "order"), **{f: _small() for f in "krstij"}, eps=_EPS,
+                     order=_bound(2000))),
+    st.tuples(st.just(["verify", "corollary"]),
+              _flags(("k", "r", "m", "order"),
+                     id=st.sampled_from(["cor1", "cor2", "cor3", "cor4", "clp2.1",
+                                         "clp2.5", "clp2.8", "nope"]),
+                     k=_small(), r=_small(), m=_small(), order=_bound(2000))),
+    st.tuples(st.just(["verify", "relation"]),
+              _flags(("nmax",), id=st.sampled_from(["Athm1", "Athm11.3", "AAthm3", "nope"]),
+                     nmax=_bound())),
+    st.tuples(st.just(["verify", "classical"]),
+              _flags(id=st.sampled_from(list(CLASSICAL_IDS) + ["nope"]), nmax=_bound())),
+    st.tuples(st.just(["verify", "all"]),
+              _flags(("order", "nmax", "scan_nmax"), order=_bound(20), nmax=_bound(50),
+                     scan_nmax=_bound(100))),
+    st.tuples(st.just(["count"]), _flags(form=_form()), st.one_of(
+        st.builds(lambda n: ["--n", n], _bound()),
+        st.builds(lambda a, d: [f"--range={a}..{a + d}"],
+                  st.integers(-2, 10**4), st.integers(-3, 5)),
+    ), _flags(("method",), method=st.sampled_from(["enumerate", "series", "both", "all"]))),
+    st.tuples(st.just(["scan"]),
+              _flags(form=_form(), modulus=_small(), residue=_small(), nmax=_bound())),
+).map(lambda parts: [x for part in parts for x in part])
+
+
+class TestRobustness:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fmt=st.sampled_from([[], ["--format", "json"]]), argv=_ARGV)
+    def test_no_argv_raises(self, fmt, argv):
+        # exit 0, 1 or 2 and never a traceback; argparse reports a usage
+        # error by raising SystemExit(2)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(fmt + argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)

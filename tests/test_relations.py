@@ -6,6 +6,7 @@ import pytest
 
 from thetaq.relations import (
     CLASSICAL_IDS,
+    Counterexample,
     CountRef,
     RelationStatement,
     classical_check,
@@ -109,6 +110,31 @@ class TestVerification:
         counter = verify_relation(rel, 100)
         assert counter and counter[0].n == 1
         assert counter[0].lhs == 4 and counter[0].rhs == 3
+
+    @pytest.mark.parametrize("rid", ["Athm11.3", "AAthm71.1", "AAthm18.13", "PgTg.11",
+                                     "Athm4.4", "user"])
+    def test_against_per_n_reference(self, catalog, rid):
+        if rid == "user":  # every N fails: scalars, negative arguments, no class
+            rel = RelationStatement(
+                rid, CountRef("rT", (1, 1, 1), 2, -3, 2),
+                (CountRef("T", (1, 2, 4), 3, 1, -1), CountRef("r", (1, 1, 1))),
+            )
+        else:
+            rel = next(r for r in catalog if r.id == rid)
+
+        def side(ref, n):
+            arg = ref.alpha * n + ref.beta
+            return ref.scalar * count_enumerate(ref.spec, arg) if arg >= 0 else 0
+
+        m, r = rel.residue_class or (1, 0)
+        expected = []
+        for n in range(r, 151, m):
+            lhs, rhs = side(rel.lhs, n), sum(side(ref, n) for ref in rel.rhs)
+            if lhs != rhs:
+                expected.append(Counterexample(n, lhs, rhs))
+        counter = verify_relation(rel, 150)
+        assert counter == expected
+        assert all(type(v) is int for ce in counter for v in (ce.n, ce.lhs, ce.rhs))
 
     def test_zero_relations(self, catalog):
         by_id = {r.id: r for r in catalog}

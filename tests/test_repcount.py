@@ -1,13 +1,18 @@
 """Counting routes against brute-force index enumeration."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetaq import repcount
+from thetaq import series as series_module
 from thetaq.repcount import (
     REGISTRY,
     FigurateKind,
     MixedSumSpec,
+    _TableCache,
+    _value_multiplicities,
     count_enumerate,
     count_series,
     count_table,
@@ -166,6 +171,70 @@ class TestRouteAgreement:
         assert count_enumerate(MixedSumSpec.of("r", (1, 1, 1)), 2) == 12
 
 
+class TestTableCache:
+    # first requests, growth past the table (+1 steps included) and
+    # requests inside it
+    limits = st.lists(
+        st.one_of(st.integers(0, 3000), st.just(-1), st.just("+1")),
+        min_size=1, max_size=8,
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(sorted(REGISTRY)),
+           coeffs=st.tuples(*[st.integers(1, 6)] * 3), steps=limits, data=st.data())
+    def test_grows_in_place(self, name, coeffs, steps, data):
+        spec = MixedSumSpec.of(name, coeffs)
+        cache = _TableCache()
+        largest = -1
+        for step in steps:
+            limit = largest + 1 if step == "+1" else step
+            table = cache.get(spec, limit)
+            largest = max(largest, limit)
+            # never larger than the largest request
+            assert table.size == largest + 1
+            assert np.array_equal(table, count_table(spec, largest))
+            if largest >= 0:
+                ns = data.draw(st.lists(st.integers(0, largest), min_size=1, max_size=3))
+                for n in ns:
+                    assert int(table[n]) == count_enumerate(spec, n), (spec, n)
+
+    def test_growth_falls_back_to_the_exact_product(self, monkeypatch):
+        spec = MixedSumSpec.of("r", (1, 1, 2))
+        full = count_table(spec, 3000)
+        cache = _TableCache()
+        cache.get(spec, 1000)
+        # the counts fit, but sum|sparsest| * max|pair| no longer does
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", int(full.max()))
+        results = []
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        real = repcount.shifted_copies
+        monkeypatch.setattr(repcount, "shifted_copies", spy)
+        grown = cache.get(spec, 3000)
+        assert results == [None]
+        assert np.array_equal(grown, full)
+
+
+class TestValueLists:
+    def test_one_entry_per_kind_read_by_prefix(self):
+        spec = MixedSumSpec.of("rtp", (1, 1, 1))
+        count_enumerate(spec, 5000)
+        entries = dict(repcount._VALUES)
+        for n in (0, 1, 17, 400, 4999):
+            count_enumerate(spec, n)
+            for kind in spec.kinds:
+                values, counts = _value_multiplicities(kind, n)
+                expected = {}
+                for _, v in figurate_values(kind, n):
+                    expected[v] = expected.get(v, 0) + 1
+                assert dict(zip(values.tolist(), counts.tolist())) == expected
+        # smaller queries read prefixes: no entry was rebuilt
+        assert all(repcount._VALUES[k] is entries[k] for k in spec.kinds)
+
+
 class TestScan:
     def test_confirmed_class(self):
         assert nonrep_scan(MixedSumSpec.of("Rt", (1, 1, 4)), 4, 3, 800) == []
@@ -177,6 +246,18 @@ class TestScan:
     def test_bad_residue(self):
         with pytest.raises(ValueError):
             nonrep_scan(MixedSumSpec.of("Rt", (1, 1, 4)), 4, 5, 100)
+
+    @pytest.mark.parametrize("name,coeffs,modulus,residue,n_max", [
+        ("r", (1, 1, 1), 8, 7, 600), ("r", (1, 1, 1), 4, 1, 300),
+        ("Rt", (1, 1, 4), 4, 3, 0), ("rT", (1, 2, 2), 3, 2, 1),
+        ("tpg", (3, 2, 1), 5, 0, 400), ("pG", (4, 1, 1), 7, 6, -5),
+    ])
+    def test_against_enumeration(self, name, coeffs, modulus, residue, n_max):
+        spec = MixedSumSpec.of(name, coeffs)
+        repcount.TABLE_CACHE.get(spec, 700)  # a table wider than the scan
+        expected = [n for n in range(residue, n_max + 1, modulus)
+                    if count_enumerate(spec, n)]
+        assert nonrep_scan(spec, modulus, residue, n_max) == expected
 
 
 class TestSpecValidation:

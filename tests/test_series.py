@@ -13,7 +13,9 @@ from thetaq.series import (
     _dense_convolve,
     _exact_convolve,
     _sparse_convolve,
+    shifted_copies,
 )
+from thetaq import series as series_module
 from thetaq.theta import theta_expand, theta_special
 
 
@@ -247,6 +249,47 @@ class TestMulKernel:
         b = series_of({0: 1, 100: 1}, 300)
         with pytest.raises(CoefficientOverflowError):
             a * b
+
+
+class TestShiftedCopies:
+    """The tiled shifted-copies route from any start column."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=st.sampled_from([(0.02, 1.0), (0.02, 0.02), (0.3, 1.0)]).flatmap(
+               lambda d: st.tuples(mul_factor(d[0]), mul_factor(d[1]))),
+           tile=st.sampled_from([1, 7, 64, 1 << 15]), data=st.data())
+    def test_columns_from_start(self, pair, tile, data):
+        # small tiles make short outputs span many of them
+        x, y = pair[0].coeffs, pair[1].coeffs
+        width = data.draw(st.integers(1, x.size + y.size - 1))
+        start = data.draw(st.integers(0, width - 1))
+        ref = exact_window(x, y, width)
+        bound_fits = sum(abs(v) for v in x.tolist()) * max(abs(v) for v in y.tolist()) \
+            <= COEFF_LIMIT
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_SHIFT_TILE", tile)
+            out = shifted_copies(x, np.flatnonzero(x), y, start, width)
+        if not bound_fits:
+            assert out is None
+            return
+        assert out.tolist() == ref[start:]
+
+    def test_several_full_tiles(self):
+        # theta-shaped factors at the real tile size: 1 and 2 coefficients
+        # (phi) against a dense product, from a start inside the second tile
+        phi = theta_expand(theta_special("phi", 3), 200_000).coeffs[::2]
+        dense = np.random.default_rng(5).integers(-50, 50, 100_001)
+        width, start = 100_001, 40_000
+        out = shifted_copies(phi, np.flatnonzero(phi), dense, start, width)
+        ref = np.zeros(width, dtype=np.int64)  # untiled; |ref| < 2^30
+        for s in np.flatnonzero(phi).tolist():
+            ref[s:] += phi[s] * dense[: width - s]
+        assert np.array_equal(out, ref[start:])
+
+    def test_bound_failure_writes_nothing(self):
+        a = np.array([2**62, 0, 1], dtype=np.int64)
+        b = np.array([2, 1, 1], dtype=np.int64)
+        assert shifted_copies(a, np.flatnonzero(a), b, 1, 5) is None
 
 
 class TestCoeff:

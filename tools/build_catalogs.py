@@ -338,15 +338,6 @@ def grid_pairs(k: int, r: int) -> list[dict]:
     ]
 
 
-def prose_scale(params: dict) -> int:
-    scale = 1
-    for a, b in ((params["g"], params["h"]), (params["u"], params["v"]),
-                 (params["i"], params["j"])):
-        if a == 0 or b == 0:
-            scale *= 2
-    return scale
-
-
 def build_identities() -> dict:
     entries = []
     for name, params in NAMED_TRIPLES:
@@ -356,7 +347,6 @@ def build_identities() -> dict:
             "id": f"thm1.{name}",
             "kind": "thm1",
             "params": params,
-            "prose_scale": prose_scale(params),
             "citation": f"triple-product setting behind relation group {name}",
         })
     for (k, r) in GRID_PAIRS:
