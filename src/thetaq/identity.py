@@ -53,7 +53,9 @@ class ThetaProduct:
         series: Optional[HalfPowerSeries] = None
         for f, m in zip(self.factors, mins):
             bound = hi - self.shift - (total_min - m) + _EXPANSION_SLACK
-            part = theta_expand(f, bound)
+            # below its own least exponent m a factor would come back
+            # valid through less than m, short of the bound the product needs
+            part = theta_expand(f, max(bound, m))
             series = part if series is None else series * part
         assert series is not None
         out = series.shift(self.shift)

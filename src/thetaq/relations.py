@@ -12,6 +12,7 @@ catalog was assembled from.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -56,6 +57,42 @@ class Counterexample:
     rhs: int
 
 
+class Counterexamples(Sequence[Counterexample]):
+    """Read-only sequence of counterexamples, smallest N first.
+
+    Holds the failing N and both sides as int64 arrays and builds a
+    :class:`Counterexample` with Python-int fields only for the items
+    read; a slice is another such sequence.  Compares equal to a list
+    of the same items, in either operand order.
+    """
+
+    __slots__ = ("_n", "_lhs", "_rhs")
+
+    def __init__(self, n: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> None:
+        self._n, self._lhs, self._rhs = n, lhs, rhs
+
+    def __len__(self) -> int:
+        return self._n.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Counterexamples(self._n[i], self._lhs[i], self._rhs[i])
+        return Counterexample(int(self._n[i]), int(self._lhs[i]), int(self._rhs[i]))
+
+    def __iter__(self):
+        return map(Counterexample, self._n.tolist(), self._lhs.tolist(), self._rhs.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, Counterexamples)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map(repr, self[:5]))
+        more = f", ... ({len(self)} in all)" if len(self) > 5 else ""
+        return f"Counterexamples([{shown}{more}])"
+
+
 @dataclass(frozen=True)
 class RelationStatement:
     id: str
@@ -64,6 +101,18 @@ class RelationStatement:
     residue_class: Optional[tuple[int, int]] = None  # (modulus, residue) on N
     citation: str = ""
     status: str = "empirical"  # pinned | empirical
+
+    def __post_init__(self) -> None:
+        rc = self.residue_class
+        if rc is not None and not (
+            isinstance(rc, tuple) and len(rc) == 2
+            and all(type(x) is int for x in rc) and 0 <= rc[1] < rc[0]
+        ):
+            # a class with m < 1 or r outside [0, m) checks no N, or divides by 0
+            raise ValueError(
+                f"relation {self.id!r}: residue class {rc!r} needs integers "
+                "(m, r) with m >= 1 and 0 <= r < m"
+            )
 
     def render(self) -> str:
         rhs_parts = []
@@ -81,20 +130,16 @@ class RelationStatement:
         return f"{self.lhs.render()} = {rhs_text}{tail}"
 
 
-def verify_relation(rel: RelationStatement, n_max: int) -> list[Counterexample]:
+def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
     """All N <= n_max in the relation's class where the two sides differ."""
-    if n_max < 0:
-        return []
-    ns = np.arange(n_max + 1)
-    if rel.residue_class:
-        m, r = rel.residue_class
-        ns = ns[ns % m == r]
+    m, r = rel.residue_class or (1, 0)
+    ns = np.arange(r, n_max + 1, m, dtype=np.int64)
     if ns.size == 0:
-        return []
+        return Counterexamples(ns, ns, ns)
 
     def side(ref: CountRef) -> np.ndarray:
         args = ref.alpha * ns + ref.beta
-        table = TABLE_CACHE.get(ref.spec, int(args.max()) if args.size else 0)
+        table = TABLE_CACHE.get(ref.spec, int(args.max()))
         vals = np.zeros(ns.size, dtype=np.int64)
         good = args >= 0
         vals[good] = table[args[good]]
@@ -105,10 +150,7 @@ def verify_relation(rel: RelationStatement, n_max: int) -> list[Counterexample]:
     for ref in rel.rhs:
         rhs = rhs + side(ref)
     bad = lhs != rhs
-    return [
-        Counterexample(n, l, r)
-        for n, l, r in zip(ns[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist())
-    ]
+    return Counterexamples(ns[bad], lhs[bad], rhs[bad])
 
 
 # ----------------------------------------------------------------------
@@ -127,12 +169,12 @@ def _parse_ref(raw: dict) -> CountRef:
 
 
 def _parse_relation(raw: dict) -> RelationStatement:
-    residue = raw.get("residue")
+    residue = raw.get("residue") or None
     return RelationStatement(
         id=raw["id"],
         lhs=_parse_ref(raw["lhs"]),
         rhs=tuple(_parse_ref(r) for r in raw.get("rhs", [])),
-        residue_class=tuple(residue) if residue else None,
+        residue_class=tuple(residue) if isinstance(residue, list) else residue,
         citation=raw.get("citation", ""),
         status=raw.get("status", "empirical"),
     )

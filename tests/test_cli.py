@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from thetaq import cli
 from thetaq.cli import main
-from thetaq.relations import CLASSICAL_IDS
+from thetaq.identity import load_identity_catalog
+from thetaq.relations import CLASSICAL_IDS, load_relation_catalog, load_scan_catalog
 from thetaq.repcount import REGISTRY
 from thetaq.series import CoefficientOverflowError
 
@@ -179,6 +180,21 @@ class TestDomainErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read catalog")
 
+    @pytest.mark.parametrize("residue", [[3, 5], [0, 0], [2, -1], [4, 1, 0], 5],
+                             ids=["r>=m", "m=0", "r<0", "triple", "not-a-list"])
+    def test_malformed_residue_class_is_usage_error(self, capsys, tmp_path, residue):
+        # [3, 5] used to check no N and pass; [0, 0] divided by zero
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps({"relations": [{
+            "id": "user.bad", "residue": residue,
+            "lhs": {"form": "T", "coeffs": [1, 1, 1]},
+            "rhs": [{"form": "T", "coeffs": [1, 1, 1]}],
+        }]}))
+        for argv in (("verify", "relation", "--id", "user.bad"), ("verify", "all")):
+            code, out, err = run(capsys, *argv, "--catalog", str(extra))
+            assert code == 2 and out == ""
+            assert err.startswith("error: relation 'user.bad': residue class")
+
     THM1 = ("verify", "thm1", "--k", "2", "--r", "1", "--g", "1", "--h", "0",
             "--u", "1", "--v", "0", "--i", "1", "--j", "1")
 
@@ -199,6 +215,18 @@ class TestDomainErrors:
         out = capsys.readouterr()
         assert exc.value.code == 2
         assert out.out == "" and "expected a nonnegative integer" in out.err
+
+
+class TestVerifyAll:
+    @pytest.mark.parametrize("order", ["0", "5", "20"])
+    def test_low_order_runs_the_whole_catalog(self, capsys, order):
+        code, out, _ = run(capsys, "--format", "json", "verify", "all", "--order", order,
+                           "--nmax", "10", "--scan-nmax", "10")
+        assert code == 0
+        records = json_records(out)
+        assert len(records) == (len(load_identity_catalog()) + len(load_relation_catalog())
+                                + len(load_scan_catalog()) + len(CLASSICAL_IDS))
+        assert all(r["status"] in ("pass", "info") for r in records)
 
 
 class TestOverflow:

@@ -441,6 +441,13 @@ class TestCatalog:
         for eid in ("thm1.Athm1", "thm2.k2r1.zero", "cor3.k4r3", "clp2.6.m2"):
             assert by_id[eid].verify(120).ok, eid
 
+    @pytest.mark.parametrize("through", [0, 2, 10, 40])
+    def test_every_entry_verifies_at_low_order(self, through):
+        # a factor asked for less than its own least exponent once came
+        # back too short for its product's validity bound
+        for entry in load_identity_catalog():
+            assert entry.verify(through).ok, entry.id
+
     def test_grid_covers_every_admissible_pair(self):
         entries = load_identity_catalog()
         pairs = {(2, 1), (3, 2), (4, 1), (4, 3), (5, 2), (5, 4), (6, 1), (6, 5)}

@@ -1,7 +1,9 @@
 """Relation catalog, classical checks, falsification paths."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from thetaq.relations import (
@@ -14,7 +16,7 @@ from thetaq.relations import (
     load_scan_catalog,
     verify_relation,
 )
-from thetaq.repcount import MixedSumSpec, count_enumerate, nonrep_scan
+from thetaq.repcount import TABLE_CACHE, MixedSumSpec, count_enumerate, nonrep_scan
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +159,101 @@ class TestVerification:
         assert any(r.id == "user.1" for r in merged)
         user = next(r for r in merged if r.id == "user.1")
         assert verify_relation(user, 50) == []
+
+
+class TestCounterexamples:
+    """The lazy sequence ``verify_relation`` returns behaves as a list."""
+
+    # nearly every N fails: scalars, negative arguments, no residue class
+    USER = RelationStatement(
+        "user", CountRef("rT", (1, 1, 1), 2, -3, 2),
+        (CountRef("T", (1, 2, 4), 3, 1, -1), CountRef("r", (1, 1, 1))),
+    )
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        def side(ref, n):
+            arg = ref.alpha * n + ref.beta
+            return ref.scalar * count_enumerate(ref.spec, arg) if arg >= 0 else 0
+
+        rel = self.USER
+        rows = [Counterexample(n, side(rel.lhs, n), sum(side(r, n) for r in rel.rhs))
+                for n in range(61)]
+        return [ce for ce in rows if ce.lhs != ce.rhs]
+
+    def test_length_and_truth(self, expected):
+        counter = verify_relation(self.USER, 60)
+        assert len(counter) == len(expected) == 60 and counter
+        empty = verify_relation(self.USER, -1)
+        assert len(empty) == 0 and not empty
+
+    def test_indexing_and_slices(self, expected):
+        counter = verify_relation(self.USER, 60)
+        for i in (0, 1, 30, 59, -1, -2, -60):
+            assert counter[i] == expected[i], i
+        for i in (60, -61):
+            with pytest.raises(IndexError):
+                counter[i]
+        assert counter[5:17:3] == expected[5:17:3]
+        assert counter[-4:] == expected[-4:]
+        assert counter[70:] == []
+
+    def test_iteration_yields_python_ints(self, expected):
+        counter = verify_relation(self.USER, 60)
+        items = list(counter)
+        assert items == expected
+        assert all(type(ce) is Counterexample for ce in items)
+        assert all(type(v) is int for ce in counter for v in (ce.n, ce.lhs, ce.rhs))
+        assert all(type(v) is int for v in (counter[-1].n, counter[-1].lhs, counter[-1].rhs))
+
+    def test_equality_against_lists(self, expected):
+        counter = verify_relation(self.USER, 60)
+        assert counter == expected and expected == counter
+        assert not (counter != expected) and not (expected != counter)
+        altered = expected[:-1] + [Counterexample(expected[-1].n, 0, 0)]
+        for other in (altered, expected[:-1], [], expected + expected[:1]):
+            assert counter != other and other != counter
+            assert not (counter == other) and not (other == counter)
+        assert verify_relation(self.USER, -1) == [] and [] == verify_relation(self.USER, -1)
+        assert counter == verify_relation(self.USER, 60)
+        assert counter != tuple(expected)  # as for a list
+
+    def test_repr(self, expected):
+        counter = verify_relation(self.USER, 60)
+        assert repr(counter[:2]) == f"Counterexamples([{expected[0]!r}, {expected[1]!r}])"
+        assert repr(counter[:0]) == "Counterexamples([])"
+        assert repr(counter[:5]).endswith(f"{expected[4]!r}])")
+        assert repr(counter[:6]).endswith(f"{expected[4]!r}, ... (6 in all)])")
+        text = repr(counter)
+        assert text.startswith(f"Counterexamples([{expected[0]!r}, ")
+        assert text.endswith(", ... (60 in all)])") and repr(expected[5]) not in text
+
+    def test_catalog_matches_list_built_from_arrays(self, catalog):
+        # the reference rebuilds every counterexample eagerly from the
+        # masked arrays, as the sequence would on a full read
+        def digest(items):
+            return hashlib.sha256(repr(items).encode()).hexdigest()
+
+        n_max = 20000
+        for rel in catalog:
+            m, r = rel.residue_class or (1, 0)
+            ns = np.arange(n_max + 1)
+            ns = ns[ns % m == r]
+
+            def side(ref):
+                args = ref.alpha * ns + ref.beta
+                table = TABLE_CACHE.get(ref.spec, int(args.max()))
+                vals = np.zeros(ns.size, dtype=np.int64)
+                vals[args >= 0] = table[args[args >= 0]]
+                return ref.scalar * vals
+
+            lhs, rhs = side(rel.lhs), sum((side(ref) for ref in rel.rhs), np.zeros_like(ns))
+            bad = lhs != rhs
+            reference = [
+                Counterexample(n, lv, rv)
+                for n, lv, rv in zip(ns[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist())
+            ]
+            assert digest(list(verify_relation(rel, n_max))) == digest(reference), rel.id
 
 
 class TestSeriesToRelationBridge:
