@@ -180,20 +180,32 @@ class TripleParams:
         return ((1 - self.eps1) // 2, (1 - self.eps2) // 2, (1 - self.eps3) // 2)
 
 
+def _sgn(parity: int) -> int:
+    return -1 if parity % 2 else 1
+
+
+def _kr_violations(k: int, r: int) -> list[str]:
+    """Violated admissibility conditions on (k, r), shared by both results."""
+    if not (k > r > 0):
+        return ["k > r > 0"]
+    bad = []
+    if math.gcd(2 * k, r) not in (1, 2):
+        bad.append("gcd(2k, r) in {1, 2}")
+    if math.gcd(2 * k, k - r) != 1:
+        bad.append("gcd(2k, k-r) = 1")
+    return bad
+
+
+def _require_valid(bad: list[str]) -> None:
+    if bad:
+        raise ValueError("constraint violations: " + "; ".join(bad))
+
+
 def validate_triple(p: TripleParams) -> list[str]:
     """Names of violated constraints; empty means admissible."""
-    bad = []
-    if not (p.k > p.r > 0):
-        bad.append("k > r > 0")
-    else:
-        if math.gcd(2 * p.k, p.r) not in (1, 2):
-            bad.append("gcd(2k, r) in {1, 2}")
-        if math.gcd(2 * p.k, p.k - p.r) != 1:
-            bad.append("gcd(2k, k-r) = 1")
-    for es in (p.eps1, p.eps2, p.eps3):
-        if es not in (1, -1):
-            bad.append("signs must be +1 or -1")
-            break
+    bad = _kr_violations(p.k, p.r)
+    if any(es not in (1, -1) for es in (p.eps1, p.eps2, p.eps3)):
+        bad.append("signs must be +1 or -1")
     if p.s1 <= 0:
         bad.append("S1 > 0")
     if p.s2 <= 0:
@@ -207,15 +219,9 @@ def validate_triple(p: TripleParams) -> list[str]:
     return bad
 
 
-def _require_valid(p: TripleParams) -> None:
-    bad = validate_triple(p)
-    if bad:
-        raise ValueError("constraint violations: " + "; ".join(bad))
-
-
 def triple_lhs(p: TripleParams) -> ThetaProduct:
     """The product f(e1 q^g, e1 q^h) f(e2 q^u, e2 q^v) f(e3 q^i, e3 q^j)."""
-    _require_valid(p)
+    _require_valid(validate_triple(p))
     return ThetaProduct(
         1,
         0,
@@ -227,6 +233,34 @@ def triple_lhs(p: TripleParams) -> ThetaProduct:
     )
 
 
+def _first_block(
+    k: int, r: int, s3: int, d3: int, d: int, dl3: int,
+    eps_mid: int, eps_last: int, outer: tuple[ThetaArg, ...],
+) -> list[ThetaProduct]:
+    """The k terms of Theorem 1's first block, alpha from floor((2-k)/2).
+
+    ``d`` stands for D1 + D2 and ``outer`` for the block's outer factor,
+    distributed into every term.  Theorem 2's terms are this block with
+    d = D = s - t and no outer factor.
+    """
+    terms = []
+    for alpha in range((2 - k) // 2, k // 2 + 1):
+        mid = ThetaArg(
+            eps_mid,
+            r * (s3 * (k + 2 * alpha) + d3) + d,
+            r * (s3 * (k - 2 * alpha) - d3) - d,
+        )
+        last = ThetaArg(
+            eps_last,
+            (k - r) * (s3 * (k - 2 * alpha) - d3) + d,
+            (k - r) * (s3 * (k + 2 * alpha) + d3) - d,
+        )
+        terms.append(ThetaProduct(
+            _sgn(alpha * dl3), alpha * (alpha * s3 + d3), outer + (mid, last)
+        ))
+    return terms
+
+
 def triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     """The 2k decomposition terms, first-block terms first.
 
@@ -235,37 +269,18 @@ def triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     entry is a full product of three factors with an explicit monomial.
     All exponents below are in half-units (= the whole-q formulas).
     """
-    _require_valid(p)
+    _require_valid(validate_triple(p))
     k, r = p.k, p.r
     s1, d1, s2, d2, s3, d3 = p.s1, p.d1, p.s2, p.d2, p.s3, p.d3
     dl1, dl2, dl3 = p.deltas
     w = r * (k - r)
 
-    def sgn(parity: int) -> int:
-        return -1 if parity % 2 else 1
+    eps_outer = _sgn(dl1 + dl2)
+    eps_mid = _sgn(dl1 + dl2 + r * dl3)
+    eps_last = _sgn(dl1 + dl2 + dl3)  # k-r odd keeps the parity honest
 
-    eps_outer = sgn(dl1 + dl2)
-    eps_mid = sgn(dl1 + dl2 + r * dl3)
-    eps_last = sgn(dl1 + dl2 + dl3)  # k-r odd keeps the parity honest
-
-    terms: list[ThetaProduct] = []
-
-    # block 1: alpha from floor((2-k)/2) to floor(k/2), k terms
     outer1 = ThetaArg(eps_outer, w * s3 + d1 - d2, w * s3 - d1 + d2)
-    for alpha in range((2 - k) // 2, k // 2 + 1):
-        sign = sgn(alpha * dl3)
-        shift = alpha * (alpha * s3 + d3)
-        mid = ThetaArg(
-            eps_mid,
-            r * (s3 * (k + 2 * alpha) + d3) + d1 + d2,
-            r * (s3 * (k - 2 * alpha) - d3) - d1 - d2,
-        )
-        last = ThetaArg(
-            eps_last,
-            (k - r) * (s3 * (k - 2 * alpha) - d3) + d1 + d2,
-            (k - r) * (s3 * (k + 2 * alpha) + d3) - d1 - d2,
-        )
-        terms.append(ThetaProduct(sign, shift, (outer1, mid, last)))
+    terms = _first_block(k, r, s3, d3, d1 + d2, dl3, eps_mid, eps_last, (outer1,))
 
     # blocks 2 and 3 share this outer factor and global sign
     outer23 = ThetaArg(eps_outer, 2 * w * s3 + d1 - d2, -d1 + d2)
@@ -274,7 +289,7 @@ def triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     # block 2: alpha from 1 to floor((k+1)/2)
     for alpha in range(1, (k + 1) // 2 + 1):
         c = -k + r + 2 * alpha - 1  # even since k-r is odd
-        sign = sgn(alpha * dl3 + dl1 + block_sign)
+        sign = _sgn(alpha * dl3 + dl1 + block_sign)
         shift = s1 + d1 + s3 * c * c // 4 + d3 * c // 2
         mid = ThetaArg(
             eps_mid,
@@ -291,7 +306,7 @@ def triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     # block 3: alpha from 1 to floor(k/2)
     for alpha in range(1, k // 2 + 1):
         c = k - r - 2 * alpha + 1  # even since k-r is odd
-        sign = sgn(alpha * dl3 + dl2 + block_sign)
+        sign = _sgn(alpha * dl3 + dl2 + block_sign)
         shift = s2 - d2 + s3 * c * c // 4 + d3 * c // 2
         mid = ThetaArg(
             eps_mid,
@@ -337,14 +352,7 @@ class PairParams:
 
 
 def validate_pair(p: PairParams) -> list[str]:
-    bad = []
-    if not (p.k > p.r > 0):
-        bad.append("k > r > 0")
-    else:
-        if math.gcd(2 * p.k, p.r) not in (1, 2):
-            bad.append("gcd(2k, r) in {1, 2}")
-        if math.gcd(2 * p.k, p.k - p.r) != 1:
-            bad.append("gcd(2k, k-r) = 1")
+    bad = _kr_violations(p.k, p.r)
     if p.eps not in (1, -1):
         bad.append("eps must be +1 or -1")
     if p.s + p.t <= 0:
@@ -357,9 +365,7 @@ def validate_pair(p: PairParams) -> list[str]:
 
 
 def pair_lhs(p: PairParams) -> ThetaProduct:
-    bad = validate_pair(p)
-    if bad:
-        raise ValueError("constraint violations: " + "; ".join(bad))
+    _require_valid(validate_pair(p))
     return ThetaProduct(
         1,
         0,
@@ -369,36 +375,12 @@ def pair_lhs(p: PairParams) -> ThetaProduct:
 
 def pair_rhs(p: PairParams) -> list[ThetaProduct]:
     """The k decomposition terms of the two-theta product."""
-    bad = validate_pair(p)
-    if bad:
-        raise ValueError("constraint violations: " + "; ".join(bad))
-    k, r = p.k, p.r
-    s3, d3 = p.i + p.j, p.i - p.j
-    d = p.s - p.t
+    _require_valid(validate_pair(p))
     delta = (1 - p.eps) // 2
-
-    def sgn(parity: int) -> int:
-        return -1 if parity % 2 else 1
-
-    eps_mid = sgn(r * delta)
-    eps_last = sgn(delta)
-    terms = []
-    for alpha in range((2 - k) // 2, k // 2 + 1):
-        sign = sgn(alpha * delta)
-        shift = alpha * (alpha * s3 + d3)
-        mid = ThetaArg(
-            eps_mid,
-            r * (s3 * (k + 2 * alpha) + d3) + d,
-            r * (s3 * (k - 2 * alpha) - d3) - d,
-        )
-        last = ThetaArg(
-            eps_last,
-            (k - r) * (s3 * (k - 2 * alpha) - d3) + d,
-            (k - r) * (s3 * (k + 2 * alpha) + d3) - d,
-        )
-        terms.append(ThetaProduct(sign, shift, (mid, last)))
-    assert len(terms) == k
-    return terms
+    return _first_block(
+        p.k, p.r, p.i + p.j, p.i - p.j, p.s - p.t, delta,
+        _sgn(p.r * delta), _sgn(delta), (),
+    )
 
 
 def verify_pair(p: PairParams, through: int) -> IdentityReport:
@@ -409,19 +391,18 @@ def verify_pair(p: PairParams, through: int) -> IdentityReport:
 # named corollaries
 # ----------------------------------------------------------------------
 
-# Specializations g=h-style rows for the signed two-theta identities:
-# (g, h, u, v, i, j) coefficients of m plus constants, signs fixed at
-# (-1, +1, eps3).  Row key is the catalog identifier.
-_SIGNED_PAIR_ROWS: dict[str, tuple[tuple[int, int], ...]] = {
-    # ((gm, gc), (hm, hc), (um, uc), (vm, vc), (im, ic), (jm, jc), (eps3, 0))
-    "clp2.1": ((1, 0), (1, 0), (1, 0), (1, 0), (0, 2), (0, 2), (1, 0)),
-    "clp2.2": ((3, 0), (1, 0), (3, 0), (1, 0), (0, 6), (0, 2), (1, 0)),
-    "clp2.3": ((2, 0), (1, 0), (2, 0), (1, 0), (0, 4), (0, 2), (-1, 0)),
-    "clp2.4": ((1, 0), (1, 0), (1, 0), (1, 0), (0, 4), (0, 0), (1, 0)),
-    "clp2.5": ((1, 0), (1, 0), (1, 0), (1, 0), (0, 3), (0, 1), (1, 0)),
-    "clp2.6": ((2, 0), (1, 0), (2, 0), (1, 0), (0, 3), (0, 3), (1, 0)),
-    "clp2.7": ((3, 0), (1, 0), (3, 0), (1, 0), (0, 4), (0, 4), (1, 0)),
-    "clp2.8": ((3, 0), (1, 0), (3, 0), (1, 0), (0, 8), (0, 0), (1, 0)),
+# The signed two-theta identities as rows (gm, hm, i, j, eps3) of the
+# triple-product setting k = m+1, r = m, g = u = gm*m, h = v = hm*m,
+# signs (-1, +1, eps3).  Row key is the catalog identifier.
+_SIGNED_PAIR_ROWS: dict[str, tuple[int, int, int, int, int]] = {
+    "clp2.1": (1, 1, 2, 2, 1),
+    "clp2.2": (3, 1, 6, 2, 1),
+    "clp2.3": (2, 1, 4, 2, -1),
+    "clp2.4": (1, 1, 4, 0, 1),
+    "clp2.5": (1, 1, 3, 1, 1),
+    "clp2.6": (2, 1, 3, 3, 1),
+    "clp2.7": (3, 1, 4, 4, 1),
+    "clp2.8": (3, 1, 8, 0, 1),
 }
 
 _COROLLARY_IDS = ("cor1", "cor2", "cor3", "cor4")
@@ -433,20 +414,10 @@ def signed_pair_params(cid: str, m: int) -> TripleParams:
         raise KeyError(f"unknown identity {cid!r}")
     if m < 1:
         raise ValueError("m must be a positive integer")
-    row = _SIGNED_PAIR_ROWS[cid]
-    (gm, gc), (hm, hc), (um, uc), (vm, vc), (im, ic), (jm, jc), (e3, _) = row
+    gm, hm, i, j, eps3 = _SIGNED_PAIR_ROWS[cid]
+    g, h = gm * m, hm * m
     return TripleParams(
-        k=m + 1,
-        r=m,
-        g=gm * m + gc,
-        h=hm * m + hc,
-        u=um * m + uc,
-        v=vm * m + vc,
-        i=im * m + ic,
-        j=jm * m + jc,
-        eps1=-1,
-        eps2=1,
-        eps3=e3,
+        k=m + 1, r=m, g=g, h=h, u=g, v=h, i=i, j=j, eps1=-1, eps2=1, eps3=eps3
     )
 
 
@@ -521,16 +492,8 @@ def _reduced_signed_pair(
         if term.factors[0] != shared:
             raise AssertionError("unexpected head-block outer factor")
         rhs.append(ThetaProduct(term.sign, term.shift, term.factors[1:]))
-    lhs = [
-        ThetaProduct(
-            1,
-            0,
-            (
-                ThetaArg(-1, 4 * p.g, 4 * p.h),
-                ThetaArg(p.eps3, 2 * p.i, 2 * p.j),
-            ),
-        )
-    ]
+    squared = ThetaArg(-1, 4 * p.g, 4 * p.h)  # f(-q^2g, -q^2h)
+    lhs = [ThetaProduct(1, 0, (squared, ThetaArg(p.eps3, 2 * p.i, 2 * p.j)))]
     return lhs, rhs
 
 
@@ -575,28 +538,32 @@ def verify_signed_pair(cid: str, m: int, through: int) -> SignedPairReport:
         through,
         len(reduced_rhs),
     )
-    # the printed form must agree with the structural construction
-    printed_lhs, printed_rhs = instantiate_signed_pair(cid, m)
-    printed = _verify_terms(printed_lhs, printed_rhs, through)
-    if printed.ok != final.ok:
-        raise AssertionError("printed and dissected routes disagree")
     return SignedPairReport(identity, substituted, odd_clear, final)
+
+
+def _is_direct_corollary(
+    cid: str, k: int | None, r: int | None, m: int | None
+) -> bool:
+    """True for cor1..cor4, False for a signed pair; checks the arguments."""
+    if cid in _COROLLARY_IDS:
+        if k is None or r is None:
+            raise ValueError(f"{cid} needs k and r")
+        return True
+    if cid in _SIGNED_PAIR_ROWS:
+        if m is None:
+            raise ValueError(f"{cid} needs m")
+        return False
+    raise KeyError(f"unknown corollary {cid!r}")
 
 
 def instantiate_corollary(
     cid: str, *, k: int | None = None, r: int | None = None, m: int | None = None
 ) -> tuple[list[ThetaProduct], list[ThetaProduct]]:
     """Both sides of a named corollary as lists of theta products."""
-    if cid in _COROLLARY_IDS:
-        if k is None or r is None:
-            raise ValueError(f"{cid} needs k and r")
+    if _is_direct_corollary(cid, k, r, m):
         p = corollary_params(cid, k, r)
         return [triple_lhs(p)], triple_rhs(p)
-    if cid in _SIGNED_PAIR_ROWS:
-        if m is None:
-            raise ValueError(f"{cid} needs m")
-        return instantiate_signed_pair(cid, m)
-    raise KeyError(f"unknown corollary {cid!r}")
+    return instantiate_signed_pair(cid, m)
 
 
 def verify_corollary(
@@ -607,20 +574,12 @@ def verify_corollary(
     m: int | None = None,
     through: int,
 ) -> IdentityReport:
-    if cid in _COROLLARY_IDS:
-        if k is None or r is None:
-            raise ValueError(f"{cid} needs k and r")
+    if _is_direct_corollary(cid, k, r, m):
         return verify_triple(corollary_params(cid, k, r), through)
-    if cid in _SIGNED_PAIR_ROWS:
-        if m is None:
-            raise ValueError(f"{cid} needs m")
-        report = verify_signed_pair(cid, m, through)
-        if not report.odd_part_clear:
-            return IdentityReport(
-                False, through, None, report.final.rhs_term_count
-            )
-        return report.final
-    raise KeyError(f"unknown corollary {cid!r}")
+    report = verify_signed_pair(cid, m, through)
+    if not report.odd_part_clear:
+        return IdentityReport(False, through, None, report.final.rhs_term_count)
+    return report.final
 
 
 # ----------------------------------------------------------------------
@@ -655,14 +614,12 @@ def load_identity_catalog() -> list[IdentityEntry]:
     raw = json.loads(
         resources.files("thetaq.data").joinpath("identities.json").read_text()
     )
-    entries = []
-    for item in raw["identities"]:
-        entries.append(
-            IdentityEntry(
-                id=item["id"],
-                kind=item["kind"],
-                params=item["params"],
-                citation=item.get("citation", ""),
-            )
+    return [
+        IdentityEntry(
+            id=item["id"],
+            kind=item["kind"],
+            params=item["params"],
+            citation=item.get("citation", ""),
         )
-    return entries
+        for item in raw["identities"]
+    ]

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .repcount import TABLE_CACHE, MixedSumSpec
+from .repcount import REGISTRY, TABLE_CACHE, MixedSumSpec
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,25 @@ class CountRef:
     alpha: int = 1
     beta: int = 0
     scalar: int = 1
+
+    def __post_init__(self) -> None:
+        c = self.coeffs
+        if not (
+            isinstance(self.form, str) and self.form in REGISTRY
+            and isinstance(c, tuple) and len(c) == 3
+            and all(type(x) is int and x > 0 for x in c)
+            and type(self.alpha) is int and self.alpha >= 1
+            and type(self.beta) is int
+            and type(self.scalar) is int and self.scalar != 0
+        ):
+            # a float field would be compared in floats, an alpha below 1
+            # does not step through N, and a zero scalar drops its count
+            raise ValueError(
+                f"count {self.form!r} {c!r} alpha={self.alpha!r} beta={self.beta!r} "
+                f"scalar={self.scalar!r} needs a registered form, three positive "
+                "integer coefficients, integers alpha >= 1 and beta, and a nonzero "
+                "integer scalar"
+            )
 
     @property
     def spec(self) -> MixedSumSpec:
@@ -113,6 +132,11 @@ class RelationStatement:
                 f"relation {self.id!r}: residue class {rc!r} needs integers "
                 "(m, r) with m >= 1 and 0 <= r < m"
             )
+        if self.status not in ("pinned", "empirical"):
+            raise ValueError(
+                f"relation {self.id!r}: status {self.status!r} is not "
+                "'pinned' or 'empirical'"
+            )
 
     def render(self) -> str:
         rhs_parts = []
@@ -159,9 +183,10 @@ def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
 
 
 def _parse_ref(raw: dict) -> CountRef:
+    coeffs = raw["coeffs"]
     return CountRef(
         form=raw["form"],
-        coeffs=tuple(raw["coeffs"]),
+        coeffs=tuple(coeffs) if isinstance(coeffs, list) else coeffs,
         alpha=raw.get("alpha", 1),
         beta=raw.get("beta", 0),
         scalar=raw.get("scalar", 1),
@@ -169,11 +194,17 @@ def _parse_ref(raw: dict) -> CountRef:
 
 
 def _parse_relation(raw: dict) -> RelationStatement:
+    rid = raw["id"]
     residue = raw.get("residue") or None
+    try:
+        lhs = _parse_ref(raw["lhs"])
+        rhs = tuple(_parse_ref(r) for r in raw.get("rhs", []))
+    except ValueError as exc:
+        raise ValueError(f"relation {rid!r}: {exc}") from None
     return RelationStatement(
-        id=raw["id"],
-        lhs=_parse_ref(raw["lhs"]),
-        rhs=tuple(_parse_ref(r) for r in raw.get("rhs", [])),
+        id=rid,
+        lhs=lhs,
+        rhs=rhs,
         residue_class=tuple(residue) if isinstance(residue, list) else residue,
         citation=raw.get("citation", ""),
         status=raw.get("status", "empirical"),

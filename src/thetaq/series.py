@@ -33,11 +33,6 @@ class TruncationError(ValueError):
     """A coefficient beyond a series' validity bound was requested."""
 
 
-def _as_int64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    return arr
-
-
 @dataclass(frozen=True)
 class EqualityReport:
     """Outcome of comparing two series through a common bound."""
@@ -55,7 +50,7 @@ class HalfPowerSeries:
     def __init__(self, lo: int, hi: int, coeffs) -> None:
         if lo > hi:
             raise ValueError(f"lo={lo} must not exceed hi={hi}")
-        arr = _as_int64(coeffs)
+        arr = np.asarray(coeffs, dtype=np.int64)
         if arr.shape != (hi - lo + 1,):
             raise ValueError(
                 f"need {hi - lo + 1} coefficients for [{lo}, {hi}], got {arr.shape}"

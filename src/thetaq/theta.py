@@ -45,19 +45,9 @@ class ThetaArg:
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
 
-    def swapped(self) -> "ThetaArg":
-        return ThetaArg(self.eps, self.b, self.a)
-
     def is_zero_function(self) -> bool:
         """True when one argument is eps*q^0 = -1, which kills the series."""
         return self.eps == -1 and (self.a == 0 or self.b == 0)
-
-    def is_expandable(self) -> bool:
-        if self.is_zero_function():
-            return True
-        if self.a + self.b > 0:
-            return True
-        return False
 
     def min_exponent(self) -> int:
         """Least exponent carrying a term of the bilateral sum (always <= 0)."""

@@ -195,7 +195,27 @@ class TestDomainErrors:
             assert code == 2 and out == ""
             assert err.startswith("error: relation 'user.bad': residue class")
 
-    THM1 = ("verify", "thm1", "--k", "2", "--r", "1", "--g", "1", "--h", "0",
+    @pytest.mark.parametrize("field", [
+        {"coeffs": 7}, {"coeffs": [1.5, 1, 1]}, {"alpha": 0}, {"alpha": "2"},
+        {"scalar": 1.5}, {"status": "bogus"},
+    ], ids=["coeffs-int", "coeffs-float", "alpha-0", "alpha-str", "scalar-float",
+            "status"])
+    def test_malformed_catalog_row_is_usage_error(self, capsys, tmp_path, field):
+        # "coeffs": 7 used to escape as a TypeError traceback with exit 1
+        row = {"id": "user.bad", "lhs": {"form": "T", "coeffs": [1, 1, 1]},
+               "rhs": [{"form": "T", "coeffs": [1, 1, 1]}]}
+        if "status" in field:
+            row.update(field)
+        else:
+            row["lhs"].update(field)
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps({"relations": [row]}))
+        for argv in (("verify", "relation", "--id", "user.bad"), ("verify", "all")):
+            code, out, err = run(capsys, *argv, "--catalog", str(extra))
+            assert code == 2 and out == ""
+            assert err.startswith("error: relation 'user.bad': ")
+
+    THM1 =("verify", "thm1", "--k", "2", "--r", "1", "--g", "1", "--h", "0",
             "--u", "1", "--v", "0", "--i", "1", "--j", "1")
 
     @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 
 import pytest
 
+from thetaq import identity
 from thetaq.theta import ThetaArg, theta_expand, theta_special
 from thetaq.identity import (
     PairParams,
@@ -9,6 +10,7 @@ from thetaq.identity import (
     TripleParams,
     expand_sum,
     instantiate_corollary,
+    _reduced_signed_pair,
     instantiate_signed_pair,
     load_identity_catalog,
     pair_rhs,
@@ -261,6 +263,34 @@ class TestSignedPairIdentities:
         }
         assert halved == {1: True, 2: True, 3: True, 4: True,
                           5: False, 6: False, 7: True, 8: True}
+
+    @pytest.mark.parametrize("row", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_printed_sides_are_the_dissected_reduced_sides(self, row, m):
+        # verify_signed_pair reads the printed identity off the reduced
+        # expansions by dissection; the printed construction must agree
+        cid = f"clp2.{row}"
+        halved = row not in (5, 6)
+        printed = instantiate_signed_pair(cid, m)
+        for side, reduced in zip(printed, _reduced_signed_pair(cid, m)):
+            want = expand_sum(reduced, 600 if halved else 300)
+            if halved:
+                want = want.dissect(2, 0, divide=True)
+            got = expand_sum(side, 300)
+            exps = range(min(got.lo, want.lo), 301)
+            assert [got.coeff(e) for e in exps] == [want.coeff(e) for e in exps], (cid, m)
+
+    @pytest.mark.parametrize("row", range(1, 9))
+    def test_each_side_is_expanded_once(self, monkeypatch, row):
+        calls = []
+
+        def counting(terms, hi):
+            calls.append(hi)
+            return expand_sum(terms, hi)
+
+        monkeypatch.setattr(identity, "expand_sum", counting)
+        assert verify_signed_pair(f"clp2.{row}", 2, 100).ok
+        assert len(calls) == 2
 
     def test_printed_forms_row1(self):
         # phi(-q^m) phi(q) = sum q^{a^2} f(-q^{m(m+1+2a)}, -q^{m(m+1-2a)})
