@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .repcount import REGISTRY, TABLE_CACHE, MixedSumSpec
+from .series import COEFF_LIMIT, CoefficientOverflowError
 
 
 @dataclass(frozen=True)
@@ -155,24 +156,45 @@ class RelationStatement:
 
 
 def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
-    """All N <= n_max in the relation's class where the two sides differ."""
+    """All N <= n_max in the relation's class where the two sides differ.
+
+    Every argument alpha*N + beta, |scalar| * max(counts) of the left side
+    and the sum of |scalar| * max(counts) over the right side are proven
+    to fit in 64 bits before any int64 arithmetic; otherwise the relation
+    is refused, by :class:`CoefficientOverflowError` for the scaled counts,
+    so that no wrapped value is ever compared.
+    """
     m, r = rel.residue_class or (1, 0)
     ns = np.arange(r, n_max + 1, m, dtype=np.int64)
     if ns.size == 0:
         return Counterexamples(ns, ns, ns)
+    last = int(ns[-1])
 
-    def side(ref: CountRef) -> np.ndarray:
+    def counts(ref: CountRef) -> np.ndarray:
+        top = ref.alpha * last + ref.beta
+        if max(ref.alpha * max(last, 1), abs(ref.beta), top) > COEFF_LIMIT:
+            raise ValueError(
+                f"relation {rel.id!r}: the argument of {ref.render()} at N = {last} "
+                "exceeds 64-bit width"
+            )
         args = ref.alpha * ns + ref.beta
-        table = TABLE_CACHE.get(ref.spec, int(args.max()))
+        table = TABLE_CACHE.get(ref.spec, top)
         vals = np.zeros(ns.size, dtype=np.int64)
         good = args >= 0
         vals[good] = table[args[good]]
-        return ref.scalar * vals
+        return vals
 
-    lhs = side(rel.lhs)
+    sides = [(ref.scalar, counts(ref)) for ref in (rel.lhs, *rel.rhs)]
+    bounds = [abs(c) * int(vals.max()) for c, vals in sides]  # counts are >= 0
+    if bounds[0] > COEFF_LIMIT or sum(bounds[1:]) > COEFF_LIMIT:
+        raise CoefficientOverflowError(
+            f"relation {rel.id!r}: scaled counts through N = {last} exceed 64-bit width"
+        )
+    # a zero bound means zero counts, whatever the scalar
+    lhs, *terms = (c * vals if b else vals for (c, vals), b in zip(sides, bounds))
     rhs = np.zeros(ns.size, dtype=np.int64)
-    for ref in rel.rhs:
-        rhs = rhs + side(ref)
+    for term in terms:
+        rhs += term
     bad = lhs != rhs
     return Counterexamples(ns[bad], lhs[bad], rhs[bad])
 
@@ -182,10 +204,12 @@ def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
 # ----------------------------------------------------------------------
 
 
-def _parse_ref(raw: dict) -> CountRef:
-    coeffs = raw["coeffs"]
+def _parse_ref(raw) -> CountRef:
+    if not isinstance(raw, dict):
+        raise ValueError(f"count {raw!r:.60} is not an object")
+    coeffs = raw.get("coeffs")
     return CountRef(
-        form=raw["form"],
+        form=raw.get("form"),
         coeffs=tuple(coeffs) if isinstance(coeffs, list) else coeffs,
         alpha=raw.get("alpha", 1),
         beta=raw.get("beta", 0),
@@ -193,12 +217,17 @@ def _parse_ref(raw: dict) -> CountRef:
     )
 
 
-def _parse_relation(raw: dict) -> RelationStatement:
-    rid = raw["id"]
-    residue = raw.get("residue") or None
+def _parse_relation(raw) -> RelationStatement:
+    rid = raw.get("id") if isinstance(raw, dict) else None
+    if not isinstance(rid, str):
+        raise ValueError(f"catalog row {raw!r:.60} is not an object with a string id")
+    residue = raw.get("residue")
+    rhs = raw.get("rhs", [])
     try:
-        lhs = _parse_ref(raw["lhs"])
-        rhs = tuple(_parse_ref(r) for r in raw.get("rhs", []))
+        if not isinstance(rhs, list):
+            raise ValueError(f"rhs {rhs!r:.60} is not a list of counts")
+        lhs = _parse_ref(raw.get("lhs"))
+        rhs = tuple(_parse_ref(r) for r in rhs)
     except ValueError as exc:
         raise ValueError(f"relation {rid!r}: {exc}") from None
     return RelationStatement(
@@ -219,7 +248,12 @@ def load_relation_catalog(extra: str | Path | None = None) -> list[RelationState
     relations = [_parse_relation(item) for item in raw["relations"]]
     if extra is not None:
         more = json.loads(Path(extra).read_text())
-        relations.extend(_parse_relation(item) for item in more["relations"])
+        rows = more.get("relations") if isinstance(more, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError(
+                f"catalog {str(extra)!r} is not an object with a 'relations' list"
+            )
+        relations.extend(_parse_relation(item) for item in rows)
     return relations
 
 

@@ -215,12 +215,13 @@ def _count_columns(spec: MixedSumSpec, start: int, limit: int) -> np.ndarray:
 
     Every generating theta has only even half-unit exponents, so halving
     its ``ThetaArg`` exponents moves it exactly onto the whole-q grid.  The
-    two densest factors are multiplied first and the sparsest last, so the
-    final product adds the fewest shifted copies; popping the factors
-    releases each one once it is multiplied.  From ``start > 0`` only the
-    shifted copies landing on the requested columns are added; when their
-    coefficient bound is not proven to fit in 64 bits the whole product
-    goes through ``HalfPowerSeries.__mul__`` and its exact route.
+    two densest factors are multiplied first, and the sparsest factor's
+    shifted copies of their product are added only on the requested
+    columns, from any ``start`` (0 included), by ``shifted_copies``;
+    popping the factors releases each one once it is multiplied.  Only
+    when the copies' coefficient bound is not proven to fit in 64 bits
+    does the whole product go through ``HalfPowerSeries.__mul__`` and its
+    exact route.
     """
     parts = []
     for a, kind in spec.terms:
@@ -229,12 +230,11 @@ def _count_columns(spec: MixedSumSpec, start: int, limit: int) -> np.ndarray:
     parts.sort(key=lambda part: np.count_nonzero(part.coeffs))
     sparsest = parts.pop(0)
     pair = parts.pop() * parts.pop()
-    if start:
-        nz = np.flatnonzero(sparsest.coeffs)
-        cols = shifted_copies(sparsest.coeffs, nz, pair.coeffs, start, limit + 1)
-        if cols is not None:
-            return cols
-    return (pair * sparsest).coeffs[start:]
+    nz = np.flatnonzero(sparsest.coeffs)
+    cols = shifted_copies(sparsest.coeffs, nz, pair.coeffs, start, limit + 1)
+    if cols is None:
+        cols = (pair * sparsest).coeffs[start:]
+    return cols
 
 
 def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
@@ -249,13 +249,14 @@ def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
 
 
 def count_table(spec: MixedSumSpec, limit: int) -> np.ndarray:
-    """counts[N] for all 0 <= N <= limit, read off the generating series.
-
-    The array is the product's own read-only coefficient array.
-    """
+    """counts[N] for all 0 <= N <= limit, read off the generating series,
+    as a read-only int64 array."""
     if limit < 0:
-        return np.zeros(0, dtype=np.int64)
-    return _count_columns(spec, 0, limit)
+        table = np.zeros(0, dtype=np.int64)
+    else:
+        table = _count_columns(spec, 0, limit)
+    table.setflags(write=False)
+    return table
 
 
 class _TableCache:

@@ -290,13 +290,23 @@ _SPARSE_SETUP = 10_000
 _SHIFT_OVERHEAD = 2000
 _PAIR_COST = 20
 _PAIR_BLOCK = 1 << 16  # pairwise products scattered per np.add.at call
-_SHIFT_TILE = 1 << 15  # output columns the shifted copies fill at a time
+# Output columns the shifted copies fill at a time in int64: a tile is
+# 2^18 bytes, and a narrower accumulator fills 8 // itemsize times as many.
+_SHIFT_TILE = 1 << 15
 
 
-def _sparse_bound_fits(vals: np.ndarray, other: np.ndarray) -> bool:
-    """Whether sum|vals| * max|other|, which bounds every partial sum of a
-    sparse route, fits in 64 bits."""
-    return sum(map(abs, vals.tolist())) * _max_abs(other) <= COEFF_LIMIT
+def _sparse_bound(vals: np.ndarray, other: np.ndarray) -> int:
+    """sum|vals| * max|other|, which bounds every partial sum of a sparse route."""
+    return sum(map(abs, vals.tolist())) * _max_abs(other)
+
+
+def _accumulator(bound: int) -> type:
+    """Narrowest signed integer type that holds every value up to ``bound``."""
+    if bound <= 2**15 - 1:
+        return np.int16
+    if bound <= 2**31 - 1:
+        return np.int32
+    return np.int64
 
 
 def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
@@ -316,7 +326,7 @@ def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
     if pairs > shifts:
         return shifted_copies(a, nz_a, b, 0, width)
     vals = a[nz_a]
-    if not _sparse_bound_fits(vals, b):
+    if _sparse_bound(vals, b) > COEFF_LIMIT:
         return None
     out = np.zeros(width, dtype=np.int64)
     other = b[nz_b]
@@ -333,24 +343,33 @@ def shifted_copies(a, nz_a, b, start: int, width: int) -> Optional[np.ndarray]:
     """Columns ``start .. width-1`` of a * b: one shifted copy of ``b`` per
     nonzero of ``a`` (``nz_a`` ascending).
 
-    The columns are filled one tile of ``_SHIFT_TILE`` at a time, so a
-    tile stays in cache while every copy lands on it.  Copies sharing a
-    coefficient are summed into one buffer and scaled once per tile (a
-    theta factor has one or two distinct coefficients); copies with
-    coefficient 1 are added straight into the tile.  Every add is in
-    place.  Returns ``None`` when sum|a| * max|b| is not proven to fit in
-    64 bits, before any column is written.
+    B = sum|a| * max|b| bounds every partial sum, so the copies are added
+    in the narrowest of int16, int32 and int64 that holds B, and the
+    result is widened to int64 once.  The columns are filled one tile of
+    ``_SHIFT_TILE`` int64 widths at a time, so a tile stays in cache while
+    every copy lands on it.  Copies sharing a coefficient are summed into
+    one buffer and scaled once per tile (a theta factor has one or two
+    distinct coefficients); both that sum and its scaled value are at most
+    B.  Copies with coefficient 1 are added straight into the tile.  Every
+    add is in place.  Returns ``None`` when B is not proven to fit in 64
+    bits, before any column is written.
     """
     vals = a[nz_a]
-    if not _sparse_bound_fits(vals, b):
+    bound = _sparse_bound(vals, b)
+    if bound > COEFF_LIMIT:
         return None
+    if bound == 0:  # a coefficient beyond the narrow type must not be cast
+        return np.zeros(width - start, dtype=np.int64)
+    dtype = _accumulator(bound)
+    b = b.astype(dtype, copy=False)
+    step = _SHIFT_TILE * (8 // b.itemsize)
     groups: dict[int, list[int]] = {}
     for s, c in zip(nz_a.tolist(), vals.tolist()):
         groups.setdefault(c, []).append(s)
-    out = np.zeros(width - start, dtype=np.int64)
-    scratch = np.empty(min(_SHIFT_TILE, out.size), dtype=np.int64)
-    for lo in range(start, width, _SHIFT_TILE):
-        hi = min(lo + _SHIFT_TILE, width)
+    out = np.zeros(width - start, dtype=dtype)
+    scratch = np.empty(min(step, out.size), dtype=dtype)
+    for lo in range(start, width, step):
+        hi = min(lo + step, width)
         tile = out[lo - start : hi - start]
         for c, shifts in groups.items():
             if c == 1:
@@ -368,7 +387,7 @@ def shifted_copies(a, nz_a, b, start: int, width: int) -> Optional[np.ndarray]:
             if c != 1:
                 np.multiply(acc, c, out=acc)
                 tile += acc
-    return out
+    return out.astype(np.int64, copy=False)
 
 
 def _dense_convolve(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:

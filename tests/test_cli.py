@@ -2,7 +2,9 @@
 
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,8 +14,8 @@ from thetaq import cli
 from thetaq.cli import main
 from thetaq.identity import load_identity_catalog
 from thetaq.relations import CLASSICAL_IDS, load_relation_catalog, load_scan_catalog
-from thetaq.repcount import REGISTRY
-from thetaq.series import CoefficientOverflowError
+from thetaq.repcount import REGISTRY, count_enumerate
+from thetaq.series import COEFF_LIMIT, CoefficientOverflowError
 
 
 def run(capsys, *argv):
@@ -215,6 +217,65 @@ class TestDomainErrors:
             assert code == 2 and out == ""
             assert err.startswith("error: relation 'user.bad': ")
 
+    @pytest.mark.parametrize("lhs_scalar,rhs_scalars", [
+        (2**62, []), (10**20, []), (1, [2**59, 2**59]),
+    ], ids=["2^62", "10^20", "rhs-sum-2^63"])
+    def test_relation_arithmetic_overflow_is_usage_error(self, capsys, tmp_path,
+                                                         lhs_scalar, rhs_scalars):
+        # r(1,1,1;3) = 8: 2^62 used to wrap int64 to 0 and pass, 10^20
+        # escaped as an OverflowError traceback with exit 1
+        row = {"id": "user.big", "residue": [1000, 3], "status": "pinned",
+               "lhs": {"form": "r", "coeffs": [1, 1, 1], "scalar": lhs_scalar},
+               "rhs": [{"form": "r", "coeffs": [1, 1, 1], "scalar": c} for c in rhs_scalars]}
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps({"relations": [row]}))
+        for argv in (("verify", "relation", "--id", "user.big"),
+                     ("verify", "all", "--order", "0", "--scan-nmax", "0")):
+            code, out, err = run(capsys, *argv, "--nmax", "50", "--catalog", str(extra))
+            assert code == 2 and "user.big" not in out
+            assert err.startswith("error: relation 'user.big': scaled counts")
+
+    @pytest.mark.parametrize("field", [{"alpha": 2**63}, {"beta": -(10**20)}],
+                             ids=["alpha-2^63", "beta--10^20"])
+    def test_argument_beyond_64_bits_is_usage_error(self, capsys, tmp_path, field):
+        # alpha*N + beta used to escape as an OverflowError traceback
+        row = {"id": "user.big", "lhs": {"form": "r", "coeffs": [1, 1, 1], **field}}
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps({"relations": [row]}))
+        code, out, err = run(capsys, "verify", "relation", "--id", "user.big",
+                             "--nmax", "50", "--catalog", str(extra))
+        assert code == 2 and out == ""
+        assert err.startswith("error: relation 'user.big': the argument of")
+
+    @pytest.mark.parametrize("catalog,prefix", [
+        ({"relations": [{"id": "user.bad", "lhs": 5}]}, "relation 'user.bad': "),
+        ({"relations": [{"id": "user.bad", "lhs": {"form": "T", "coeffs": [1, 1, 1]},
+                         "rhs": 5}]}, "relation 'user.bad': "),
+        ([1], "catalog "),
+        ({"relations": [1]}, "catalog row "),
+        ({"relations": [{"lhs": {"form": "T", "coeffs": [1, 1, 1]}}]}, "catalog row "),
+        ({"rows": []}, "catalog "),
+        ({"relations": [{"id": "user.bad", "residue": 0,
+                         "lhs": {"form": "T", "coeffs": [1, 1, 1]}}]},
+         "relation 'user.bad': residue class"),
+        ({"relations": [{"id": "user.bad", "residue": [],
+                         "lhs": {"form": "T", "coeffs": [1, 1, 1]}}]},
+         "relation 'user.bad': residue class"),
+    ], ids=["lhs-int", "rhs-int", "top-list", "row-int", "no-id", "no-relations",
+            "residue-0", "residue-empty"])
+    def test_malformed_catalog_shape_is_usage_error(self, capsys, tmp_path, catalog,
+                                                    prefix):
+        # the first three used to escape as TypeError tracebacks with exit 1,
+        # and a residue of 0 or [] was read as no residue class at all
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps(catalog))
+        for argv in (("verify", "relation", "--id", "user.bad"), ("verify", "all")):
+            code, out, err = run(capsys, *argv, "--catalog", str(extra))
+            assert code == 2 and out == ""
+            assert err.startswith("error: " + prefix), err
+        if prefix == "catalog ":
+            assert repr(str(extra)) in err
+
     THM1 =("verify", "thm1", "--k", "2", "--r", "1", "--g", "1", "--h", "0",
             "--u", "1", "--v", "0", "--i", "1", "--j", "1")
 
@@ -393,3 +454,106 @@ class TestRobustness:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), (argv, code)
+
+
+# values of the wrong JSON type for any catalog field
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(-3, 3),
+                  st.text(max_size=3), st.just([]), st.just({}), st.just([1, 1, 1]))
+_FORMS = ["r", "T", "Rt", "rT", "tpg"]
+
+
+def _or_junk(valid):
+    return st.one_of(valid, valid, valid, _JUNK)  # mostly well typed
+
+
+# a well-formed count: its scalar times a count may pass 64 bits
+_COUNT = st.fixed_dictionaries({
+    "form": st.sampled_from(_FORMS),
+    "coeffs": st.lists(st.integers(1, 5), min_size=3, max_size=3),
+}, optional={
+    "alpha": st.integers(1, 4),
+    "beta": st.integers(-20, 20),
+    "scalar": st.sampled_from([-3, -2, -1, 1, 2, 3]) | st.sampled_from([2**59, -(2**62)]),
+})
+
+# any count: every field may be missing, ill-typed or out of its domain,
+# and alpha, beta and scalar reach past 64 bits
+_ANY_COUNT = st.fixed_dictionaries({
+    "form": _or_junk(st.sampled_from(_FORMS + ["zz"])),
+    "coeffs": _or_junk(st.lists(st.integers(-1, 5), min_size=2, max_size=4)),
+}, optional={
+    "alpha": _or_junk(st.integers(-1, 4) | st.just(2**63)),
+    "beta": _or_junk(st.integers(-20, 20) | st.sampled_from([-(10**20), 2**63])),
+    "scalar": _or_junk(st.integers(-3, 3) | st.sampled_from([2**62, 10**20, -(2**63)])),
+})
+
+_ROW = st.fixed_dictionaries({
+    "id": st.just("user.x"),
+    "lhs": _COUNT,
+    "rhs": st.lists(_COUNT, max_size=3),
+}, optional={
+    "residue": st.integers(1, 6).flatmap(
+        lambda m: st.builds(lambda r: [m, r], st.integers(0, m - 1))),
+    "status": st.sampled_from(["pinned", "empirical"]),
+})
+
+# the two sides are one count, so the relation holds
+_TAUTOLOGY = st.builds(lambda row: {**row, "rhs": [row["lhs"]]}, _ROW)
+
+_ANY_ROW = st.fixed_dictionaries({
+    "id": _or_junk(st.sampled_from(["user.x", "user.x.1", "other"])),
+}, optional={
+    "lhs": _or_junk(_ANY_COUNT),
+    "rhs": _or_junk(st.lists(_ANY_COUNT, max_size=3)),
+    "residue": _or_junk(st.lists(st.integers(-1, 6), max_size=3) | st.just([10**20, 3])),
+    "status": _or_junk(st.sampled_from(["pinned", "empirical", "bogus"])),
+})
+
+_CATALOG = st.one_of(
+    st.one_of(_ROW, _TAUTOLOGY, _ANY_ROW).map(lambda row: {"relations": [row]}),
+    _ANY_ROW.map(list), _JUNK,
+)
+
+
+def _enumerated_sides(rel, nmax: int) -> dict:
+    """N -> the scaled count of every reference, by enumeration in Python ints."""
+    m, r = rel.residue_class or (1, 0)
+    return {n: [ref.scalar * count_enumerate(ref.spec, ref.alpha * n + ref.beta)
+                for ref in (rel.lhs, *rel.rhs)] for n in range(r, nmax + 1, m)}
+
+
+class TestCatalogRows:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(catalog=_CATALOG, nmax=st.integers(0, 50))
+    def test_outcome_is_confirmed_by_enumeration(self, catalog, nmax):
+        # exit 0, 1 or 2 and never a traceback; a relation is checked only
+        # when both sides are proven to fit in 64 bits, and a reported fail
+        # is the smallest N where enumeration finds the two sides differ
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "extra.json"
+            path.write_text(json.dumps(catalog))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["--format", "json", "verify", "relation", "--id", "user.x",
+                             "--nmax", str(nmax), "--catalog", str(path)])
+            if code == 2:
+                assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+                return
+            rels = [r for r in load_relation_catalog(path) if r.id.startswith("user.x")]
+        assert code in (0, 1), code
+        records = json_records(out.getvalue())
+        assert len(records) == len(rels) == 1
+        rel, record = rels[0], records[0]
+        sides = _enumerated_sides(rel, nmax)
+        if sides:
+            widest = [max(abs(v[i]) for v in sides.values()) for i in range(1 + len(rel.rhs))]
+            assert widest[0] <= COEFF_LIMIT and sum(widest[1:]) <= COEFF_LIMIT
+        first = next(((n, v[0], sum(v[1:])) for n, v in sides.items()
+                      if v[0] != sum(v[1:])), None)
+        outcome = record["payload"].get("outcome", record["status"])
+        assert outcome == ("pass" if first is None else "fail")
+        if first is not None:
+            assert tuple(record["payload"]["counterexample"][k]
+                         for k in ("n", "lhs", "rhs")) == first
+        assert code == (1 if first is not None and rel.status == "pinned" else 0)

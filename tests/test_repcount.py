@@ -171,6 +171,49 @@ class TestRouteAgreement:
         assert count_enumerate(MixedSumSpec.of("r", (1, 1, 1)), 2) == 12
 
 
+class TestNarrowTables:
+    """Real tables whose shifted copies run in int16 and int32."""
+
+    @pytest.mark.parametrize("name,coeffs,limit,dtype", [
+        ("T", (2, 5, 5), 400019, np.int16),  # B = 7200
+        ("r", (1, 1, 1), 200000, np.int32),  # B = 85920
+    ])
+    def test_table_near_its_top(self, name, coeffs, limit, dtype, monkeypatch):
+        chosen = []
+        real = series_module._accumulator
+
+        def spy(bound):
+            chosen.append(real(bound))
+            return chosen[-1]
+
+        monkeypatch.setattr(series_module, "_accumulator", spy)
+        spec = MixedSumSpec.of(name, coeffs)
+        table = count_table(spec, limit)
+        assert chosen[-1] is dtype  # the last call adds the sparsest factor's copies
+        assert table.dtype == np.int64 and table.shape == (limit + 1,)
+        assert not table.flags.writeable
+        ns = np.random.default_rng(limit).integers(limit - 60, limit + 1, 6).tolist()
+        for n in ns + [limit]:
+            assert int(table[n]) == count_enumerate(spec, n), (spec, n)
+
+    def test_first_build_falls_back_to_the_exact_product(self, monkeypatch):
+        spec = MixedSumSpec.of("r", (1, 1, 2))
+        full = count_table(spec, 3000)
+        # the counts fit, but sum|sparsest| * max|pair| no longer does
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", int(full.max()))
+        results = []
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        real = repcount.shifted_copies
+        monkeypatch.setattr(repcount, "shifted_copies", spy)
+        table = count_table(spec, 3000)
+        assert results == [None]
+        assert np.array_equal(table, full) and not table.flags.writeable
+
+
 class TestTableCache:
     # first requests, growth past the table (+1 steps included) and
     # requests inside it

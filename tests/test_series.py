@@ -292,6 +292,70 @@ class TestShiftedCopies:
         assert shifted_copies(a, np.flatnonzero(a), b, 1, 5) is None
 
 
+class TestNarrowAccumulator:
+    """The shifted copies in int16 and int32, at the edges of those types."""
+
+    EDGES = sorted({e + d for e in (2**15 - 1, 2**15, 2**31 - 1, 2**31) for d in (-1, 0, 1)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(bound=st.sampled_from(EDGES), tile=st.sampled_from([1, 7, 1 << 15]),
+           data=st.data())
+    def test_bound_at_type_edges(self, bound, tile, data):
+        # sum|a| * max|b| == bound exactly; with aligned signs and a constant
+        # b, the columns every copy overlaps reach +-bound
+        top = data.draw(st.sampled_from([d for d in range(1, 65) if bound % d == 0]))
+        k = data.draw(st.integers(1, 6))
+        cuts = data.draw(st.lists(st.integers(1, bound // top - 1), min_size=k - 1,
+                                  max_size=k - 1, unique=True))
+        edges = [0, *sorted(cuts), bound // top]
+        parts = np.diff(edges)
+        aligned = data.draw(st.booleans())
+        sign = data.draw(st.sampled_from([-1, 1]))
+        signs = [sign] * k if aligned else data.draw(
+            st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k))
+        shifts = data.draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True))
+        a = np.zeros(41, dtype=np.int64)
+        a[shifts] = parts * signs
+        size = data.draw(st.integers(1, 80))
+        if aligned:
+            b = np.full(size, top, dtype=np.int64)
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            b = rng.integers(-top, top + 1, size)
+            b[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([-top, top]))
+        width = data.draw(st.integers(1, a.size + b.size - 1))
+        start = data.draw(st.integers(0, width - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_SHIFT_TILE", tile)
+            out = shifted_copies(a, np.flatnonzero(a), b, start, width)
+        assert out.dtype == np.int64
+        assert out.tolist() == exact_window(a, b, width)[start:]
+
+    @pytest.mark.parametrize("bound", EDGES)
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_sum_reaches_each_edge(self, bound, sign):
+        # three copies of a constant b overlap on columns 9..29, where the
+        # sum is sign * bound
+        top = max(d for d in range(1, 65) if bound % d == 0)
+        a = np.zeros(10, dtype=np.int64)
+        third = bound // top // 3
+        a[[0, 5, 9]] = [third, third, bound // top - 2 * third]
+        b = np.full(30, sign * top, dtype=np.int64)
+        out = shifted_copies(a, np.flatnonzero(a), b, 0, 39)
+        assert out.dtype == np.int64 and int(out[9]) == sign * bound
+        assert out.tolist() == exact_window(a, b, 39)
+
+    def test_zero_bound_casts_nothing(self):
+        # 40000 does not fit in int16, but a zero b makes B = 0
+        a = np.array([0, 40_000, 0, -3], dtype=np.int64)
+        for b in (np.zeros(9, dtype=np.int64), np.zeros(0, dtype=np.int64)):
+            out = shifted_copies(a, np.flatnonzero(a), b, 2, 12)
+            assert out.dtype == np.int64 and out.tolist() == [0] * 10
+        nothing = np.zeros(5, dtype=np.int64)
+        out = shifted_copies(nothing, np.flatnonzero(nothing), a, 0, 4)
+        assert out.dtype == np.int64 and out.tolist() == [0] * 4
+
+
 class TestCoeff:
     def test_phi_values(self):
         phi = theta_expand(theta_special("phi"), 20)
