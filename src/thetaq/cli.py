@@ -6,7 +6,9 @@ relation and classical checks, or the whole embedded catalog), ``count``
 (non-representability of a residue class).
 
 Exit codes: 0 when every requested check passes, 1 on a mathematical
-mismatch, 2 on a usage error or a coefficient beyond the 64-bit width.
+mismatch, 2 on a usage error, a coefficient beyond the 64-bit width, a
+residue class holding no N up to the bound, or a bound too large for
+memory.
 ``--format json`` emits one record per line with the shape
 {cmd, params, status, payload, elapsed_ms}; the payload is deterministic
 for a given command.
@@ -166,9 +168,25 @@ def _cmd_count(args, reporter: Reporter) -> None:
     reporter.emit("count", params, status, payload, started)
 
 
+def _require_class(what: str, modulus: int, residue: int, nmax: int) -> None:
+    """A residue class holding no N <= nmax checks nothing: refuse it
+    rather than print a vacuous [pass]."""
+    if residue > nmax:
+        raise ValueError(
+            f"{what}: residue class N == {residue} mod {modulus} holds no N <= {nmax}"
+        )
+
+
+def _require_relation_classes(relations, nmax: int) -> None:
+    for rel in relations:
+        if rel.residue_class:
+            _require_class(f"relation {rel.id!r}", *rel.residue_class, nmax)
+
+
 def _cmd_scan(args, reporter: Reporter) -> None:
     started = time.perf_counter()
     spec = _parse_form(args.form)
+    _require_class(f"scan {args.form}", args.modulus, args.residue, args.nmax)
     hits = nonrep_scan(spec, args.modulus, args.residue, args.nmax)
     params = {
         "form": args.form,
@@ -247,6 +265,7 @@ def _verify_relation(args, reporter: Reporter) -> None:
     matches = [r for r in catalog if r.id == args.id or r.id.startswith(args.id + ".")]
     if not matches:
         raise ValueError(f"no relation with id {args.id!r}")
+    _require_relation_classes(matches, args.nmax)
     _report_relations(matches, args.nmax, reporter)
 
 
@@ -263,7 +282,12 @@ def _verify_classical(args, reporter: Reporter) -> None:
 
 
 def _verify_all(args, reporter: Reporter) -> None:
-    relations = _load_relations(args.catalog)  # fail before any record prints
+    # fail before any record prints
+    relations = _load_relations(args.catalog)
+    _require_relation_classes(relations, args.nmax)
+    scans = load_scan_catalog()
+    for scan in scans:
+        _require_class(f"scan {scan.id!r}", scan.modulus, scan.residue, args.scan_nmax)
     order = args.order
     for entry in load_identity_catalog():
         started = time.perf_counter()
@@ -273,7 +297,7 @@ def _verify_all(args, reporter: Reporter) -> None:
         reporter.emit("verify identity", {"id": entry.id, "order": order},
                       status, payload, started)
     _report_relations(relations, args.nmax, reporter)
-    for scan in load_scan_catalog():
+    for scan in scans:
         started = time.perf_counter()
         hits = nonrep_scan(scan.spec, scan.modulus, scan.residue, args.scan_nmax)
         reporter.emit(
@@ -421,6 +445,10 @@ def main(argv=None) -> int:
         ValueError, KeyError, ExpansionError, TruncationError, CoefficientOverflowError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
+    except MemoryError as exc:
+        # a bound too large for memory is a usage error, not a mismatch
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     return 1 if reporter.failed else 0
 

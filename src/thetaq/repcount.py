@@ -5,12 +5,16 @@ slots.  There are two routes to its counts, independent enough to check
 one another: ``count_enumerate`` counts ordered index tuples representing
 N one query at a time, and the generating series, the product of the
 three kinds' theta expansions, gives every count through a bound at
-once.  ``count_series`` returns that product as a series and
-``count_table`` reads the count vector off it.  ``TABLE_CACHE`` keeps one
-table per signature and grows it in place: a request past a table adds
-only the new columns, each the sum of the sparsest factor's shifted
-copies of the other two factors' product.  ``count_enumerate`` reads
-its value lists as prefixes of one grow-only entry per figurate kind.
+once.  One column builder reads the series: it takes each generating
+theta as its bilateral sum's term exponents, splits them by residue
+mod M, and computes only the counts at N = R mod M, every N when M = 1.
+``count_series`` returns the full product as a series, ``count_table``
+returns the counts of one residue class (by default all of them), and
+``nonrep_scan`` builds the class it checks and nothing else.
+``TABLE_CACHE`` keeps one full table per signature for the relation
+and classical checks and grows it in place: a request past a table
+adds only the new columns.  ``count_enumerate`` reads its value lists
+as prefixes of one grow-only entry per figurate kind.
 
 Index domains follow the classical conventions: squares, generalized
 pentagonal and generalized octagonal indices run over all integers,
@@ -20,12 +24,14 @@ triangular indices over the nonnegative integers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import HalfPowerSeries, shifted_copies
-from .theta import ThetaArg, theta_expand, theta_special
+from . import series
+from .series import HalfPowerSeries, convolve, shifted_copies
+from .theta import ThetaArg, term_exponents, theta_expand, theta_special
 
 
 class FigurateKind(enum.Enum):
@@ -210,31 +216,122 @@ def count_enumerate(spec: MixedSumSpec, n: int) -> int:
     return total
 
 
-def _count_columns(spec: MixedSumSpec, start: int, limit: int) -> np.ndarray:
-    """counts[N] for start <= N <= limit, read off the generating series.
+def _generating_arg(a: int, kind: FigurateKind) -> ThetaArg:
+    """The generating theta of a*F on the whole-q grid.
 
     Every generating theta has only even half-unit exponents, so halving
-    its ``ThetaArg`` exponents moves it exactly onto the whole-q grid.  The
-    two densest factors are multiplied first, and the sparsest factor's
-    shifted copies of their product are added only on the requested
-    columns, from any ``start`` (0 included), by ``shifted_copies``;
-    popping the factors releases each one once it is multiplied.  Only
-    when the copies' coefficient bound is not proven to fit in 64 bits
-    does the whole product go through ``HalfPowerSeries.__mul__`` and its
-    exact route.
+    its ``ThetaArg`` exponents moves it exactly onto the whole-q grid.
     """
-    parts = []
+    arg = theta_special(kind.generating_special, a)
+    return ThetaArg(arg.eps, arg.a // 2, arg.b // 2)
+
+
+def _distinct(pos: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array."""
+    keep = np.empty(pos.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(pos[1:], pos[:-1], out=keep[1:])
+    return pos[keep]
+
+
+def _split(exps, nz, modulus: int, offset: int) -> dict:
+    """{class: (positions, distinct positions)} of ascending exponents
+    ``exps`` whose distinct values are ``nz``.
+
+    Each exponent e goes to class (e + offset) mod M at position
+    (e + offset) // M; positions keep the exponents' repeats and order,
+    and empty classes are left out.
+    """
+    if modulus == 1:  # offset is 0
+        return {0: (exps, nz)}
+    pos, cls = np.divmod(exps + offset, modulus)
+    out = {}
+    for c in _distinct(np.sort(cls)).tolist():
+        sel = pos[cls == c]
+        out[c] = (sel, _distinct(sel))
+    return out
+
+
+def _count_columns(
+    spec: MixedSumSpec, start: int, limit: int, modulus: int = 1, residue: int = 0
+) -> np.ndarray:
+    """counts[N] for N = residue + modulus*j with start <= N <= limit.
+
+    Each generating theta is taken as the exponents of its bilateral
+    sum's terms: every generating theta has eps = +1, so a coefficient
+    is the number of terms at its exponent, and no pass over a dense
+    expansion is needed to find the nonzeros.  The terms of all three
+    factors are split by exponent mod M.  Each class c of the two
+    densest factors' product that the sparsest factor's terms reach is
+    the sum of the class products x_r1 * y_r2 with r1 + r2 = c mod M,
+    through ``convolve``; a class no pair of classes reaches is an exact
+    zero and costs nothing, and a dense class array is built only for
+    the product that reads it.  The sparsest factor's terms then add their
+    shifted copies of class c, by ``shifted_copies``, only on the
+    requested columns.  At M = 1 this is one product and one set of
+    copies: the full table.
+
+    Each kernel proves its own 64-bit bound.  The sums over classes are
+    proven at once: every partial sum of the whole product is at most
+    the product of the three factors' term counts.  Where a bound fails,
+    the whole product goes through ``HalfPowerSeries.__mul__``'s exact
+    routes and the class is sliced off it.
+    """
+    width = (limit - residue) // modulus + 1 if limit >= residue else 0
+    first = max(0, -((residue - start) // modulus))  # least j with N >= start
+    if first >= width:
+        return np.zeros(0, dtype=np.int64)
+    factors = []
     for a, kind in spec.terms:
-        arg = theta_special(kind.generating_special, a)
-        parts.append(theta_expand(ThetaArg(arg.eps, arg.a // 2, arg.b // 2), limit))
-    parts.sort(key=lambda part: np.count_nonzero(part.coeffs))
-    sparsest = parts.pop(0)
-    pair = parts.pop() * parts.pop()
-    nz = np.flatnonzero(sparsest.coeffs)
-    cols = shifted_copies(sparsest.coeffs, nz, pair.coeffs, start, limit + 1)
-    if cols is None:
-        cols = (pair * sparsest).coeffs[start:]
-    return cols
+        exps = np.sort(term_exponents(_generating_arg(a, kind), limit)[1])
+        factors.append((exps, _distinct(exps)))
+    factors.sort(key=lambda factor: factor[1].size)
+    if modulus > 1 and math.prod(e.size for e, _ in factors) > series.COEFF_LIMIT:
+        return _exact_columns(spec, first, limit, modulus, residue)
+    # A sparsest term at e meets the product's class c = residue - e mod M,
+    # ceil((e - residue) / M) positions up: offset M - 1 - residue puts it
+    # at that position, in class M - 1 - c.
+    offsets = (modulus - 1 - residue, 0, 0)
+    sparse, left, right = (
+        _split(*factor, modulus, off) for factor, off in zip(factors, offsets)
+    )
+
+    cols = None
+    for c_sparse, (pos, nz) in sparse.items():
+        c = modulus - 1 - c_sparse
+        pair = None
+        for r1 in left:
+            r2 = (c - r1) % modulus
+            carry = int(r1 > c)  # r1 + r2 = c + M: one position up
+            if r2 not in right or carry >= width:
+                continue
+            (pos_a, nz_a), (pos_b, nz_b) = left[r1], right[r2]
+            prod = convolve(np.bincount(pos_a, minlength=width), nz_a,
+                            np.bincount(pos_b, minlength=width), nz_b, width - carry)
+            if pair is None and not carry:
+                pair = prod
+                continue
+            if pair is None:
+                pair = np.zeros(width, dtype=np.int64)
+            pair[carry:] += prod
+        if pair is None:
+            continue
+        part = shifted_copies(np.bincount(pos, minlength=width), nz, pair, first, width)
+        if part is None:
+            return _exact_columns(spec, first, limit, modulus, residue)
+        if cols is None:
+            cols = part
+        else:
+            cols += part
+    return np.zeros(width - first, dtype=np.int64) if cols is None else cols
+
+
+def _exact_columns(
+    spec: MixedSumSpec, first: int, limit: int, modulus: int, residue: int
+) -> np.ndarray:
+    """Columns ``first ..`` of the class, sliced off the whole product."""
+    x, y, z = (theta_expand(_generating_arg(a, kind), limit) for a, kind in spec.terms)
+    return (x * y * z).coeffs[residue + modulus * first : limit + 1 : modulus]
 
 
 def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
@@ -248,13 +345,15 @@ def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
     return HalfPowerSeries(0, order, _count_columns(spec, 0, order)).substitute_power(2)
 
 
-def count_table(spec: MixedSumSpec, limit: int) -> np.ndarray:
-    """counts[N] for all 0 <= N <= limit, read off the generating series,
-    as a read-only int64 array."""
-    if limit < 0:
-        table = np.zeros(0, dtype=np.int64)
-    else:
-        table = _count_columns(spec, 0, limit)
+def count_table(
+    spec: MixedSumSpec, limit: int, modulus: int = 1, residue: int = 0
+) -> np.ndarray:
+    """counts[N] for the N = residue + modulus*j with 0 <= N <= limit,
+    read off the generating series, as a read-only int64 array; by
+    default every N."""
+    if not 0 <= residue < modulus:
+        raise ValueError("need 0 <= residue < modulus")
+    table = _count_columns(spec, 0, limit, modulus, residue)
     table.setflags(write=False)
     return table
 
@@ -292,11 +391,7 @@ def nonrep_scan(
     spec: MixedSumSpec, modulus: int, residue: int, n_max: int
 ) -> list[int]:
     """All represented N <= n_max in the residue class; empty confirms
-    the non-representability statement up to the bound."""
-    if not 0 <= residue < modulus:
-        raise ValueError("need 0 <= residue < modulus")
-    if n_max < 0:
-        return []
-    table = TABLE_CACHE.get(spec, n_max)
-    hits = np.flatnonzero(table[residue : n_max + 1 : modulus])
-    return (residue + modulus * hits).tolist()
+    the non-representability statement up to the bound.  Only the
+    class's counts are built, and no table is cached."""
+    table = count_table(spec, n_max, modulus=modulus, residue=residue)
+    return (residue + modulus * np.flatnonzero(table)).tolist()

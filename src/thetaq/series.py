@@ -187,10 +187,7 @@ class HalfPowerSeries:
         nz_b = nz_b[: np.searchsorted(nz_b, width)]
         if nz_a.size == 0 or nz_b.size == 0:
             return HalfPowerSeries.zero(hi, min(lo, hi))
-        out = _sparse_convolve(a, nz_a, b, nz_b, width)
-        if out is None:
-            out = _dense_convolve(a, b, width)
-        return HalfPowerSeries(lo, hi, out)
+        return HalfPowerSeries(lo, hi, convolve(a, nz_a, b, nz_b, width))
 
     # ------------------------------------------------------------------
     # grid operations
@@ -307,6 +304,14 @@ def _accumulator(bound: int) -> type:
     if bound <= 2**31 - 1:
         return np.int32
     return np.int64
+
+
+def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
+    """First ``width`` columns of a * b, given the ascending nonzero
+    positions of both factors: by a sparse route where it is cheaper,
+    else densely; exact, or :class:`CoefficientOverflowError`."""
+    out = _sparse_convolve(a, nz_a, b, nz_b, width)
+    return _dense_convolve(a, b, width) if out is None else out
 
 
 def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:

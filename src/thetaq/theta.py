@@ -69,11 +69,15 @@ def _term_exponent(a: int, b: int, n):
     return ((a + b) * n + (a - b)) * n // 2
 
 
-def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
-    """Bilateral-sum expansion, exact through ``hi`` half-units."""
-    if arg.is_zero_function():
-        return HalfPowerSeries.zero(max(hi, 0), min(0, hi))
-    a, b, eps = arg.a, arg.b, arg.eps
+def term_exponents(arg: ThetaArg, hi: int) -> tuple[int, np.ndarray]:
+    """``(n_lo, e)``: ``e[i]`` is the exponent of the bilateral sum's term
+    ``n = n_lo + i``, over the indices whose exponent is at most ``hi``.
+
+    The exponents are int64, or Python ints where the formula may pass
+    64 bits; they fall and then rise with ``n``, and two terms share an
+    exponent only when ``a - b`` is a multiple of ``a + b``.
+    """
+    a, b = arg.a, arg.b
     s, d = a + b, a - b
     if s <= 0:
         raise ExpansionError(f"divergent specialization {arg}")
@@ -88,7 +92,15 @@ def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     reach = max(-n_lo, n_hi) + 1
     exact = (abs(a) + abs(b)) * reach * reach > COEFF_LIMIT
     n = np.arange(n_lo, n_hi + 1, dtype=object if exact else np.int64)
-    e = _term_exponent(a, b, n)
+    return n_lo, _term_exponent(a, b, n)
+
+
+def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
+    """Bilateral-sum expansion, exact through ``hi`` half-units."""
+    if arg.is_zero_function():
+        return HalfPowerSeries.zero(max(hi, 0), min(0, hi))
+    n_lo, e = term_exponents(arg, hi)
+    eps = arg.eps
     lo = min(int(e.min()) if e.size else 0, 0, hi)
     idx = (e - lo).astype(np.intp, copy=False)
     arr = np.zeros(hi - lo + 1, dtype=np.int64)

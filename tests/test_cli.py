@@ -230,7 +230,7 @@ class TestDomainErrors:
         extra = tmp_path / "extra.json"
         extra.write_text(json.dumps({"relations": [row]}))
         for argv in (("verify", "relation", "--id", "user.big"),
-                     ("verify", "all", "--order", "0", "--scan-nmax", "0")):
+                     ("verify", "all", "--order", "0", "--scan-nmax", "3")):
             code, out, err = run(capsys, *argv, "--nmax", "50", "--catalog", str(extra))
             assert code == 2 and "user.big" not in out
             assert err.startswith("error: relation 'user.big': scaled counts")
@@ -298,6 +298,37 @@ class TestDomainErrors:
         assert out.out == "" and "expected a nonnegative integer" in out.err
 
 
+class TestEmptyClass:
+    """A residue class with no N up to the bound would print a vacuous [pass]."""
+
+    def test_scan(self, capsys):
+        code, out, err = run(capsys, "scan", "--form", "Rt(1,1,4)", "--modulus", "4",
+                             "--residue", "3", "--nmax", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: scan Rt(1,1,4): residue class N == 3 mod 4")
+        code, out, _ = run(capsys, "scan", "--form", "Rt(1,1,4)", "--modulus", "4",
+                           "--residue", "3", "--nmax", "3")
+        assert code == 0 and "[pass]" in out
+
+    def test_relation(self, capsys, tmp_path):
+        # r(1,1,1; N) = 0 is false, but N == 999 mod 1000 holds no N <= 50
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps({"relations": [{
+            "id": "x", "lhs": {"form": "r", "coeffs": [1, 1, 1]},
+            "residue": [1000, 999], "status": "pinned",
+        }]}))
+        for argv in (("verify", "relation", "--id", "x"), ("verify", "all")):
+            code, out, err = run(capsys, *argv, "--nmax", "50", "--catalog", str(extra))
+            assert code == 2 and out == ""
+            assert err.startswith("error: relation 'x': residue class N == 999 mod 1000")
+
+    def test_verify_all_scans(self, capsys):
+        # the catalog's scan classes start at N = 1, 2 and 3
+        code, out, err = run(capsys, "verify", "all", "--scan-nmax", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: scan 'scan.")
+
+
 class TestVerifyAll:
     @pytest.mark.parametrize("order", ["0", "5", "20"])
     def test_low_order_runs_the_whole_catalog(self, capsys, order):
@@ -319,6 +350,16 @@ class TestOverflow:
         code, _, err = run(capsys, "expand", "--name", "phi", "--order", "10")
         assert code == 2
         assert err.startswith("error: coefficient 2**64")
+
+    def test_memory_error_is_reported_not_raised(self, capsys, monkeypatch):
+        def too_large(args, reporter):
+            raise MemoryError("Unable to allocate 186. GiB")
+
+        monkeypatch.setitem(cli._DISPATCH, "scan", too_large)
+        code, out, err = run(capsys, "scan", "--form", "Rt(1,1,4)", "--modulus", "4",
+                             "--residue", "3", "--nmax", "100000000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: not enough memory: Unable to allocate")
 
 
 class TestJsonDeterminism:

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from thetaq import repcount
 from thetaq import series as series_module
+from thetaq.relations import load_scan_catalog
 from thetaq.repcount import (
     REGISTRY,
     FigurateKind,
     MixedSumSpec,
+    _count_columns,
     _TableCache,
     _value_multiplicities,
     count_enumerate,
@@ -214,6 +216,62 @@ class TestNarrowTables:
         assert np.array_equal(table, full) and not table.flags.writeable
 
 
+class TestClassColumns:
+    """One residue class N = R mod M of the counts, built on its own."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @settings(max_examples=20, deadline=None)
+    @given(coeffs=st.tuples(*[st.integers(1, 12)] * 3), limit=st.integers(0, 3000),
+           modulus=st.integers(1, 12), data=st.data())
+    def test_class_is_a_slice_of_the_full_table(self, name, coeffs, limit, modulus, data):
+        residue = data.draw(st.integers(0, modulus - 1))
+        start = data.draw(st.integers(0, limit + modulus))
+        spec = MixedSumSpec.of(name, coeffs)
+        full = count_table(spec, limit)
+        table = count_table(spec, limit, modulus, residue)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert np.array_equal(table, full[residue::modulus])
+        first = start + (residue - start) % modulus  # least N >= start in the class
+        assert np.array_equal(_count_columns(spec, start, limit, modulus, residue),
+                              full[first::modulus])
+        ns = data.draw(st.lists(st.integers(0, limit), max_size=2))
+        for n in ns:
+            assert int(full[n]) == count_enumerate(spec, n), (spec, n)
+
+    @pytest.mark.parametrize("lowered,fallback", [
+        ("counts", True), ("terms - 1", True), ("terms", False),
+    ])
+    def test_class_falls_back_to_the_exact_product(self, monkeypatch, lowered, fallback):
+        spec = MixedSumSpec.of("r", (1, 1, 2))
+        full = count_table(spec, 3000)
+        # every partial sum of the product is at most the product of the
+        # factors' term counts; below it no class sum is proven to fit
+        terms = 1
+        for a, kind in spec.terms:
+            terms *= repcount.term_exponents(repcount._generating_arg(a, kind), 3000)[1].size
+        limit = {"counts": int(full.max()), "terms - 1": terms - 1, "terms": terms}[lowered]
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", limit)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = repcount._exact_columns
+        monkeypatch.setattr(repcount, "_exact_columns", spy)
+        for modulus, residue in ((4, 1), (8, 7)):
+            table = count_table(spec, 3000, modulus, residue)
+            assert np.array_equal(table, full[residue::modulus])
+        assert np.array_equal(_count_columns(spec, 1000, 3000, 3, 2), full[1001::3])
+        assert len(calls) == (3 if fallback else 0)
+
+    def test_bad_class(self):
+        spec = MixedSumSpec.of("Rt", (1, 1, 4))
+        for modulus, residue in ((4, 4), (4, -1), (0, 0)):
+            with pytest.raises(ValueError):
+                count_table(spec, 100, modulus, residue)
+
+
 class TestTableCache:
     # first requests, growth past the table (+1 steps included) and
     # requests inside it
@@ -289,6 +347,28 @@ class TestScan:
     def test_bad_residue(self):
         with pytest.raises(ValueError):
             nonrep_scan(MixedSumSpec.of("Rt", (1, 1, 4)), 4, 5, 100)
+
+    def test_leaves_the_table_cache_alone(self):
+        before = dict(repcount.TABLE_CACHE._tables)
+        for residue in range(4):
+            nonrep_scan(MixedSumSpec.of("Rt", (1, 1, 4)), 4, residue, 5000)
+        after = repcount.TABLE_CACHE._tables
+        assert after.keys() == before.keys()
+        assert all(after[key] is table for key, table in before.items())
+
+    @pytest.mark.parametrize("scan", load_scan_catalog(), ids=lambda scan: scan.id)
+    def test_sibling_classes_against_enumeration(self, scan):
+        # a class the builder skips as unreachable reads as zeros, so the
+        # represented classes beside each claimed one must still show
+        n_max = 200
+        represented = []
+        for residue in range(scan.modulus):
+            expected = [n for n in range(residue, n_max + 1, scan.modulus)
+                        if count_enumerate(scan.spec, n)]
+            assert nonrep_scan(scan.spec, scan.modulus, residue, n_max) == expected
+            if expected:
+                represented.append(residue)
+        assert represented and scan.residue not in represented
 
     @pytest.mark.parametrize("name,coeffs,modulus,residue,n_max", [
         ("r", (1, 1, 1), 8, 7, 600), ("r", (1, 1, 1), 4, 1, 300),
