@@ -9,9 +9,14 @@ Exit codes: 0 when every requested check passes, 1 on a mathematical
 mismatch, 2 on a usage error, a coefficient beyond the 64-bit width, a
 residue class holding no N up to the bound, or a bound too large for
 memory.
+Each subcommand is a generator of (cmd, params, status, payload) records
+that prints nothing and reads no clock; ``main`` is the one loop that
+times, prints and scores them, each as soon as it exists.
 ``--format json`` emits one record per line with the shape
 {cmd, params, status, payload, elapsed_ms}; the payload is deterministic
-for a given command.
+for a given command.  ``elapsed_ms`` runs from the end of the previous
+record to this one, so it covers one record's own work; the first
+``verify all`` record also covers loading the catalogs.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .identity import (
     verify_triple,
 )
 from .relations import (
+    CLASSICAL_BOUNDS,
     CLASSICAL_IDS,
     classical_check,
     load_relation_catalog,
@@ -42,54 +48,6 @@ from .series import CoefficientOverflowError, TruncationError
 from .theta import ExpansionError, ThetaArg, theta_expand, theta_special
 
 _USAGE_ERROR = 2
-
-# classical desk-scale bounds used by `verify all`
-_CLASSICAL_BOUNDS = {
-    "gauss3tri": 5000,
-    "liouville": 2000,
-    "sun_sq_sq_t": 2000,
-    "sun_sq_t_t": 2000,
-    "gauss_legendre": 4096,
-    "ramanujan_dickson_10": 4096,
-    "dickson_126": 4096,
-}
-
-
-class Reporter:
-    def __init__(self, fmt: str) -> None:
-        self.fmt = fmt
-        self.failed = False
-
-    def emit(self, cmd: str, params: dict, status: str, payload, started: float) -> None:
-        # informational rows never flip the exit code
-        if status not in ("pass", "info"):
-            self.failed = True
-        elapsed_ms = int((time.perf_counter() - started) * 1000)
-        if self.fmt == "json":
-            record = {
-                "cmd": cmd,
-                "params": params,
-                "status": status,
-                "payload": payload,
-                "elapsed_ms": elapsed_ms,
-            }
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print(f"[{status}] {cmd} {_render_params(params)}")
-            _render_payload(payload)
-
-
-def _render_params(params: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in params.items())
-
-
-def _render_payload(payload) -> None:
-    if payload in (None, {}, []):
-        return
-    text = json.dumps(payload, sort_keys=True)
-    if len(text) > 400:
-        text = text[:400] + "..."
-    print("  " + text)
 
 
 def _exp_str(e: int) -> str:
@@ -120,12 +78,11 @@ def _report_identity(rep) -> tuple[str, dict]:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each yields (cmd, params, status, payload) records
 # ----------------------------------------------------------------------
 
 
-def _cmd_expand(args, reporter: Reporter) -> None:
-    started = time.perf_counter()
+def _cmd_expand(args):
     if args.name:
         arg = theta_special("fneg" if args.name == "f" else args.name, args.scale)
         params = {"name": args.name, "scale": args.scale, "order": args.order}
@@ -135,11 +92,10 @@ def _cmd_expand(args, reporter: Reporter) -> None:
         params = {"theta": args.theta, "order": args.order}
     series = theta_expand(arg, 2 * args.order)
     coeffs = [(_exp_str(e), c) for e, c in series.items()]
-    reporter.emit("expand", params, "pass", {"coefficients": coeffs}, started)
+    yield "expand", params, "pass", {"coefficients": coeffs}
 
 
-def _cmd_count(args, reporter: Reporter) -> None:
-    started = time.perf_counter()
+def _cmd_count(args):
     spec = _parse_form(args.form)
     if args.range:
         m = re.fullmatch(r"\s*(-?\d+)\.\.(-?\d+)\s*", args.range)
@@ -165,12 +121,17 @@ def _cmd_count(args, reporter: Reporter) -> None:
         payload["values"].append(row)
     params = {"form": args.form, "method": args.method}
     params["range" if args.range else "n"] = args.range or args.n
-    reporter.emit("count", params, status, payload, started)
+    yield "count", params, status, payload
 
 
 def _require_class(what: str, modulus: int, residue: int, nmax: int) -> None:
-    """A residue class holding no N <= nmax checks nothing: refuse it
-    rather than print a vacuous [pass]."""
+    """Refuse an invalid residue class, and one holding no N <= nmax,
+    which checks nothing, rather than print a vacuous [pass]."""
+    if not 0 <= residue < modulus:
+        raise ValueError(
+            f"{what}: {residue} mod {modulus} is not a residue class;"
+            " need modulus >= 1 and 0 <= residue < modulus"
+        )
     if residue > nmax:
         raise ValueError(
             f"{what}: residue class N == {residue} mod {modulus} holds no N <= {nmax}"
@@ -183,8 +144,7 @@ def _require_relation_classes(relations, nmax: int) -> None:
             _require_class(f"relation {rel.id!r}", *rel.residue_class, nmax)
 
 
-def _cmd_scan(args, reporter: Reporter) -> None:
-    started = time.perf_counter()
+def _cmd_scan(args):
     spec = _parse_form(args.form)
     _require_class(f"scan {args.form}", args.modulus, args.residue, args.nmax)
     hits = nonrep_scan(spec, args.modulus, args.residue, args.nmax)
@@ -194,33 +154,27 @@ def _cmd_scan(args, reporter: Reporter) -> None:
         "residue": args.residue,
         "nmax": args.nmax,
     }
-    status = "pass" if not hits else "fail"
-    reporter.emit("scan", params, status, {"represented": hits[:50]}, started)
+    yield "scan", params, "pass" if not hits else "fail", {"represented": hits[:50]}
 
 
-def _verify_thm1(args, reporter: Reporter) -> None:
-    started = time.perf_counter()
+def _verify_thm1(args):
     eps1, eps2, eps3 = (int(x) for x in args.eps.split(","))
     p = TripleParams(args.k, args.r, args.g, args.h, args.u, args.v,
                      args.i, args.j, eps1, eps2, eps3)
     params = {k: getattr(args, k) for k in ("k", "r", "g", "h", "u", "v", "i", "j")}
     params["eps"] = args.eps
     params["order"] = args.order
-    status, payload = _report_identity(verify_triple(p, 2 * args.order))
-    reporter.emit("verify thm1", params, status, payload, started)
+    yield "verify thm1", params, *_report_identity(verify_triple(p, 2 * args.order))
 
 
-def _verify_thm2(args, reporter: Reporter) -> None:
-    started = time.perf_counter()
+def _verify_thm2(args):
     p = PairParams(args.k, args.r, args.s, args.t, args.i, args.j, int(args.eps))
     params = {k: getattr(args, k) for k in ("k", "r", "s", "t", "i", "j", "eps")}
     params["order"] = args.order
-    status, payload = _report_identity(verify_pair(p, 2 * args.order))
-    reporter.emit("verify thm2", params, status, payload, started)
+    yield "verify thm2", params, *_report_identity(verify_pair(p, 2 * args.order))
 
 
-def _verify_corollary(args, reporter: Reporter) -> None:
-    started = time.perf_counter()
+def _verify_corollary(args):
     kwargs = {}
     if args.k is not None:
         kwargs["k"] = args.k
@@ -230,8 +184,7 @@ def _verify_corollary(args, reporter: Reporter) -> None:
         kwargs["m"] = args.m
     rep = verify_corollary(args.id, through=2 * args.order, **kwargs)
     params = {"id": args.id, **kwargs, "order": args.order}
-    status, payload = _report_identity(rep)
-    reporter.emit("verify corollary", params, status, payload, started)
+    yield "verify corollary", params, *_report_identity(rep)
 
 
 def _load_relations(path) -> list:
@@ -242,10 +195,9 @@ def _load_relations(path) -> list:
         raise ValueError(f"cannot read catalog {path!r}: {exc.strerror or exc}") from None
 
 
-def _report_relations(relations, nmax: int, reporter: Reporter) -> None:
+def _report_relations(relations, nmax: int):
     """One record per relation; empirical ones are informational."""
     for stmt in relations:
-        started = time.perf_counter()
         counter = verify_relation(stmt, nmax)
         payload = {"relation": stmt.render(), "status_flag": stmt.status}
         if counter:
@@ -256,63 +208,48 @@ def _report_relations(relations, nmax: int, reporter: Reporter) -> None:
         if stmt.status != "pinned":
             payload["outcome"] = status
             status = "info"
-        reporter.emit("verify relation", {"id": stmt.id, "nmax": nmax},
-                      status, payload, started)
+        yield "verify relation", {"id": stmt.id, "nmax": nmax}, status, payload
 
 
-def _verify_relation(args, reporter: Reporter) -> None:
+def _verify_relation(args):
     catalog = _load_relations(args.catalog)
     matches = [r for r in catalog if r.id == args.id or r.id.startswith(args.id + ".")]
     if not matches:
         raise ValueError(f"no relation with id {args.id!r}")
     _require_relation_classes(matches, args.nmax)
-    _report_relations(matches, args.nmax, reporter)
+    yield from _report_relations(matches, args.nmax)
 
 
-def _verify_classical(args, reporter: Reporter) -> None:
-    started = time.perf_counter()
+def _verify_classical(args):
     report = classical_check(args.id, args.nmax)
     status = "pass" if report.ok else "fail"
     detail = {
         k: (v if not isinstance(v, dict) else {kk: vv for kk, vv in v.items() if vv})
         for k, v in report.details.items()
     }
-    reporter.emit("verify classical", {"id": args.id, "nmax": args.nmax},
-                  status, detail, started)
+    yield "verify classical", {"id": args.id, "nmax": args.nmax}, status, detail
 
 
-def _verify_all(args, reporter: Reporter) -> None:
-    # fail before any record prints
+def _verify_all(args):
+    # refuse every domain error before the first record
     relations = _load_relations(args.catalog)
     _require_relation_classes(relations, args.nmax)
     scans = load_scan_catalog()
     for scan in scans:
         _require_class(f"scan {scan.id!r}", scan.modulus, scan.residue, args.scan_nmax)
-    order = args.order
     for entry in load_identity_catalog():
-        started = time.perf_counter()
-        rep = entry.verify(2 * order)
-        status, payload = _report_identity(rep)
+        status, payload = _report_identity(entry.verify(2 * args.order))
         payload["citation"] = entry.citation
-        reporter.emit("verify identity", {"id": entry.id, "order": order},
-                      status, payload, started)
-    _report_relations(relations, args.nmax, reporter)
+        yield "verify identity", {"id": entry.id, "order": args.order}, status, payload
+    yield from _report_relations(relations, args.nmax)
     for scan in scans:
-        started = time.perf_counter()
         hits = nonrep_scan(scan.spec, scan.modulus, scan.residue, args.scan_nmax)
-        reporter.emit(
-            "verify scan",
-            {"id": scan.id, "nmax": args.scan_nmax},
-            "pass" if not hits else "fail",
-            {"represented": hits[:20], "citation": scan.citation},
-            started,
-        )
-    for cid in CLASSICAL_IDS:
-        started = time.perf_counter()
-        bound = _CLASSICAL_BOUNDS[cid]
-        report = classical_check(cid, bound)
-        reporter.emit("verify classical", {"id": cid, "nmax": bound},
-                      "pass" if report.ok else "fail", {}, started)
+        yield ("verify scan", {"id": scan.id, "nmax": args.scan_nmax},
+               "pass" if not hits else "fail",
+               {"represented": hits[:20], "citation": scan.citation})
+    for cid, bound in CLASSICAL_BOUNDS.items():
+        yield ("verify classical", {"id": cid, "nmax": bound},
+               "pass" if classical_check(cid, bound).ok else "fail", {})
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--name", choices=("phi", "psi", "f", "X", "Y"))
     p_expand.add_argument("--scale", type=int, default=1)
     p_expand.add_argument("--order", type=_nonnegative_int, required=True)
+    p_expand.set_defaults(run=_cmd_expand)
 
     p_verify = sub.add_parser("verify", help="verify identities and relations")
     vsub = p_verify.add_subparsers(dest="target", required=True)
@@ -350,12 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
         pv1.add_argument(f"--{flag}", type=int, required=True)
     pv1.add_argument("--eps", default="1,1,1")
     pv1.add_argument("--order", type=_nonnegative_int, default=100)
+    pv1.set_defaults(run=_verify_thm1)
 
     pv2 = vsub.add_parser("thm2")
     for flag in ("k", "r", "s", "t", "i", "j"):
         pv2.add_argument(f"--{flag}", type=int, required=True)
     pv2.add_argument("--eps", default="1")
     pv2.add_argument("--order", type=_nonnegative_int, default=100)
+    pv2.set_defaults(run=_verify_thm2)
 
     pvc = vsub.add_parser("corollary")
     pvc.add_argument("--id", required=True)
@@ -363,21 +303,25 @@ def _build_parser() -> argparse.ArgumentParser:
     pvc.add_argument("--r", type=int)
     pvc.add_argument("--m", type=int)
     pvc.add_argument("--order", type=_nonnegative_int, default=100)
+    pvc.set_defaults(run=_verify_corollary)
 
     pvr = vsub.add_parser("relation")
     pvr.add_argument("--id", required=True)
     pvr.add_argument("--nmax", type=_nonnegative_int, default=1000)
     pvr.add_argument("--catalog", default=None)
+    pvr.set_defaults(run=_verify_relation)
 
     pvl = vsub.add_parser("classical")
     pvl.add_argument("--id", required=True, choices=CLASSICAL_IDS)
     pvl.add_argument("--nmax", type=_nonnegative_int, required=True)
+    pvl.set_defaults(run=_verify_classical)
 
     pva = vsub.add_parser("all")
     pva.add_argument("--order", type=_nonnegative_int, default=150)
     pva.add_argument("--nmax", type=_nonnegative_int, default=1000)
     pva.add_argument("--scan-nmax", type=_nonnegative_int, default=10000)
     pva.add_argument("--catalog", default=None)
+    pva.set_defaults(run=_verify_all)
 
     p_count = sub.add_parser("count", help="representation numbers")
     p_count.add_argument("--form", required=True)
@@ -386,29 +330,15 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--range", help="A..B inclusive")
     p_count.add_argument("--method", choices=("enumerate", "series", "both"),
                          default="enumerate")
+    p_count.set_defaults(run=_cmd_count)
 
     p_scan = sub.add_parser("scan", help="non-representability scan")
     p_scan.add_argument("--form", required=True)
     p_scan.add_argument("--modulus", type=int, required=True)
     p_scan.add_argument("--residue", type=int, required=True)
     p_scan.add_argument("--nmax", type=_nonnegative_int, required=True)
+    p_scan.set_defaults(run=_cmd_scan)
     return parser
-
-
-_DISPATCH = {
-    "expand": _cmd_expand,
-    "count": _cmd_count,
-    "scan": _cmd_scan,
-}
-
-_VERIFY_DISPATCH = {
-    "thm1": _verify_thm1,
-    "thm2": _verify_thm2,
-    "corollary": _verify_corollary,
-    "relation": _verify_relation,
-    "classical": _verify_classical,
-    "all": _verify_all,
-}
 
 
 def _join_theta_flag(argv: list[str]) -> list[str]:
@@ -430,17 +360,32 @@ def _join_theta_flag(argv: list[str]) -> list[str]:
     return out
 
 
+def _print_record(fmt: str, cmd: str, params: dict, status: str, payload,
+                  elapsed_ms: int) -> None:
+    if fmt == "json":
+        print(json.dumps({"cmd": cmd, "params": params, "status": status,
+                          "payload": payload, "elapsed_ms": elapsed_ms}, sort_keys=True))
+        return
+    print(f"[{status}] {cmd} " + " ".join(f"{k}={v}" for k, v in params.items()))
+    if payload not in (None, {}, []):
+        text = json.dumps(payload, sort_keys=True)
+        print("  " + (text if len(text) <= 400 else text[:400] + "..."))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_theta_flag(list(argv)))
-    reporter = Reporter(args.format)
+    failed = False
     try:
-        if args.command == "verify":
-            _VERIFY_DISPATCH[args.target](args, reporter)
-        else:
-            _DISPATCH[args.command](args, reporter)
+        started = time.perf_counter()
+        for cmd, params, status, payload in args.run(args):
+            elapsed_ms = int((time.perf_counter() - started) * 1000)
+            # informational rows never flip the exit code
+            failed |= status not in ("pass", "info")
+            _print_record(args.format, cmd, params, status, payload, elapsed_ms)
+            started = time.perf_counter()
     except (
         ValueError, KeyError, ExpansionError, TruncationError, CoefficientOverflowError
     ) as exc:
@@ -450,7 +395,7 @@ def main(argv=None) -> int:
         # a bound too large for memory is a usage error, not a mismatch
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    return 1 if reporter.failed else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

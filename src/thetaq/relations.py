@@ -336,15 +336,17 @@ SUN_SQUARE_TRIANGULAR_TRIANGULAR = [
     (2, 2, 1), (2, 4, 1), (3, 2, 1), (4, 1, 1), (4, 2, 1),
 ]
 
-CLASSICAL_IDS = (
-    "gauss3tri",
-    "liouville",
-    "sun_sq_sq_t",
-    "sun_sq_t_t",
-    "gauss_legendre",
-    "ramanujan_dickson_10",
-    "dickson_126",
-)
+# each classical check with the desk-scale bound `verify all` runs it at
+CLASSICAL_BOUNDS = {
+    "gauss3tri": 5000,
+    "liouville": 2000,
+    "sun_sq_sq_t": 2000,
+    "sun_sq_t_t": 2000,
+    "gauss_legendre": 4096,
+    "ramanujan_dickson_10": 4096,
+    "dickson_126": 4096,
+}
+CLASSICAL_IDS = tuple(CLASSICAL_BOUNDS)
 
 
 def classical_check(check_id: str, n_max: int) -> ClassicalReport:

@@ -297,6 +297,21 @@ class TestDomainErrors:
         assert exc.value.code == 2
         assert out.out == "" and "expected a nonnegative integer" in out.err
 
+    @pytest.mark.parametrize("modulus,residue", [("4", "5"), ("0", "0"), ("4", "-1")],
+                             ids=["r>=m", "m=0", "r<0"])
+    def test_invalid_scan_class_is_usage_error(self, capsys, modulus, residue):
+        # 5 mod 4 used to read as an empty class at --nmax 2 and as an
+        # unnamed "need 0 <= residue < modulus" at --nmax 100
+        errs = set()
+        for nmax in ("2", "100"):
+            code, out, err = run(capsys, "scan", "--form", "Rt(1,1,4)", "--modulus",
+                                 modulus, f"--residue={residue}", "--nmax", nmax)
+            assert code == 2 and out == ""
+            errs.add(err)
+        assert len(errs) == 1
+        assert errs.pop().startswith(f"error: scan Rt(1,1,4): {residue} mod {modulus} "
+                                     "is not a residue class")
+
 
 class TestEmptyClass:
     """A residue class with no N up to the bound would print a vacuous [pass]."""
@@ -343,23 +358,41 @@ class TestVerifyAll:
 
 class TestOverflow:
     def test_overflow_is_reported_not_raised(self, capsys, monkeypatch):
-        def overflow(args, reporter):
+        def overflow(args):
             raise CoefficientOverflowError("coefficient 2**64 exceeds 64-bit width")
 
-        monkeypatch.setitem(cli._DISPATCH, "expand", overflow)
+        monkeypatch.setattr(cli, "_cmd_expand", overflow)
         code, _, err = run(capsys, "expand", "--name", "phi", "--order", "10")
         assert code == 2
         assert err.startswith("error: coefficient 2**64")
 
     def test_memory_error_is_reported_not_raised(self, capsys, monkeypatch):
-        def too_large(args, reporter):
+        def too_large(args):
             raise MemoryError("Unable to allocate 186. GiB")
 
-        monkeypatch.setitem(cli._DISPATCH, "scan", too_large)
+        monkeypatch.setattr(cli, "_cmd_scan", too_large)
         code, out, err = run(capsys, "scan", "--form", "Rt(1,1,4)", "--modulus", "4",
                              "--residue", "3", "--nmax", "100000000000")
         assert code == 2 and out == ""
         assert err.startswith("error: not enough memory: Unable to allocate")
+
+    def test_records_stream_and_an_error_stops_the_stream(self, capsys, monkeypatch):
+        # Athm1 has two relations: the first record prints before the second
+        # one's check raises, so a buffered loop would print none
+        calls = []
+        verify_relation = cli.verify_relation
+
+        def second_overflows(stmt, nmax):
+            calls.append(stmt.id)
+            if len(calls) == 2:
+                raise CoefficientOverflowError("coefficient 2**64 exceeds 64-bit width")
+            return verify_relation(stmt, nmax)
+
+        monkeypatch.setattr(cli, "verify_relation", second_overflows)
+        code, out, err = run(capsys, "--format", "json", "verify", "relation",
+                             "--id", "Athm1", "--nmax", "50")
+        assert code == 2 and err.startswith("error: coefficient 2**64")
+        assert [r["params"]["id"] for r in json_records(out)] == ["Athm1.1"]
 
 
 class TestJsonDeterminism:
@@ -371,9 +404,21 @@ class TestJsonDeterminism:
         ("--format", "json", "verify", "thm1", "--k", "2", "--r", "1",
          "--g", "3", "--h", "1", "--u", "3", "--v", "1", "--i", "6",
          "--j", "2", "--eps", "1,1,1", "--order", "60"),
+        ("--format", "json", "scan", "--form", "rpg(3,4,1)", "--modulus", "4",
+         "--residue", "2", "--nmax", "500"),
+        ("--format", "json", "verify", "thm2", "--k", "2", "--r", "1", "--s", "1",
+         "--t", "1", "--i", "2", "--j", "0", "--eps", "-1", "--order", "60"),
+        ("--format", "json", "verify", "corollary", "--id", "cor1", "--k", "2",
+         "--r", "1", "--order", "60"),
+        ("--format", "json", "verify", "corollary", "--id", "clp2.2", "--m", "2",
+         "--order", "60"),
+        ("--format", "json", "verify", "relation", "--id", "Athm11.3", "--nmax", "200"),
+        ("--format", "json", "verify", "classical", "--id", "liouville", "--nmax", "300"),
     ]
+    IDS = ["expand", "count", "verify", "scan", "thm2", "corollary", "signed-pair",
+           "relation", "classical"]
 
-    @pytest.mark.parametrize("argv", CASES, ids=["expand", "count", "verify"])
+    @pytest.mark.parametrize("argv", CASES, ids=IDS)
     def test_payload_round_trips(self, capsys, argv):
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
@@ -381,7 +426,7 @@ class TestJsonDeterminism:
         p2 = [r["payload"] for r in json_records(out2)]
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
-    @pytest.mark.parametrize("argv", CASES, ids=["expand", "count", "verify"])
+    @pytest.mark.parametrize("argv", CASES, ids=IDS)
     def test_echoed_command_reproduces_payload(self, capsys, argv):
         # a record's cmd and params fields are enough to re-run it
         _, out, _ = run(capsys, *argv)
