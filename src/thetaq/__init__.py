@@ -34,7 +34,6 @@ from .identity import (
     validate_triple,
     verify_corollary,
     verify_pair,
-    verify_signed_pair,
     verify_triple,
 )
 from .repcount import (

@@ -101,20 +101,6 @@ def _negative_violation(side: str, s: HalfPowerSeries):
     return None
 
 
-def _compare_sides(
-    lhs: HalfPowerSeries, rhs: HalfPowerSeries, through: int, rhs_term_count: int
-) -> IdentityReport:
-    cmp = lhs.compare(rhs, through)
-    violation = _negative_violation("lhs", lhs) or _negative_violation("rhs", rhs)
-    return IdentityReport(
-        equal=cmp.equal,
-        checked_through=through,
-        mismatch=cmp.mismatch,
-        rhs_term_count=rhs_term_count,
-        negative_violation=violation,
-    )
-
-
 def _verify_terms(
     lhs_terms: Sequence[ThetaProduct],
     rhs_terms: Sequence[ThetaProduct],
@@ -122,7 +108,15 @@ def _verify_terms(
 ) -> IdentityReport:
     lhs = expand_sum(lhs_terms, through)
     rhs = expand_sum(rhs_terms, through)
-    return _compare_sides(lhs, rhs, through, len(rhs_terms))
+    cmp = lhs.compare(rhs, through)
+    violation = _negative_violation("lhs", lhs) or _negative_violation("rhs", rhs)
+    return IdentityReport(
+        equal=cmp.equal,
+        checked_through=through,
+        mismatch=cmp.mismatch,
+        rhs_term_count=len(rhs_terms),
+        negative_violation=violation,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -435,20 +429,6 @@ def corollary_params(cid: str, k: int, r: int) -> TripleParams:
     raise KeyError(f"unknown corollary {cid!r}")
 
 
-@dataclass(frozen=True)
-class SignedPairReport:
-    """Verification trace of one signed two-theta identity."""
-
-    identity: IdentityReport  # reduced identity on the source grid
-    substituted: bool  # whether exponents were halved (q^2 -> q)
-    odd_part_clear: bool  # no odd-q coefficients before halving
-    final: IdentityReport  # the identity as printed
-
-    @property
-    def ok(self) -> bool:
-        return self.identity.ok and self.odd_part_clear and self.final.ok
-
-
 def _halve_product(t: ThetaProduct) -> ThetaProduct:
     return ThetaProduct(
         t.sign,
@@ -512,58 +492,29 @@ def instantiate_signed_pair(
     return lhs, rhs
 
 
-def verify_signed_pair(cid: str, m: int, through: int) -> SignedPairReport:
-    """Full verification of one signed two-theta identity.
-
-    Checks the reduced identity on its source grid, asserts that odd-q
-    coefficients vanish when the final form halves exponents, and then
-    checks the identity as printed through ``through`` half-units.  Each
-    reduced side is expanded once; the final form is its dissection.
-    """
-    reduced_lhs, reduced_rhs = _reduced_signed_pair(cid, m)
-    substituted = _all_even(reduced_lhs + reduced_rhs)
-    source_bound = 2 * through if substituted else through
-    lhs = expand_sum(reduced_lhs, source_bound)
-    rhs = expand_sum(reduced_rhs, source_bound)
-    identity = _compare_sides(lhs, rhs, source_bound, len(reduced_rhs))
-
-    if not substituted:
-        # the printed form is the reduced one, compared above
-        return SignedPairReport(identity, substituted, True, identity)
-    # every exponent on the q^2 grid: no odd or half-integer power of q
-    odd_clear = all(e % 4 == 0 for s in (lhs, rhs) for e, _ in s.items())
-    final = _compare_sides(
-        lhs.dissect(2, 0, divide=True),
-        rhs.dissect(2, 0, divide=True),
-        through,
-        len(reduced_rhs),
-    )
-    return SignedPairReport(identity, substituted, odd_clear, final)
-
-
-def _is_direct_corollary(
-    cid: str, k: int | None, r: int | None, m: int | None
-) -> bool:
-    """True for cor1..cor4, False for a signed pair; checks the arguments."""
-    if cid in _COROLLARY_IDS:
-        if k is None or r is None:
-            raise ValueError(f"{cid} needs k and r")
-        return True
-    if cid in _SIGNED_PAIR_ROWS:
-        if m is None:
-            raise ValueError(f"{cid} needs m")
-        return False
-    raise KeyError(f"unknown corollary {cid!r}")
-
-
 def instantiate_corollary(
     cid: str, *, k: int | None = None, r: int | None = None, m: int | None = None
 ) -> tuple[list[ThetaProduct], list[ThetaProduct]]:
-    """Both sides of a named corollary as lists of theta products."""
-    if _is_direct_corollary(cid, k, r, m):
+    """Both sides of a named corollary as printed, as lists of theta products.
+
+    cor1..cor4 take k and r and no m; a signed pair takes m and neither
+    k nor r.
+    """
+    if cid in _COROLLARY_IDS:
+        if k is None or r is None:
+            raise ValueError(f"{cid} needs k and r")
+        if m is not None:
+            raise ValueError(f"{cid} takes no m")
         p = corollary_params(cid, k, r)
         return [triple_lhs(p)], triple_rhs(p)
-    return instantiate_signed_pair(cid, m)
+    if cid in _SIGNED_PAIR_ROWS:
+        if m is None:
+            raise ValueError(f"{cid} needs m")
+        unused = [name for name, v in (("k", k), ("r", r)) if v is not None]
+        if unused:
+            raise ValueError(f"{cid} takes no {' or '.join(unused)}")
+        return instantiate_signed_pair(cid, m)
+    raise KeyError(f"unknown corollary {cid!r}")
 
 
 def verify_corollary(
@@ -574,12 +525,14 @@ def verify_corollary(
     m: int | None = None,
     through: int,
 ) -> IdentityReport:
-    if _is_direct_corollary(cid, k, r, m):
-        return verify_triple(corollary_params(cid, k, r), through)
-    report = verify_signed_pair(cid, m, through)
-    if not report.odd_part_clear:
-        return IdentityReport(False, through, None, report.final.rhs_term_count)
-    return report.final
+    """Expand both printed sides through ``through`` half-units and compare.
+
+    A halved signed pair is checked on the q grid it is printed on: its
+    reduced form lives on multiples of 4 half-units only, so it agrees
+    through 2*through exactly when the printed form agrees through
+    ``through``.
+    """
+    return _verify_terms(*instantiate_corollary(cid, k=k, r=r, m=m), through)
 
 
 # ----------------------------------------------------------------------

@@ -56,12 +56,9 @@ class ThetaArg:
         s, d = self.a + self.b, self.a - self.b
         if s <= 0:
             raise ExpansionError(f"divergent specialization {self}")
-        # vertex of the exponent quadratic ((s*n + d)*n)/2
-        n_star = -d / (2 * s)
-        best = 0
-        for n in (math.floor(n_star), math.ceil(n_star)):
-            best = min(best, _term_exponent(self.a, self.b, n))
-        return best
+        # the integers either side of the exponent quadratic's vertex -d/(2s)
+        n0 = -d // (2 * s)
+        return min(0, *(_term_exponent(self.a, self.b, n) for n in (n0, n0 + 1)))
 
 
 def _term_exponent(a: int, b: int, n):

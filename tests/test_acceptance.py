@@ -20,7 +20,12 @@ from thetaq.theta import (
     theta_normalize,
     theta_special,
 )
-from thetaq.identity import load_identity_catalog, verify_signed_pair
+from thetaq.identity import (
+    _all_even,
+    _reduced_signed_pair,
+    load_identity_catalog,
+    verify_corollary,
+)
 from thetaq.relations import (
     classical_check,
     load_relation_catalog,
@@ -181,10 +186,9 @@ def test_criterion_04_pair_grid_and_signed_identities():
     substituted = 0
     for row in range(1, 9):
         for m in range(1, 7):
-            outcome = verify_signed_pair(f"clp2.{row}", m, Q150)
-            assert outcome.ok, (row, m)
-            assert outcome.odd_part_clear
-            substituted += outcome.substituted
+            cid = f"clp2.{row}"
+            assert verify_corollary(cid, m=m, through=Q150).ok, (row, m)
+            substituted += _all_even(sum(_reduced_signed_pair(cid, m), []))
     assert substituted == 6 * 6  # rows 1-4, 7, 8 halve their exponents
     report(f"ACCEPTANCE 4 PASS: {len(pair_entries)} two-theta settings and "
            f"48 signed identities exact through q^150")

@@ -312,6 +312,18 @@ class TestDomainErrors:
         assert errs.pop().startswith(f"error: scan Rt(1,1,4): {residue} mod {modulus} "
                                      "is not a residue class")
 
+    @pytest.mark.parametrize("argv,unused", [
+        (("--id", "clp2.4", "--m", "2", "--k", "7"), "clp2.4 takes no k"),
+        (("--id", "cor1", "--k", "2", "--r", "1", "--m", "9"), "cor1 takes no m"),
+    ], ids=["clp2-k", "cor1-m"])
+    def test_unused_corollary_argument_is_usage_error(self, capsys, argv, unused):
+        # both used to print [pass] with the ignored flag among the params
+        for fmt in ((), ("--format", "json")):
+            code, out, err = run(capsys, *fmt, "verify", "corollary", *argv,
+                                 "--order", "20")
+            assert code == 2 and out == ""
+            assert err == f"error: {unused}\n"
+
 
 class TestEmptyClass:
     """A residue class with no N up to the bound would print a vacuous [pass]."""

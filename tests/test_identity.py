@@ -10,6 +10,7 @@ from thetaq.identity import (
     TripleParams,
     expand_sum,
     instantiate_corollary,
+    _all_even,
     _reduced_signed_pair,
     instantiate_signed_pair,
     load_identity_catalog,
@@ -21,7 +22,6 @@ from thetaq.identity import (
     validate_triple,
     verify_corollary,
     verify_pair,
-    verify_signed_pair,
     verify_triple,
 )
 
@@ -253,12 +253,11 @@ class TestSignedPairIdentities:
     @pytest.mark.parametrize("row", range(1, 9))
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_all_rows(self, row, m):
-        report = verify_signed_pair(f"clp2.{row}", m, 160)
-        assert report.ok, (row, m)
+        assert verify_corollary(f"clp2.{row}", m=m, through=160).ok, (row, m)
 
     def test_substitution_pattern(self):
         halved = {
-            row: verify_signed_pair(f"clp2.{row}", 2, 100).substituted
+            row: _all_even(sum(_reduced_signed_pair(f"clp2.{row}", 2), []))
             for row in range(1, 9)
         }
         assert halved == {1: True, 2: True, 3: True, 4: True,
@@ -267,14 +266,17 @@ class TestSignedPairIdentities:
     @pytest.mark.parametrize("row", range(1, 9))
     @pytest.mark.parametrize("m", range(1, 7))
     def test_printed_sides_are_the_dissected_reduced_sides(self, row, m):
-        # verify_signed_pair reads the printed identity off the reduced
-        # expansions by dissection; the printed construction must agree
+        # the printed sides, which verify_corollary checks, must be the
+        # reduced identity read on the q^2 grid; a halved row's reduced
+        # expansions carry no term off the multiples of 4 half-units, so
+        # halving loses nothing
         cid = f"clp2.{row}"
         halved = row not in (5, 6)
         printed = instantiate_signed_pair(cid, m)
         for side, reduced in zip(printed, _reduced_signed_pair(cid, m)):
             want = expand_sum(reduced, 600 if halved else 300)
             if halved:
+                assert all(e % 4 == 0 for e, _ in want.items()), (cid, m)
                 want = want.dissect(2, 0, divide=True)
             got = expand_sum(side, 300)
             exps = range(min(got.lo, want.lo), 301)
@@ -282,6 +284,7 @@ class TestSignedPairIdentities:
 
     @pytest.mark.parametrize("row", range(1, 9))
     def test_each_side_is_expanded_once(self, monkeypatch, row):
+        # on the printed grid, halved or not: never through 2 * through
         calls = []
 
         def counting(terms, hi):
@@ -289,8 +292,8 @@ class TestSignedPairIdentities:
             return expand_sum(terms, hi)
 
         monkeypatch.setattr(identity, "expand_sum", counting)
-        assert verify_signed_pair(f"clp2.{row}", 2, 100).ok
-        assert len(calls) == 2
+        assert verify_corollary(f"clp2.{row}", m=2, through=100).ok
+        assert calls == [100, 100]
 
     def test_printed_forms_row1(self):
         # phi(-q^m) phi(q) = sum q^{a^2} f(-q^{m(m+1+2a)}, -q^{m(m+1-2a)})
@@ -400,6 +403,21 @@ class TestDirectCorollaries:
             verify_corollary("clp2.1", through=100)
         with pytest.raises(KeyError):
             verify_corollary("cor9", k=2, r=1, through=100)
+
+    @pytest.mark.parametrize("cid,kwargs,unused", [
+        ("cor1", {"k": 2, "r": 1, "m": 9}, "m"),
+        ("cor4", {"k": 3, "r": 2, "m": 1}, "m"),
+        ("clp2.4", {"m": 2, "k": 7}, "k"),
+        ("clp2.1", {"m": 1, "r": 1}, "r"),
+        ("clp2.6", {"m": 3, "k": 2, "r": 1}, "k or r"),
+    ])
+    def test_rejects_unused_parameters(self, cid, kwargs, unused):
+        # an argument the identity does not read used to be ignored
+        message = f"{cid} takes no {unused}$"
+        with pytest.raises(ValueError, match=message):
+            instantiate_corollary(cid, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            verify_corollary(cid, **kwargs, through=100)
 
 
 class TestStructuralProperties:

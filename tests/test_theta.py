@@ -1,5 +1,8 @@
 """Theta expansion, the product-form oracle, normalization, dissections."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +129,35 @@ class TestExpand:
     def test_matches_reference(self, eps, a, b):
         for hi in (-3, 0, 1, 57, 400):
             assert dict(expand(eps, a, b, hi).items()) == reference_expand(eps, a, b, hi)
+
+    @staticmethod
+    def vertex_minimum(a, b):
+        """min(0, e(n)) over the integers n either side of the real vertex."""
+        vertex = Fraction(-(a - b), 2 * (a + b))
+        exps = [((a + b) * n + (a - b)) * n // 2
+                for n in (math.floor(vertex), math.ceil(vertex))]
+        return min(0, *exps)
+
+    def test_min_exponent_past_53_bits(self):
+        # the vertex used to be a float, off by 420 here
+        arg = ThetaArg(1, 2049850523259563094, -2049850523259563086)
+        assert arg.min_exponent() == -262617947981719037540210321105646756
+        assert arg.min_exponent() == self.vertex_minimum(arg.a, arg.b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((1, -1)), st.one_of(st.integers(1, 64), st.integers(1, 2**62)),
+           st.integers(-2**62, 2**62))
+    def test_min_exponent_is_exact(self, eps, s, d):
+        # a vertex -d/(2s) beyond 2^53 is where a float loses the integers
+        if (s + d) % 2:
+            d += 1
+        a, b = (s + d) // 2, (s - d) // 2
+        if eps == -1 and 0 in (a, b):
+            return  # the zero function
+        got = ThetaArg(eps, a, b).min_exponent()
+        assert got == self.vertex_minimum(a, b)
+        if abs(a) + abs(b) < 500:
+            assert got == min(0, min(reference_expand(1, a, b, 0), default=0))
 
     def test_divergent_raises(self):
         with pytest.raises(ExpansionError):
