@@ -11,7 +11,6 @@ from .theta import (
     ExpansionError,
     NormalizedTheta,
     ThetaArg,
-    f_delta,
     jacobi_triple_product,
     theta_dissection,
     theta_expand,

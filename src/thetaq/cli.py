@@ -84,9 +84,12 @@ def _report_identity(rep) -> tuple[str, dict]:
 
 def _cmd_expand(args):
     if args.name:
-        arg = theta_special("fneg" if args.name == "f" else args.name, args.scale)
-        params = {"name": args.name, "scale": args.scale, "order": args.order}
+        scale = 1 if args.scale is None else args.scale
+        arg = theta_special("fneg" if args.name == "f" else args.name, scale)
+        params = {"name": args.name, "scale": scale, "order": args.order}
     else:
+        if args.scale is not None:  # refused rather than silently ignored
+            raise ValueError("--scale applies to --name, not to --theta")
         eps, g, h = (int(x) for x in args.theta.split(","))
         arg = ThetaArg(eps, 2 * g, 2 * h)
         params = {"theta": args.theta, "order": args.order}
@@ -276,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_expand.add_mutually_exclusive_group(required=True)
     group.add_argument("--theta", help="EPS,G,H whole-q exponents")
     group.add_argument("--name", choices=("phi", "psi", "f", "X", "Y"))
-    p_expand.add_argument("--scale", type=int, default=1)
+    p_expand.add_argument("--scale", type=int, help="power of q for --name; default 1")
     p_expand.add_argument("--order", type=_nonnegative_int, required=True)
     p_expand.set_defaults(run=_cmd_expand)
 

@@ -477,28 +477,15 @@ def _reduced_signed_pair(
     return lhs, rhs
 
 
-def instantiate_signed_pair(
-    cid: str, m: int
-) -> tuple[list[ThetaProduct], list[ThetaProduct]]:
-    """Both sides of a signed two-theta identity as printed.
-
-    The reduced sides of :func:`_reduced_signed_pair`, with exponents
-    halved when the whole identity lives on even powers of q.
-    """
-    lhs, rhs = _reduced_signed_pair(cid, m)
-    if _all_even(lhs + rhs):
-        lhs = [_halve_product(t) for t in lhs]
-        rhs = [_halve_product(t) for t in rhs]
-    return lhs, rhs
-
-
 def instantiate_corollary(
     cid: str, *, k: int | None = None, r: int | None = None, m: int | None = None
 ) -> tuple[list[ThetaProduct], list[ThetaProduct]]:
     """Both sides of a named corollary as printed, as lists of theta products.
 
     cor1..cor4 take k and r and no m; a signed pair takes m and neither
-    k nor r.
+    k nor r, and its sides are those of :func:`_reduced_signed_pair`,
+    with exponents halved when the whole identity lives on even powers
+    of q.
     """
     if cid in _COROLLARY_IDS:
         if k is None or r is None:
@@ -513,7 +500,11 @@ def instantiate_corollary(
         unused = [name for name, v in (("k", k), ("r", r)) if v is not None]
         if unused:
             raise ValueError(f"{cid} takes no {' or '.join(unused)}")
-        return instantiate_signed_pair(cid, m)
+        lhs, rhs = _reduced_signed_pair(cid, m)
+        if _all_even(lhs + rhs):
+            lhs = [_halve_product(t) for t in lhs]
+            rhs = [_halve_product(t) for t in rhs]
+        return lhs, rhs
     raise KeyError(f"unknown corollary {cid!r}")
 
 

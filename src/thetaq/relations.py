@@ -57,10 +57,10 @@ class CountRef:
     def spec(self) -> MixedSumSpec:
         return MixedSumSpec.of(self.form, self.coeffs)
 
-    def render(self, var: str = "N") -> str:
-        arg = var
+    def render(self) -> str:
+        arg = "N"
         if self.alpha != 1:
-            arg = f"{self.alpha}{var}"
+            arg = f"{self.alpha}N"
         if self.beta:
             arg = f"{arg}{self.beta:+d}"
         c = ",".join(str(c) for c in self.coeffs)
@@ -321,21 +321,6 @@ def _power4_family(base_mod: int, base_res: int, n_max: int) -> set[int]:
     return out
 
 
-LIOUVILLE_TRIPLES = [
-    (1, 1, 1), (1, 1, 2), (1, 1, 4), (1, 1, 5), (1, 2, 2), (1, 2, 3), (1, 2, 4),
-]
-
-SUN_SQUARE_SQUARE_TRIANGULAR = [
-    (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 4),
-    (1, 3, 1), (1, 4, 1), (1, 4, 2), (1, 8, 1), (2, 2, 1),
-]
-
-SUN_SQUARE_TRIANGULAR_TRIANGULAR = [
-    (1, 1, 1), (1, 2, 1), (1, 2, 2), (1, 3, 1), (1, 4, 1),
-    (1, 4, 2), (1, 5, 2), (1, 6, 1), (1, 8, 1), (2, 1, 1),
-    (2, 2, 1), (2, 4, 1), (3, 2, 1), (4, 1, 1), (4, 2, 1),
-]
-
 # each classical check with the desk-scale bound `verify all` runs it at
 CLASSICAL_BOUNDS = {
     "gauss3tri": 5000,
@@ -349,52 +334,50 @@ CLASSICAL_BOUNDS = {
 CLASSICAL_IDS = tuple(CLASSICAL_BOUNDS)
 
 
+# coverage checks: every N is represented by the form at each triple
+_COVERAGE = {
+    "liouville": ("T", [
+        (1, 1, 1), (1, 1, 2), (1, 1, 4), (1, 1, 5), (1, 2, 2), (1, 2, 3), (1, 2, 4),
+    ]),
+    "sun_sq_sq_t": ("Rt", [
+        (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 4),
+        (1, 3, 1), (1, 4, 1), (1, 4, 2), (1, 8, 1), (2, 2, 1),
+    ]),
+    "sun_sq_t_t": ("rT", [
+        (1, 1, 1), (1, 2, 1), (1, 2, 2), (1, 3, 1), (1, 4, 1),
+        (1, 4, 2), (1, 5, 2), (1, 6, 1), (1, 8, 1), (2, 1, 1),
+        (2, 2, 1), (2, 4, 1), (3, 2, 1), (4, 1, 1), (4, 2, 1),
+    ]),
+}
+
+# exception-set checks (form, coeffs, base_mod, base_res, step): the
+# unrepresented multiples of step are exactly 4^k (base_mod*l + base_res)
+_EXCEPTIONS = {
+    "gauss_legendre": ("r", (1, 1, 1), 8, 7, 1),
+    "ramanujan_dickson_10": ("r", (1, 1, 10), 16, 6, 2),
+    "dickson_126": ("r", (1, 2, 6), 8, 5, 1),
+}
+
+
 def classical_check(check_id: str, n_max: int) -> ClassicalReport:
     """Desk-scale verification of a classical representability fact.
 
     Coverage checks report uncovered N (expected none); exception-set
     checks report the symmetric difference between the observed zero
-    set and the stated family (expected empty).
+    set and the stated family (expected empty).  N = 0 is always
+    represented and never in a family, so neither needs to skip it.
     """
     if check_id == "gauss3tri":
         gaps = _coverage_gaps("T", (1, 1, 1), n_max)
         return ClassicalReport(check_id, not gaps, n_max, {"uncovered": gaps})
-    if check_id == "liouville":
-        detail = {
-            str(t): _coverage_gaps("T", t, n_max) for t in LIOUVILLE_TRIPLES
-        }
+    if check_id in _COVERAGE:
+        form, triples = _COVERAGE[check_id]
+        detail = {str(t): _coverage_gaps(form, t, n_max) for t in triples}
         ok = not any(detail.values())
         return ClassicalReport(check_id, ok, n_max, {"uncovered": detail})
-    if check_id == "sun_sq_sq_t":
-        detail = {
-            str(t): _coverage_gaps("Rt", t, n_max)
-            for t in SUN_SQUARE_SQUARE_TRIANGULAR
-        }
-        ok = not any(detail.values())
-        return ClassicalReport(check_id, ok, n_max, {"uncovered": detail})
-    if check_id == "sun_sq_t_t":
-        detail = {
-            str(t): _coverage_gaps("rT", t, n_max)
-            for t in SUN_SQUARE_TRIANGULAR_TRIANGULAR
-        }
-        ok = not any(detail.values())
-        return ClassicalReport(check_id, ok, n_max, {"uncovered": detail})
-    if check_id == "gauss_legendre":
-        zero = set(_coverage_gaps("r", (1, 1, 1), n_max))
-        family = _power4_family(8, 7, n_max)
-        diff = sorted(zero ^ family)
-        return ClassicalReport(check_id, not diff, n_max, {"difference": diff})
-    if check_id == "ramanujan_dickson_10":
-        zero = {
-            n for n in _coverage_gaps("r", (1, 1, 10), n_max)
-            if n > 0 and n % 2 == 0
-        }
-        family = {n for n in _power4_family(16, 6, n_max) if n > 0}
-        diff = sorted(zero ^ family)
-        return ClassicalReport(check_id, not diff, n_max, {"difference": diff})
-    if check_id == "dickson_126":
-        zero = {n for n in _coverage_gaps("r", (1, 2, 6), n_max) if n > 0}
-        family = {n for n in _power4_family(8, 5, n_max) if n > 0}
-        diff = sorted(zero ^ family)
+    if check_id in _EXCEPTIONS:
+        form, coeffs, base_mod, base_res, step = _EXCEPTIONS[check_id]
+        zero = {n for n in _coverage_gaps(form, coeffs, n_max) if n % step == 0}
+        diff = sorted(zero ^ _power4_family(base_mod, base_res, n_max))
         return ClassicalReport(check_id, not diff, n_max, {"difference": diff})
     raise KeyError(f"unknown classical check {check_id!r}")

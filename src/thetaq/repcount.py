@@ -40,10 +40,6 @@ class FigurateKind(enum.Enum):
     GEN_PENTAGONAL = "gen_pentagonal"
     GEN_OCTAGONAL = "gen_octagonal"
 
-    @property
-    def generating_special(self) -> str:
-        return _GENERATING[self]
-
 
 _GENERATING = {
     FigurateKind.SQUARE: "phi",
@@ -137,14 +133,6 @@ class MixedSumSpec:
         kinds = registry_lookup(name)
         return MixedSumSpec(tuple(zip(coeffs, kinds)))
 
-    @property
-    def coeffs(self) -> tuple[int, int, int]:
-        return tuple(a for a, _ in self.terms)  # type: ignore[return-value]
-
-    @property
-    def kinds(self) -> tuple[FigurateKind, FigurateKind, FigurateKind]:
-        return tuple(k for _, k in self.terms)  # type: ignore[return-value]
-
 
 # the 20 count-function signatures, keyed by their conventional names
 _SQ = FigurateKind.SQUARE
@@ -222,7 +210,7 @@ def _generating_arg(a: int, kind: FigurateKind) -> ThetaArg:
     Every generating theta has only even half-unit exponents, so halving
     its ``ThetaArg`` exponents moves it exactly onto the whole-q grid.
     """
-    arg = theta_special(kind.generating_special, a)
+    arg = theta_special(_GENERATING[kind], a)
     return ThetaArg(arg.eps, arg.a // 2, arg.b // 2)
 
 

@@ -65,32 +65,9 @@ class HalfPowerSeries:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def monomial(c: int, e: int, hi: int) -> "HalfPowerSeries":
-        """Series with coefficient ``c`` at exponent ``e``, zero through ``hi``."""
-        if e > hi:
-            raise TruncationError(f"monomial exponent {e} exceeds bound {hi}")
-        if abs(c) > COEFF_LIMIT:
-            raise CoefficientOverflowError(f"coefficient {c} exceeds 64-bit width")
-        lo = min(e, 0)
-        arr = np.zeros(hi - lo + 1, dtype=np.int64)
-        arr[e - lo] = c
-        return HalfPowerSeries(lo, hi, arr)
-
-    @staticmethod
     def zero(hi: int, lo: int = 0) -> "HalfPowerSeries":
         lo = min(lo, hi)
         return HalfPowerSeries(lo, hi, np.zeros(hi - lo + 1, dtype=np.int64))
-
-    @staticmethod
-    def from_items(items, hi: int) -> "HalfPowerSeries":
-        """Build from (exponent, coefficient) pairs; exponents above hi dropped."""
-        pairs = [(e, c) for e, c in items if e <= hi]
-        lo = min((e for e, _ in pairs), default=0)
-        lo = min(lo, 0, hi)
-        arr = np.zeros(hi - lo + 1, dtype=np.int64)
-        for e, c in pairs:
-            arr[e - lo] += c
-        return HalfPowerSeries(lo, hi, arr)
 
     # ------------------------------------------------------------------
     # inspection
@@ -103,13 +80,6 @@ class HalfPowerSeries:
         if e < self.lo:
             return 0
         return int(self.coeffs[e - self.lo])
-
-    def valuation(self) -> int:
-        """Least exponent with a nonzero coefficient; ``hi`` for the zero series."""
-        nz = np.flatnonzero(self.coeffs)
-        if nz.size == 0:
-            return self.hi
-        return self.lo + int(nz[0])
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -149,17 +119,15 @@ class HalfPowerSeries:
         _check_width(out)
         return HalfPowerSeries(lo, hi, out)
 
-    def __sub__(self, other: "HalfPowerSeries") -> "HalfPowerSeries":
-        return self + (-other)
-
     def __neg__(self) -> "HalfPowerSeries":
         return HalfPowerSeries(self.lo, self.hi, -self.coeffs)
 
     def scale(self, c: int) -> "HalfPowerSeries":
         """Multiply every coefficient by the integer ``c``."""
-        if c == 0:
+        top = _max_abs(self.coeffs)
+        if c == 0 or top == 0:  # exactly zero, whatever the width of c
             return HalfPowerSeries.zero(self.hi, self.lo)
-        if abs(c) * _max_abs(self.coeffs) <= COEFF_LIMIT:
+        if abs(c) * top <= COEFF_LIMIT:
             return HalfPowerSeries(self.lo, self.hi, self.coeffs * np.int64(c))
         out = [int(x) * c for x in self.coeffs.tolist()]
         _check_width(out)
@@ -244,7 +212,8 @@ class HalfPowerSeries:
                 f"comparison through {through} exceeds validity bounds "
                 f"({self.hi}, {other.hi})"
             )
-        lo = min(self.lo, other.lo)
+        # through may lie below both lo, where every coefficient is a contract zero
+        lo = min(self.lo, other.lo, through)
         a = self._window(lo, through)
         b = other._window(lo, through)
         if np.array_equal(a, b):

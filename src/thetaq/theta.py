@@ -242,13 +242,6 @@ def theta_special(name: str, scale: int = 1) -> ThetaArg:
     return ThetaArg(eps, a * scale, b * scale)
 
 
-def f_delta(delta: int, arg: ThetaArg) -> ThetaArg:
-    """Flip the shared sign when ``delta`` is odd."""
-    if delta % 2 == 0:
-        return arg
-    return ThetaArg(-arg.eps, arg.a, arg.b)
-
-
 def theta_dissection(arg: ThetaArg, n: int) -> list[tuple[int, int, ThetaArg]]:
     """Split f into n shifted theta terms by index residue.
 

@@ -312,6 +312,20 @@ class TestDomainErrors:
         assert errs.pop().startswith(f"error: scan Rt(1,1,4): {residue} mod {modulus} "
                                      "is not a residue class")
 
+    def test_scale_with_theta_is_usage_error(self, capsys):
+        # --scale used to be ignored with --theta: [pass] for f(q^2, q^3)
+        for fmt in ((), ("--format", "json")):
+            code, out, err = run(capsys, *fmt, "expand", "--theta", "1,2,3",
+                                 "--scale", "5", "--order", "3")
+            assert code == 2 and out == ""
+            assert err == "error: --scale applies to --name, not to --theta\n"
+        code, out, _ = run(capsys, "--format", "json", "expand", "--name", "phi",
+                           "--order", "3")
+        assert code == 0 and json_records(out)[0]["params"]["scale"] == 1
+        code, out, err = run(capsys, "expand", "--name", "phi", "--scale", "0",
+                             "--order", "3")
+        assert code == 2 and out == "" and err.startswith("error: scale must be")
+
     @pytest.mark.parametrize("argv,unused", [
         (("--id", "clp2.4", "--m", "2", "--k", "7"), "clp2.4 takes no k"),
         (("--id", "cor1", "--k", "2", "--r", "1", "--m", "9"), "cor1 takes no m"),

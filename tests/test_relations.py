@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from thetaq import relations
 from thetaq.relations import (
     CLASSICAL_IDS,
+    ClassicalReport,
     Counterexample,
     CountRef,
     RelationStatement,
@@ -332,6 +334,49 @@ class TestClassical:
     def test_one_two_six_form(self):
         assert classical_check("dickson_126", 512).ok
         assert count_enumerate(MixedSumSpec.of("r", (1, 2, 6)), 5) == 0
+
+    @staticmethod
+    def patch_gaps(monkeypatch, form, coeffs, add=(), drop=()):
+        """Add ``add`` to and take ``drop`` from the true gaps of one count."""
+        real = relations._coverage_gaps
+
+        def gaps(f, c, n_max):
+            out = set(real(f, c, n_max))
+            if (f, c) == (form, coeffs):
+                out = (out | set(add)) - set(drop)
+            return sorted(out)
+
+        monkeypatch.setattr(relations, "_coverage_gaps", gaps)
+
+    def test_gauss3tri_reports_gaps(self, monkeypatch):
+        self.patch_gaps(monkeypatch, "T", (1, 1, 1), add=(10, 40))
+        assert classical_check("gauss3tri", 100) == ClassicalReport(
+            "gauss3tri", False, 100, {"uncovered": [10, 40]})
+
+    def test_coverage_reports_gaps_by_triple(self, monkeypatch):
+        self.patch_gaps(monkeypatch, "T", (1, 2, 3), add=(5, 40))
+        triples = [(1, 1, 1), (1, 1, 2), (1, 1, 4), (1, 1, 5), (1, 2, 2), (1, 2, 3),
+                   (1, 2, 4)]
+        want = {str(t): [5, 40] if t == (1, 2, 3) else [] for t in triples}
+        assert classical_check("liouville", 100) == ClassicalReport(
+            "liouville", False, 100, {"uncovered": want})
+
+    @pytest.mark.parametrize("cid,form,coeffs,add,drop", [
+        ("gauss_legendre", "r", (1, 1, 1), (10,), (7,)),
+        ("ramanujan_dickson_10", "r", (1, 1, 10), (8,), (6,)),
+        ("dickson_126", "r", (1, 2, 6), (12,), (5,)),
+    ])
+    def test_exception_set_reports_difference(self, monkeypatch, cid, form, coeffs,
+                                              add, drop):
+        # a represented N reported unrepresented, and a family member
+        # reported represented, both land in the symmetric difference
+        self.patch_gaps(monkeypatch, form, coeffs, add=add, drop=drop)
+        assert classical_check(cid, 100) == ClassicalReport(
+            cid, False, 100, {"difference": sorted(add + drop)})
+
+    def test_ten_form_reads_even_n_only(self, monkeypatch):
+        self.patch_gaps(monkeypatch, "r", (1, 1, 10), add=(1, 5, 99))
+        assert classical_check("ramanujan_dickson_10", 100).ok
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):

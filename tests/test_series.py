@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thetaq.series import (
     COEFF_LIMIT,
     CoefficientOverflowError,
+    EqualityReport,
     HalfPowerSeries,
     TruncationError,
     _dense_convolve,
@@ -33,7 +34,18 @@ def as_dict(s: HalfPowerSeries) -> dict:
 
 
 def series_of(d: dict, hi: int) -> HalfPowerSeries:
-    return HalfPowerSeries.from_items(d.items(), hi)
+    """Coefficient d[e] at each exponent e <= hi, from min(0, hi, least e)."""
+    kept = {e: c for e, c in d.items() if e <= hi}
+    lo = min(0, hi, *kept)
+    coeffs = [0] * (hi - lo + 1)
+    for e, c in kept.items():
+        coeffs[e - lo] = c
+    return HalfPowerSeries(lo, hi, coeffs)
+
+
+def valuation(s: HalfPowerSeries) -> int:
+    """Least exponent with a nonzero coefficient; ``hi`` for the zero series."""
+    return next((e for e, _ in s.items()), s.hi)
 
 
 small_series = st.builds(
@@ -41,28 +53,6 @@ small_series = st.builds(
     st.dictionaries(st.integers(-6, 12), st.integers(-9, 9), max_size=6),
     st.integers(12, 24),
 )
-
-
-class TestMonomial:
-    def test_constant_one(self):
-        s = HalfPowerSeries.monomial(1, 0, 10)
-        assert s.coeff(0) == 1
-        assert all(s.coeff(e) == 0 for e in range(1, 11))
-        assert (s.lo, s.hi) == (0, 10)
-
-    def test_scaled_power(self):
-        s = HalfPowerSeries.monomial(4, 2, 10)
-        assert s.coeff(2) == 4
-        assert s.coeff(0) == 0
-
-    def test_negative_exponent(self):
-        s = HalfPowerSeries.monomial(-1, -2, 10)
-        assert s.coeff(-2) == -1
-        assert s.lo == -2
-
-    def test_exponent_beyond_bound(self):
-        with pytest.raises(TruncationError):
-            HalfPowerSeries.monomial(1, 11, 10)
 
 
 class TestAdd:
@@ -96,7 +86,7 @@ class TestMul:
 
     def test_one_identity(self):
         s = series_of({-2: 2, 3: 5}, 15)
-        one = HalfPowerSeries.monomial(1, 0, 15)
+        one = series_of({0: 1}, 15)
         prod = s * one
         assert as_dict(prod) == as_dict(s)
 
@@ -126,7 +116,7 @@ class TestMul:
                 assert prod.coeff(e) == ref.get(e, 0)
 
     def test_validity_uses_valuations(self):
-        mono = HalfPowerSeries.monomial(1, 6, 6)
+        mono = series_of({6: 1}, 6)
         s = series_of({0: 1, 2: 1}, 10)
         # the monomial's own bound caps the product: its unknown tail
         # meets the other factor's valuation 0
@@ -138,29 +128,37 @@ class TestMul:
         assert s.shift(6).hi == 16
 
     def test_overflow_detected(self):
-        big = HalfPowerSeries.monomial(2**62, 0, 4)
-        four = HalfPowerSeries.monomial(4, 0, 4)
+        big = series_of({0: 2**62}, 4)
+        four = series_of({0: 4}, 4)
         with pytest.raises(CoefficientOverflowError):
             big * four
 
     def test_overflow_in_scale(self):
-        big = HalfPowerSeries.monomial(2**62, 0, 4)
+        big = series_of({0: 2**62}, 4)
         with pytest.raises(CoefficientOverflowError):
             big.scale(4)
 
+    def test_zero_scaled_by_wide_integer(self):
+        # the exact product is zero; 2^63 used to reach np.int64 and
+        # raise a bare OverflowError
+        z = HalfPowerSeries.zero(5)
+        for c in (2**63, -(2**70)):
+            out = z.scale(c)
+            assert out.is_zero() and (out.lo, out.hi) == (0, 5)
+
     def test_overflow_in_add(self):
-        big = HalfPowerSeries.monomial(2**62 + 5, 0, 4)
+        big = series_of({0: 2**62 + 5}, 4)
         with pytest.raises(CoefficientOverflowError):
             big + big
 
     def test_large_but_legal_add(self):
-        big = HalfPowerSeries.monomial(2**62 + 5, 0, 4)
-        small = HalfPowerSeries.monomial(-7, 0, 4)
+        big = series_of({0: 2**62 + 5}, 4)
+        small = series_of({0: -7}, 4)
         assert (big + small).coeff(0) == 2**62 - 2
 
     def test_large_but_legal_product(self):
-        a = HalfPowerSeries.monomial(2**40, 0, 4)
-        b = HalfPowerSeries.monomial(2**22, 2, 4)
+        a = series_of({0: 2**40}, 4)
+        b = series_of({2: 2**22}, 4)
         assert (a * b).coeff(2) == 2**62
 
 
@@ -198,7 +196,7 @@ class TestMulKernel:
     @given(factor_pairs)
     def test_matches_exact_convolution(self, pair):
         a, b = pair
-        width = min(a.hi + b.valuation(), b.hi + a.valuation()) - a.lo - b.lo + 1
+        width = min(a.hi + valuation(b), b.hi + valuation(a)) - a.lo - b.lo + 1
         ref = exact_window(a.coeffs, b.coeffs, width)
         if any(abs(v) > COEFF_LIMIT for v in ref):
             with pytest.raises(CoefficientOverflowError):
@@ -364,11 +362,11 @@ class TestCoeff:
         assert phi.coeff(7) == 0  # q^{7/2}, off the whole-q grid
 
     def test_below_lo_is_zero(self):
-        s = HalfPowerSeries.monomial(5, 3, 8)
+        s = series_of({3: 5}, 8)
         assert s.coeff(-4) == 0
 
     def test_above_hi_raises(self):
-        s = HalfPowerSeries.monomial(5, 3, 8)
+        s = series_of({3: 5}, 8)
         with pytest.raises(TruncationError):
             s.coeff(9)
 
@@ -461,6 +459,13 @@ class TestCompare:
         a = series_of({0: 1}, 5)
         with pytest.raises(TruncationError):
             a.compare(a, 6)
+
+    def test_through_below_both_lo(self):
+        # every coefficient through 1 is a contract zero on both sides;
+        # this used to raise numpy's "negative dimensions" ValueError
+        s = HalfPowerSeries(3, 8, range(6))
+        assert s.compare(s, 1) == EqualityReport(True, 1)
+        assert s.compare(series_of({1: 4}, 8), 1) == EqualityReport(False, 1, (1, 0, 4))
 
 
 class TestRingAxioms:
