@@ -178,13 +178,7 @@ def _verify_thm2(args):
 
 
 def _verify_corollary(args):
-    kwargs = {}
-    if args.k is not None:
-        kwargs["k"] = args.k
-    if args.r is not None:
-        kwargs["r"] = args.r
-    if args.m is not None:
-        kwargs["m"] = args.m
+    kwargs = {k: getattr(args, k) for k in ("k", "r", "m") if getattr(args, k) is not None}
     rep = verify_corollary(args.id, through=2 * args.order, **kwargs)
     params = {"id": args.id, **kwargs, "order": args.order}
     yield "verify corollary", params, *_report_identity(rep)

@@ -13,8 +13,9 @@ returns the counts of one residue class (by default all of them), and
 ``nonrep_scan`` builds the class it checks and nothing else.
 ``TABLE_CACHE`` keeps one full table per signature for the relation
 and classical checks and grows it in place: a request past a table
-adds only the new columns.  ``count_enumerate`` reads its value lists
-as prefixes of one grow-only entry per figurate kind.
+adds only the new columns.  ``count_enumerate`` reads each kind's
+values and their multiplicities off a prefix of one grow-only
+membership table per figurate kind.
 
 Index domains follow the classical conventions: squares, generalized
 pentagonal and generalized octagonal indices run over all integers,
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .series import HalfPowerSeries, convolve, shifted_copies
-from .theta import ThetaArg, term_exponents, theta_expand, theta_special
+from .series import CoefficientOverflowError, HalfPowerSeries, convolve, shifted_copies
+from .theta import ThetaArg, term_exponents, theta_special
 
 
 class FigurateKind(enum.Enum):
@@ -84,33 +85,16 @@ def figurate_values(kind: FigurateKind, limit: int) -> list[tuple[int, int]]:
     return pairs
 
 
-# One grow-only entry per kind: (limit, values, multiplicities) and the
-# membership table; a query at a smaller limit reads prefixes of them.
-_VALUES: dict[FigurateKind, tuple[int, np.ndarray, np.ndarray]] = {}
+# One grow-only table per kind; a query at a smaller limit reads a prefix.
 _MEMBERSHIP: dict[FigurateKind, np.ndarray] = {}
-
-
-def _value_multiplicities(kind: FigurateKind, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, multiplicities): attainable values <= limit with index counts."""
-    entry = _VALUES.get(kind)
-    if entry is None or entry[0] < limit:
-        values, counts = np.unique(
-            np.array([v for _, v in figurate_values(kind, limit)], dtype=np.int64),
-            return_counts=True,
-        )
-        entry = _VALUES[kind] = (limit, values, counts.astype(np.int64))
-    _, values, counts = entry
-    end = int(np.searchsorted(values, limit, side="right"))
-    return values[:end], counts[:end]
 
 
 def _membership(kind: FigurateKind, limit: int) -> np.ndarray:
     """mult[x] = number of domain indices whose figurate value equals x."""
     table = _MEMBERSHIP.get(kind)
     if table is None or table.size <= limit:
-        table = np.zeros(limit + 1, dtype=np.int64)
-        values, counts = _value_multiplicities(kind, limit)
-        table[values] = counts
+        values = [v for _, v in figurate_values(kind, limit)]
+        table = np.bincount(np.array(values, dtype=np.int64), minlength=limit + 1)
         table.setflags(write=False)
         _MEMBERSHIP[kind] = table
     return table[: limit + 1]
@@ -175,23 +159,18 @@ def count_enumerate(spec: MixedSumSpec, n: int) -> int:
     """Number of ordered index tuples with a1*F1 + a2*F2 + a3*F3 = n.
 
     Loops over the two slots with the fewest attainable values and
-    resolves the third through a precomputed multiplicity table.
+    resolves the third through its multiplicity table.
     """
     if n < 0:
         return 0
     slots = []
     for a, kind in spec.terms:
-        values, counts = _value_multiplicities(kind, n // a)
-        slots.append((a, kind, values, counts))
-    slots_sorted = sorted(range(3), key=lambda idx: slots[idx][2].size)
-    i1, i2, i3 = slots_sorted
-    a1, _, v1, c1 = slots[i1]
-    a2, _, v2, c2 = slots[i2]
-    a3, kind3, _, _ = slots[i3]
-    table = _membership(kind3, n // a3)
-    inner = list(zip(v2.tolist(), c2.tolist()))
+        mult = _membership(kind, n // a)
+        slots.append((a, mult, np.flatnonzero(mult)))
+    (a1, m1, v1), (a2, m2, v2), (a3, table, _) = sorted(slots, key=lambda s: s[2].size)
+    inner = list(zip(v2.tolist(), m2[v2].tolist()))
     total = 0
-    for x, cx in zip(v1.tolist(), c1.tolist()):
+    for x, cx in zip(v1.tolist(), m1[v1].tolist()):
         rest = n - a1 * x
         if rest < 0:
             break
@@ -259,11 +238,11 @@ def _count_columns(
     requested columns.  At M = 1 this is one product and one set of
     copies: the full table.
 
-    Each kernel proves its own 64-bit bound.  The sums over classes are
-    proven at once: every partial sum of the whole product is at most
-    the product of the three factors' term counts.  Where a bound fails,
-    the whole product goes through ``HalfPowerSeries.__mul__``'s exact
-    routes and the class is sliced off it.
+    Every partial sum formed here, the class-pair sums, each
+    ``shifted_copies`` bound and the counts, is at most the product of
+    the three factors' term counts, so one check of that product proves
+    every kernel; past 64 bits the table is refused with
+    :class:`CoefficientOverflowError` before any column is built.
     """
     width = (limit - residue) // modulus + 1 if limit >= residue else 0
     first = max(0, -((residue - start) // modulus))  # least j with N >= start
@@ -274,8 +253,13 @@ def _count_columns(
         exps = np.sort(term_exponents(_generating_arg(a, kind), limit)[1])
         factors.append((exps, _distinct(exps)))
     factors.sort(key=lambda factor: factor[1].size)
-    if modulus > 1 and math.prod(e.size for e, _ in factors) > series.COEFF_LIMIT:
-        return _exact_columns(spec, first, limit, modulus, residue)
+    terms = math.prod(e.size for e, _ in factors)
+    if terms > series.COEFF_LIMIT:
+        raise CoefficientOverflowError(
+            f"counts through N = {limit} are not proven to fit in 64 bits: the "
+            f"generating thetas' term counts multiply to {terms}, past the "
+            f"bound {series.COEFF_LIMIT}"
+        )
     # A sparsest term at e meets the product's class c = residue - e mod M,
     # ceil((e - residue) / M) positions up: offset M - 1 - residue puts it
     # at that position, in class M - 1 - c.
@@ -305,21 +289,11 @@ def _count_columns(
         if pair is None:
             continue
         part = shifted_copies(np.bincount(pos, minlength=width), nz, pair, first, width)
-        if part is None:
-            return _exact_columns(spec, first, limit, modulus, residue)
         if cols is None:
             cols = part
         else:
             cols += part
     return np.zeros(width - first, dtype=np.int64) if cols is None else cols
-
-
-def _exact_columns(
-    spec: MixedSumSpec, first: int, limit: int, modulus: int, residue: int
-) -> np.ndarray:
-    """Columns ``first ..`` of the class, sliced off the whole product."""
-    x, y, z = (theta_expand(_generating_arg(a, kind), limit) for a, kind in spec.terms)
-    return (x * y * z).coeffs[residue + modulus * first : limit + 1 : modulus]
 
 
 def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:

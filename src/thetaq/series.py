@@ -120,7 +120,7 @@ class HalfPowerSeries:
         return HalfPowerSeries(lo, hi, out)
 
     def __neg__(self) -> "HalfPowerSeries":
-        return HalfPowerSeries(self.lo, self.hi, -self.coeffs)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "HalfPowerSeries":
         """Multiply every coefficient by the integer ``c``."""
@@ -234,9 +234,11 @@ class HalfPowerSeries:
 
 
 def _max_abs(arr: np.ndarray) -> int:
+    """Largest |x| over an int64 array, exact: |-2^63| wraps to -2^63 in
+    int64, which read as uint64 is 2^63."""
     if arr.size == 0:
         return 0
-    return int(np.abs(arr).max())
+    return int(np.abs(arr).view(np.uint64).max())
 
 
 def _check_width(values) -> None:
@@ -299,11 +301,10 @@ def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
         return None
     if pairs > shifts:
         return shifted_copies(a, nz_a, b, 0, width)
-    vals = a[nz_a]
-    if _sparse_bound(vals, b) > COEFF_LIMIT:
+    vals, other = a[nz_a], b[nz_b]
+    if _sparse_bound(vals, other) > COEFF_LIMIT:
         return None
     out = np.zeros(width, dtype=np.int64)
-    other = b[nz_b]
     step = max(1, _PAIR_BLOCK // nz_b.size)  # bounds the scratch arrays
     for i in range(0, nz_a.size, step):
         cols = (nz_a[i : i + step, None] + nz_b).ravel()

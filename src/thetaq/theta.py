@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries
+from .series import COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries, _max_abs
 
 _SAFE_FACTOR = 2**62 - 1
 
@@ -162,7 +162,7 @@ class _ProductState:
                     self.exact[i] += sign * self.exact[i - e]
             return
         if 2 * self.bound > _SAFE_FACTOR:
-            self.bound = int(np.abs(self.arr).max())
+            self.bound = _max_abs(self.arr)
             if 2 * self.bound > _SAFE_FACTOR:
                 self.exact = [int(c) for c in self.arr]
                 self.apply(e, sign)

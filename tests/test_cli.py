@@ -247,6 +247,17 @@ class TestDomainErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: relation 'user.big': the argument of")
 
+    def test_table_past_the_term_bound_is_usage_error(self, capsys):
+        # the product of r(1,1,1)'s term counts passes 2^63 - 1 at this
+        # bound; the class used to be sliced off an exact product that
+        # asked for 8 TiB and reported memory
+        code, out, err = run(capsys, "scan", "--form", "r(1,1,1)", "--modulus",
+                             "100000000000", "--residue", "7", "--nmax", "1100000000000")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: counts through N = 1100000000000 are not proven "
+                              "to fit in 64 bits")
+        assert err.rstrip().endswith(f"past the bound {COEFF_LIMIT}")
+
     @pytest.mark.parametrize("catalog,prefix", [
         ({"relations": [{"id": "user.bad", "lhs": 5}]}, "relation 'user.bad': "),
         ({"relations": [{"id": "user.bad", "lhs": {"form": "T", "coeffs": [1, 1, 1]},

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from thetaq import repcount
 from thetaq import series as series_module
 from thetaq.relations import load_scan_catalog
+from thetaq.series import CoefficientOverflowError
 from thetaq.repcount import (
     REGISTRY,
     FigurateKind,
     MixedSumSpec,
     _count_columns,
+    _membership,
     _TableCache,
-    _value_multiplicities,
     count_enumerate,
     count_series,
     count_table,
@@ -198,22 +199,51 @@ class TestNarrowTables:
         for n in ns + [limit]:
             assert int(table[n]) == count_enumerate(spec, n), (spec, n)
 
-    def test_first_build_falls_back_to_the_exact_product(self, monkeypatch):
-        spec = MixedSumSpec.of("r", (1, 1, 2))
-        full = count_table(spec, 3000)
-        # the counts fit, but sum|sparsest| * max|pair| no longer does
-        monkeypatch.setattr(series_module, "COEFF_LIMIT", int(full.max()))
-        results = []
 
-        def spy(*args):
-            results.append(real(*args))
-            return results[-1]
+def term_product(spec: MixedSumSpec, limit: int) -> int:
+    """Product of the generating thetas' term counts through ``limit``."""
+    terms = 1
+    for a, kind in spec.terms:
+        terms *= repcount.term_exponents(repcount._generating_arg(a, kind), limit)[1].size
+    return terms
 
-        real = repcount.shifted_copies
-        monkeypatch.setattr(repcount, "shifted_copies", spy)
-        table = count_table(spec, 3000)
-        assert results == [None]
-        assert np.array_equal(table, full) and not table.flags.writeable
+
+class TestTermBound:
+    """Every partial sum of a table is at most the product of the factors'
+    term counts: a table within it is built, one past it is refused."""
+
+    SPEC = MixedSumSpec.of("r", (1, 1, 2))
+    CLASSES = [(1, 0), (4, 1), (8, 7)]
+
+    @pytest.mark.parametrize("modulus,residue", CLASSES)
+    def test_refused_past_the_bound(self, monkeypatch, modulus, residue):
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", term_product(self.SPEC, 3000) - 1)
+        with pytest.raises(CoefficientOverflowError, match="64 bits"):
+            count_table(self.SPEC, 3000, modulus, residue)
+
+    def test_growth_refused_past_the_bound(self, monkeypatch):
+        cache = _TableCache()
+        table = cache.get(self.SPEC, 1000)
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", term_product(self.SPEC, 3000) - 1)
+        with pytest.raises(CoefficientOverflowError, match="64 bits"):
+            cache.get(self.SPEC, 3000)
+        assert cache.get(self.SPEC, 1000) is table  # the refused growth kept the table
+
+    @pytest.mark.parametrize("modulus,residue", CLASSES)
+    def test_built_at_the_bound(self, monkeypatch, modulus, residue):
+        full = count_table(self.SPEC, 3000)
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", term_product(self.SPEC, 3000))
+        table = count_table(self.SPEC, 3000, modulus, residue)
+        assert np.array_equal(table, full[residue::modulus]) and not table.flags.writeable
+        for n in range(residue, 3001, modulus)[::40]:
+            assert int(full[n]) == count_enumerate(self.SPEC, n), n
+
+    def test_growth_at_the_bound(self, monkeypatch):
+        full = count_table(self.SPEC, 3000)
+        cache = _TableCache()
+        cache.get(self.SPEC, 1000)
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", term_product(self.SPEC, 3000))
+        assert np.array_equal(cache.get(self.SPEC, 3000), full)
 
 
 class TestClassColumns:
@@ -237,33 +267,6 @@ class TestClassColumns:
         ns = data.draw(st.lists(st.integers(0, limit), max_size=2))
         for n in ns:
             assert int(full[n]) == count_enumerate(spec, n), (spec, n)
-
-    @pytest.mark.parametrize("lowered,fallback", [
-        ("counts", True), ("terms - 1", True), ("terms", False),
-    ])
-    def test_class_falls_back_to_the_exact_product(self, monkeypatch, lowered, fallback):
-        spec = MixedSumSpec.of("r", (1, 1, 2))
-        full = count_table(spec, 3000)
-        # every partial sum of the product is at most the product of the
-        # factors' term counts; below it no class sum is proven to fit
-        terms = 1
-        for a, kind in spec.terms:
-            terms *= repcount.term_exponents(repcount._generating_arg(a, kind), 3000)[1].size
-        limit = {"counts": int(full.max()), "terms - 1": terms - 1, "terms": terms}[lowered]
-        monkeypatch.setattr(series_module, "COEFF_LIMIT", limit)
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        real = repcount._exact_columns
-        monkeypatch.setattr(repcount, "_exact_columns", spy)
-        for modulus, residue in ((4, 1), (8, 7)):
-            table = count_table(spec, 3000, modulus, residue)
-            assert np.array_equal(table, full[residue::modulus])
-        assert np.array_equal(_count_columns(spec, 1000, 3000, 3, 2), full[1001::3])
-        assert len(calls) == (3 if fallback else 0)
 
     def test_bad_class(self):
         spec = MixedSumSpec.of("Rt", (1, 1, 4))
@@ -299,42 +302,25 @@ class TestTableCache:
                 for n in ns:
                     assert int(table[n]) == count_enumerate(spec, n), (spec, n)
 
-    def test_growth_falls_back_to_the_exact_product(self, monkeypatch):
-        spec = MixedSumSpec.of("r", (1, 1, 2))
-        full = count_table(spec, 3000)
-        cache = _TableCache()
-        cache.get(spec, 1000)
-        # the counts fit, but sum|sparsest| * max|pair| no longer does
-        monkeypatch.setattr(series_module, "COEFF_LIMIT", int(full.max()))
-        results = []
-
-        def spy(*args):
-            results.append(real(*args))
-            return results[-1]
-
-        real = repcount.shifted_copies
-        monkeypatch.setattr(repcount, "shifted_copies", spy)
-        grown = cache.get(spec, 3000)
-        assert results == [None]
-        assert np.array_equal(grown, full)
-
 
 class TestValueLists:
     def test_one_entry_per_kind_read_by_prefix(self):
         spec = MixedSumSpec.of("rtp", (1, 1, 1))
         kinds = REGISTRY["rtp"]
         count_enumerate(spec, 5000)
-        entries = dict(repcount._VALUES)
+        tables = {kind: repcount._MEMBERSHIP[kind] for kind in kinds}
         for n in (0, 1, 17, 400, 4999):
             count_enumerate(spec, n)
             for kind in kinds:
-                values, counts = _value_multiplicities(kind, n)
+                mult = _membership(kind, n)
                 expected = {}
                 for _, v in figurate_values(kind, n):
                     expected[v] = expected.get(v, 0) + 1
-                assert dict(zip(values.tolist(), counts.tolist())) == expected
-        # smaller queries read prefixes: no entry was rebuilt
-        assert all(repcount._VALUES[k] is entries[k] for k in kinds)
+                values = np.flatnonzero(mult)
+                assert mult.size == n + 1
+                assert dict(zip(values.tolist(), mult[values].tolist())) == expected
+        # smaller queries read prefixes: no table was rebuilt
+        assert all(repcount._MEMBERSHIP[kind] is tables[kind] for kind in kinds)
 
 
 class TestScan:

@@ -162,6 +162,27 @@ class TestMul:
         assert (a * b).coeff(2) == 2**62
 
 
+class TestMostNegativeCoefficient:
+    """-2^63 fits int64, but its magnitude is past the 64-bit width."""
+
+    def test_magnitude(self):
+        assert series_module._max_abs(np.array([5, -(2**63)])) == 2**63
+
+    @pytest.mark.parametrize("op", [
+        lambda s: -s,
+        lambda s: s.scale(1),
+        lambda s: s + HalfPowerSeries.zero(s.hi),
+        lambda s: s * series_of({0: -1}, s.hi),
+    ], ids=["neg", "scale", "add", "mul"])
+    @pytest.mark.parametrize("coeffs", [[-(2**63)], [5, -(2**63)]], ids=["alone", "beside-5"])
+    def test_raises(self, op, coeffs):
+        # each used to return -2^63 (the product's true value is 2^63):
+        # negation wraps to itself, and |-2^63| read as a negative magnitude
+        s = HalfPowerSeries(0, len(coeffs) - 1, coeffs)
+        with pytest.raises(CoefficientOverflowError):
+            op(s)
+
+
 @st.composite
 def mul_factor(draw, density: float):
     """A factor for the multiply kernel with about ``density`` nonzeros."""

@@ -1,8 +1,11 @@
-"""No floating-point intermediates anywhere in the package source.
+"""No floating-point intermediates and no wrapping magnitudes anywhere
+in the package source.
 
 Every coefficient and exponent is an exact integer, so a true division,
 a float literal or a ``float(...)`` call in ``src/thetaq`` is a defect
-waiting for an argument past 2^53.
+waiting for an argument past 2^53.  ``np.abs`` maps -2^63 to itself, so
+every int64 magnitude goes through ``series._max_abs``, the one place
+that reads it exactly.
 """
 
 import ast
@@ -28,6 +31,41 @@ def float_sites(tree):
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"series.py", "theta.py", "identity.py"}
+
+
+def abs_sites(tree, allowed_in=None):
+    """``np.abs``/``np.absolute`` references outside the def ``allowed_in``."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == allowed_in:
+            exempt.update(map(id, ast.walk(node)))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("abs", "absolute")
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                and id(node) not in exempt):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_wrapping_magnitudes(path):
+    allowed_in = "_max_abs" if path.name == "series.py" else None
+    sites = list(abs_sites(ast.parse(path.read_text(), filename=str(path)), allowed_in))
+    assert sites == [], [f"{path.name}:{line}: {what}" for line, what in sites]
+
+
+@pytest.mark.parametrize("snippet", [
+    "top = int(np.abs(a).max())", "m = numpy.absolute(x)", "f = np.abs",
+    "def _max_abs(a):\n    pass\nb = np.abs(c)",
+])
+def test_each_abs_form_is_caught(snippet):
+    assert list(abs_sites(ast.parse(snippet), "_max_abs"))
+
+
+def test_exact_magnitudes_pass():
+    assert not list(abs_sites(ast.parse(
+        "def _max_abs(a):\n    return int(np.abs(a).view(np.uint64).max())\n"
+        "x = abs(c); y = sum(map(abs, v))"
+    ), "_max_abs"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
