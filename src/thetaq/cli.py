@@ -338,18 +338,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_theta_flag(argv: list[str]) -> list[str]:
-    """Let `--theta -1,0,3` parse even though the value starts with '-'."""
+# Flags whose value may start with '-', which argparse reads as an option.
+_SIGNED_VALUES = {"--theta": r"-?\d+,-?\d+,-?\d+", "--range": r"\s*-?\d+\.\.-?\d+\s*"}
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Let `--theta -1,0,3` and `--range -3..-1` parse as `--flag=value`."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (
-            tok == "--theta"
-            and i + 1 < len(argv)
-            and re.fullmatch(r"-?\d+,-?\d+,-?\d+", argv[i + 1])
-        ):
-            out.append(f"--theta={argv[i + 1]}")
+        pattern = _SIGNED_VALUES.get(tok)
+        if pattern and i + 1 < len(argv) and re.fullmatch(pattern, argv[i + 1]):
+            out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue
         out.append(tok)
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_theta_flag(list(argv)))
+    args = parser.parse_args(_join_signed_values(list(argv)))
     failed = False
     try:
         started = time.perf_counter()

@@ -90,11 +90,16 @@ _MEMBERSHIP: dict[FigurateKind, np.ndarray] = {}
 
 
 def _membership(kind: FigurateKind, limit: int) -> np.ndarray:
-    """mult[x] = number of domain indices whose figurate value equals x."""
+    """mult[x] = number of domain indices whose figurate value equals x.
+
+    No value has more than two indices (+-n for squares), so one byte
+    per value holds every multiplicity.
+    """
     table = _MEMBERSHIP.get(kind)
     if table is None or table.size <= limit:
-        values = [v for _, v in figurate_values(kind, limit)]
-        table = np.bincount(np.array(values, dtype=np.int64), minlength=limit + 1)
+        table = np.zeros(limit + 1, dtype=np.uint8)
+        values = np.array([v for _, v in figurate_values(kind, limit)], dtype=np.intp)
+        np.add.at(table, values, np.uint8(1))
         table.setflags(write=False)
         _MEMBERSHIP[kind] = table
     return table[: limit + 1]

@@ -7,9 +7,11 @@ are integer combinations divided by two.
 
 A :class:`HalfPowerSeries` is exact between ``lo`` and ``hi`` (inclusive,
 both in half-units): coefficients below ``lo`` are zero by contract, those
-above ``hi`` are unknown.  Coefficients are exact signed integers limited
-to 64-bit width; arithmetic that would exceed that width raises
-:class:`CoefficientOverflowError` instead of wrapping.
+above ``hi`` are unknown.  Coefficients are exact signed int64 integers.
+Every operation computes one bound on every partial sum it forms; when
+that bound fits in 64 bits it runs in int64, and otherwise it raises
+:class:`CoefficientOverflowError` before it writes any output.  No
+operation wraps, and none falls back to Python integers.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-# Widest coefficient magnitude the series carries.  Results are checked
-# against this limit; a violation is an error, never a wrapped value.
+# Widest coefficient magnitude the series carries.  Each operation's bound
+# is checked against this limit; past it is an error, never a wrapped value.
 COEFF_LIMIT = 2**63 - 1
-_SAFE_ADD = 2**62 - 1  # adding two values below this cannot wrap int64
 
 
 class CoefficientOverflowError(OverflowError):
@@ -113,11 +114,10 @@ class HalfPowerSeries:
         lo = min(self.lo, other.lo)
         a = self._window(lo, hi)
         b = other._window(lo, hi)
-        if _max_abs(a) <= _SAFE_ADD and _max_abs(b) <= _SAFE_ADD:
-            return HalfPowerSeries(lo, hi, a + b)
-        out = [int(x) + int(y) for x, y in zip(a.tolist(), b.tolist())]
-        _check_width(out)
-        return HalfPowerSeries(lo, hi, out)
+        bound = _max_abs(a) + _max_abs(b)
+        if bound > COEFF_LIMIT:
+            raise CoefficientOverflowError(f"sum bound {bound} exceeds the 64-bit width")
+        return HalfPowerSeries(lo, hi, a + b)
 
     def __neg__(self) -> "HalfPowerSeries":
         return self.scale(-1)
@@ -127,11 +127,11 @@ class HalfPowerSeries:
         top = _max_abs(self.coeffs)
         if c == 0 or top == 0:  # exactly zero, whatever the width of c
             return HalfPowerSeries.zero(self.hi, self.lo)
-        if abs(c) * top <= COEFF_LIMIT:
-            return HalfPowerSeries(self.lo, self.hi, self.coeffs * np.int64(c))
-        out = [int(x) * c for x in self.coeffs.tolist()]
-        _check_width(out)
-        return HalfPowerSeries(self.lo, self.hi, out)
+        if abs(c) * top > COEFF_LIMIT:
+            raise CoefficientOverflowError(
+                f"scaled bound {abs(c) * top} exceeds the 64-bit width"
+            )
+        return HalfPowerSeries(self.lo, self.hi, self.coeffs * np.int64(c))
 
     def shift(self, d: int) -> "HalfPowerSeries":
         """Multiply by q^(d/2): every exponent moves up by ``d`` half-units."""
@@ -241,14 +241,6 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).view(np.uint64).max())
 
 
-def _check_width(values) -> None:
-    for v in values:
-        if abs(v) > COEFF_LIMIT:
-            raise CoefficientOverflowError(
-                f"coefficient {v} exceeds 64-bit width"
-            )
-
-
 # Costs of the sparse routes in units of one np.convolve multiply-add,
 # measured with numpy 2.4 on x86-64: setting up a sparse route costs about
 # ten thousand multiply-adds, one shifted slice add carries about two
@@ -263,9 +255,13 @@ _PAIR_BLOCK = 1 << 16  # pairwise products scattered per np.add.at call
 _SHIFT_TILE = 1 << 15
 
 
-def _sparse_bound(vals: np.ndarray, other: np.ndarray) -> int:
-    """sum|vals| * max|other|, which bounds every partial sum of a sparse route."""
-    return sum(map(abs, vals.tolist())) * _max_abs(other)
+def _proven_bound(vals: np.ndarray, other: np.ndarray) -> int:
+    """B = sum|vals| * max|other|, which bounds every partial sum of the
+    product on every route; raises when B does not fit in 64 bits."""
+    bound = sum(map(abs, vals.tolist())) * _max_abs(other)
+    if bound > COEFF_LIMIT:
+        raise CoefficientOverflowError(f"product bound {bound} exceeds the 64-bit width")
+    return bound
 
 
 def _accumulator(bound: int) -> type:
@@ -280,18 +276,19 @@ def _accumulator(bound: int) -> type:
 def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
     """First ``width`` columns of a * b, given the ascending nonzero
     positions of both factors: by a sparse route where it is cheaper,
-    else densely; exact, or :class:`CoefficientOverflowError`."""
+    else by ``np.convolve``.  Each route proves its bound sum|a| * max|b|
+    (over the factor it iterates) before it writes a column, and raises
+    :class:`CoefficientOverflowError` when that bound does not fit."""
     out = _sparse_convolve(a, nz_a, b, nz_b, width)
-    return _dense_convolve(a, b, width) if out is None else out
+    if out is None:
+        _proven_bound(a[nz_a], b)
+        out = np.convolve(a, b)[:width]
+    return out
 
 
 def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
-    """First ``width`` columns of a * b from the nonzeros of the sparser factor.
-
-    Returns ``None`` when the dense route is cheaper, or when the sparse
-    route's coefficient bound is not proven to fit in 64 bits; the caller
-    then runs the dense route.
-    """
+    """First ``width`` columns of a * b from the nonzeros of the sparser
+    factor, or ``None`` when the dense route is cheaper."""
     shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
     if shifts > nz_b.size * (a.size + _SHIFT_OVERHEAD):
         a, nz_a, b, nz_b = b, nz_b, a, nz_a  # iterate over the sparser factor
@@ -302,8 +299,7 @@ def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
     if pairs > shifts:
         return shifted_copies(a, nz_a, b, 0, width)
     vals, other = a[nz_a], b[nz_b]
-    if _sparse_bound(vals, other) > COEFF_LIMIT:
-        return None
+    _proven_bound(vals, other)
     out = np.zeros(width, dtype=np.int64)
     step = max(1, _PAIR_BLOCK // nz_b.size)  # bounds the scratch arrays
     for i in range(0, nz_a.size, step):
@@ -314,7 +310,7 @@ def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
     return out
 
 
-def shifted_copies(a, nz_a, b, start: int, width: int) -> Optional[np.ndarray]:
+def shifted_copies(a, nz_a, b, start: int, width: int) -> np.ndarray:
     """Columns ``start .. width-1`` of a * b: one shifted copy of ``b`` per
     nonzero of ``a`` (``nz_a`` ascending).
 
@@ -326,13 +322,11 @@ def shifted_copies(a, nz_a, b, start: int, width: int) -> Optional[np.ndarray]:
     one buffer and scaled once per tile (a theta factor has one or two
     distinct coefficients); both that sum and its scaled value are at most
     B.  Copies with coefficient 1 are added straight into the tile.  Every
-    add is in place.  Returns ``None`` when B is not proven to fit in 64
-    bits, before any column is written.
+    add is in place.  Raises :class:`CoefficientOverflowError` when B
+    does not fit in 64 bits, before any column is written.
     """
     vals = a[nz_a]
-    bound = _sparse_bound(vals, b)
-    if bound > COEFF_LIMIT:
-        return None
+    bound = _proven_bound(vals, b)
     if bound == 0:  # a coefficient beyond the narrow type must not be cast
         return np.zeros(width - start, dtype=np.int64)
     dtype = _accumulator(bound)
@@ -364,22 +358,3 @@ def shifted_copies(a, nz_a, b, start: int, width: int) -> Optional[np.ndarray]:
                 tile += acc
     return out.astype(np.int64, copy=False)
 
-
-def _dense_convolve(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
-    """First ``width`` columns of a * b, in int64 when the dense bound allows."""
-    if _max_abs(a) * _max_abs(b) * min(a.size, b.size) <= COEFF_LIMIT:
-        return np.convolve(a, b)[:width]
-    out = _exact_convolve(a.tolist(), b.tolist())[:width]
-    _check_width(out)
-    return np.array(out, dtype=np.int64)
-
-
-def _exact_convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out

@@ -26,8 +26,6 @@ import numpy as np
 
 from .series import COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries, _max_abs
 
-_SAFE_FACTOR = 2**62 - 1
-
 
 class ExpansionError(ValueError):
     """The requested specialization diverges as a formal series."""
@@ -113,6 +111,13 @@ def jacobi_triple_product(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     Multiplies out (1 + eps*q^((a+sn)/2)) (1 + eps*q^((b+sn)/2)) for n >= 0
     and (1 - q^(sn/2)) for n >= 1, s = a + b, dropping factors beyond the
     bound.  Serves as an independent oracle for :func:`theta_expand`.
+
+    One factor at most doubles the largest coefficient magnitude, so the
+    running product carries a doubling bound and re-reads its true
+    maximum only when twice the bound would pass 64 bits.  A running
+    product whose largest magnitude reaches 2^62 before a factor is
+    refused with :class:`CoefficientOverflowError`: first at 5772
+    half-units for f(1, q), 11896 for phi and 24516 for psi.
     """
     a, b, eps = arg.a, arg.b, arg.eps
     if a < 0 or b < 0 or a + b <= 0:
@@ -122,66 +127,27 @@ def jacobi_triple_product(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     if hi < 0:
         return HalfPowerSeries.zero(0, hi)
     s = a + b
-    state = _ProductState(hi)
+    arr = np.zeros(hi + 1, dtype=np.int64)
+    arr[0] = 1
+    bound = 1  # proven upper bound on every coefficient's magnitude
     n = 0
-    while True:
-        e1, e2, e3 = a + s * n, b + s * n, s * (n + 1)
-        if min(e1, e2, e3) > hi:
-            break
-        state.apply(e1, eps)
-        state.apply(e2, eps)
-        state.apply(e3, -1)
-        n += 1
-    return state.finish()
-
-
-class _ProductState:
-    """Running truncated product of binomial factors (1 + sign*q^(e/2)).
-
-    Stays on int64 while a doubling bound proves the next factor cannot
-    wrap; past that it recomputes the true maximum and, if genuinely too
-    large, finishes exactly in Python integers so overflow of the stored
-    width is always a raised error, never a wrapped value.
-    """
-
-    def __init__(self, hi: int) -> None:
-        self.hi = hi
-        self.arr = np.zeros(hi + 1, dtype=np.int64)
-        self.arr[0] = 1
-        self.bound = 1  # proven upper bound on coefficient magnitudes
-        self.exact: list[int] | None = None  # Python-int fallback
-
-    def apply(self, e: int, sign: int) -> None:
-        if e > self.hi:
-            return
-        if self.exact is not None:
+    while min(a, b) + s * n <= hi:
+        for e, sign in ((a + s * n, eps), (b + s * n, eps), (s * (n + 1), -1)):
+            if e > hi:
+                continue
+            if 2 * bound > COEFF_LIMIT:
+                bound = _max_abs(arr)
+                if 2 * bound > COEFF_LIMIT:
+                    raise CoefficientOverflowError(
+                        f"triple product bound {2 * bound} exceeds the 64-bit width"
+                    )
             if e == 0:
-                self.exact = [(1 + sign) * c for c in self.exact]
+                arr = arr * (1 + sign)
             else:
-                for i in range(self.hi, e - 1, -1):
-                    self.exact[i] += sign * self.exact[i - e]
-            return
-        if 2 * self.bound > _SAFE_FACTOR:
-            self.bound = _max_abs(self.arr)
-            if 2 * self.bound > _SAFE_FACTOR:
-                self.exact = [int(c) for c in self.arr]
-                self.apply(e, sign)
-                return
-        if e == 0:
-            self.arr = self.arr * (1 + sign)
-        else:
-            self.arr[e:] = self.arr[e:] + sign * self.arr[:-e]
-        self.bound *= 2
-
-    def finish(self) -> HalfPowerSeries:
-        if self.exact is None:
-            return HalfPowerSeries(0, self.hi, self.arr)
-        for c in self.exact:
-            if abs(c) > COEFF_LIMIT:
-                raise CoefficientOverflowError(
-                    "triple product coefficient exceeds the 64-bit width"
-                )
-        return HalfPowerSeries(0, self.hi, self.exact)
+                arr[e:] = arr[e:] + sign * arr[:-e]
+            bound *= 2
+        n += 1
+    return HalfPowerSeries(0, hi, arr)
 
 
 @dataclass(frozen=True)

@@ -501,6 +501,14 @@ class TestCountRange:
         assert code == 0 and rec["status"] == "pass"
         assert [row["value"] for row in rec["payload"]["values"]] == values
 
+    def test_negative_range_as_its_own_argument(self, capsys):
+        # argparse used to refuse `--range -3..-1`: the value starts with '-'
+        code, out, _ = run(capsys, "--format", "json", "count", "--form", "r(1,1,1)",
+                           "--range", "-3..-1", "--method", "both")
+        rec = json_records(out)[0]
+        assert code == 0 and rec["params"]["range"] == "-3..-1"
+        assert [row["value"] for row in rec["payload"]["values"]] == [0, 0, 0]
+
 
 def _bound(top=10**4):
     return st.integers(-2, top).map(str)

@@ -322,6 +322,16 @@ class TestValueLists:
         # smaller queries read prefixes: no table was rebuilt
         assert all(repcount._MEMBERSHIP[kind] is tables[kind] for kind in kinds)
 
+    @pytest.mark.parametrize("kind", list(FigurateKind), ids=lambda k: k.value)
+    def test_one_byte_per_value(self, monkeypatch, kind):
+        # no figurate value has more than two indices (+-n for squares)
+        monkeypatch.setattr(repcount, "_MEMBERSHIP", {})
+        mult = _membership(kind, 10**5)
+        stored = repcount._MEMBERSHIP[kind]
+        assert stored.dtype == np.uint8 and stored.nbytes == 10**5 + 1
+        assert int(mult.max()) == (2 if kind is FigurateKind.SQUARE else 1)
+        assert int(mult.sum()) == len(figurate_values(kind, 10**5))
+
 
 class TestScan:
     def test_confirmed_class(self):

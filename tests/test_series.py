@@ -11,9 +11,8 @@ from thetaq.series import (
     EqualityReport,
     HalfPowerSeries,
     TruncationError,
-    _dense_convolve,
-    _exact_convolve,
     _sparse_convolve,
+    convolve,
     shifted_copies,
 )
 from thetaq import series as series_module
@@ -183,6 +182,50 @@ class TestMostNegativeCoefficient:
             op(s)
 
 
+# magnitudes on both sides of the 64-bit width, and small ones
+wide_coeff = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([2**62, -(2**62), 2**62 + 1, COEFF_LIMIT, -COEFF_LIMIT, -(2**63)]),
+)
+wide_series = st.builds(
+    lambda lo, coeffs: HalfPowerSeries(lo, lo + len(coeffs) - 1, coeffs),
+    st.integers(-3, 3), st.lists(wide_coeff, min_size=1, max_size=6),
+)
+
+
+class TestBoundOrRaise:
+    """Addition and scaling: the exact Python-integer value when the
+    operation's bound fits in 64 bits, else CoefficientOverflowError,
+    never a wrapped value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_series, wide_series)
+    def test_add(self, a, b):
+        lo, hi = min(a.lo, b.lo), min(a.hi, b.hi)
+        x = [a.coeff(e) for e in range(lo, hi + 1)]
+        y = [b.coeff(e) for e in range(lo, hi + 1)]
+        if max(map(abs, x)) + max(map(abs, y)) > COEFF_LIMIT:
+            with pytest.raises(CoefficientOverflowError, match="sum bound"):
+                a + b
+            return
+        total = a + b
+        assert (total.lo, total.hi) == (lo, hi)
+        assert total.coeffs.tolist() == [u + v for u, v in zip(x, y)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_series, st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64)))
+    def test_scale(self, s, c):
+        x = s.coeffs.tolist()
+        if c != 0 and abs(c) * max(map(abs, x)) > COEFF_LIMIT:
+            with pytest.raises(CoefficientOverflowError, match="scaled bound"):
+                s.scale(c)
+            return
+        out = s.scale(c)
+        assert (out.lo, out.hi) == (s.lo, s.hi)
+        assert out.coeffs.tolist() == [c * v for v in x]
+
+
 @st.composite
 def mul_factor(draw, density: float):
     """A factor for the multiply kernel with about ``density`` nonzeros."""
@@ -204,10 +247,43 @@ factor_pairs = st.sampled_from(
 ).flatmap(lambda d: st.tuples(mul_factor(d[0]), mul_factor(d[1])))
 
 
+def exact_convolve(a: list[int], b: list[int]) -> list[int]:
+    """Reference product in Python integers, which never wrap."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] += x * y
+    return out
+
+
 def exact_window(a: np.ndarray, b: np.ndarray, width: int) -> list[int]:
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a  # the reference loops over the nonzeros of its first factor
-    return _exact_convolve(a.tolist(), b.tolist())[:width]
+    return exact_convolve(a.tolist(), b.tolist())[:width]
+
+
+def product_bound(x: np.ndarray, y: np.ndarray) -> int:
+    """sum|x| * max|y|, the bound a route iterating over ``x`` proves."""
+    return sum(abs(v) for v in x.tolist()) * max((abs(v) for v in y.tolist()), default=0)
+
+
+def exact_or_raises(run, x: np.ndarray, y: np.ndarray, ref: list[int]):
+    """The one overflow rule for a product: the exact value when the bound
+    fits whichever factor a route iterates over, a raise when the exact
+    value does not fit, and never a wrapped value.  Returns the output,
+    or ``None`` after a raise."""
+    fits = max(product_bound(x, y), product_bound(y, x)) <= COEFF_LIMIT
+    try:
+        out = run()
+    except CoefficientOverflowError:
+        assert not fits
+        return None
+    assert all(abs(v) <= COEFF_LIMIT for v in ref)
+    assert out.dtype == np.int64 and out.tolist() == ref
+    return out
 
 
 class TestMulKernel:
@@ -218,14 +294,11 @@ class TestMulKernel:
     def test_matches_exact_convolution(self, pair):
         a, b = pair
         width = min(a.hi + valuation(b), b.hi + valuation(a)) - a.lo - b.lo + 1
-        ref = exact_window(a.coeffs, b.coeffs, width)
-        if any(abs(v) > COEFF_LIMIT for v in ref):
-            with pytest.raises(CoefficientOverflowError):
-                a * b
-            return
-        prod = a * b
-        assert (prod.lo, prod.hi - prod.lo + 1) == (a.lo + b.lo, width)
-        assert prod.coeffs.tolist() == ref
+        x, y = a.coeffs[:width], b.coeffs[:width]
+        ref = exact_window(x, y, width)
+        prod = exact_or_raises(lambda: (a * b).coeffs, x, y, ref)
+        if prod is not None:
+            assert (a * b).lo == a.lo + b.lo and prod.size == width
 
     @settings(max_examples=150, deadline=None)
     @given(factor_pairs, st.integers(1, 1400))
@@ -238,12 +311,9 @@ class TestMulKernel:
         assume(x.any() and y.any())  # __mul__ returns zero before the routes
         width = min(width, x.size + y.size - 1)
         ref = exact_window(x, y, width)
-        if any(abs(v) > COEFF_LIMIT for v in ref):
-            return
-        out = _sparse_convolve(x, np.flatnonzero(x), y, np.flatnonzero(y), width)
-        if out is None:
-            out = _dense_convolve(x, y, width)
-        assert out.tolist() == ref
+        exact_or_raises(
+            lambda: convolve(x, np.flatnonzero(x), y, np.flatnonzero(y), width), x, y, ref
+        )
 
     def test_route_choice(self):
         phi = theta_expand(theta_special("phi"), 4000)
@@ -255,13 +325,28 @@ class TestMulKernel:
         noise = np.random.default_rng(3).integers(1, 100, 600)
         assert _sparse_convolve(noise, nz(noise), noise, nz(noise), 600) is None
 
-    def test_sparse_bound_fails_exact_fits(self):
-        # sum|a| * max|b| = 2^63 rules out the sparse routes and the dense
-        # bound fails too, yet 2^62 (1 - q^100) fits: the exact route wins
+    def test_unproven_bound_raises(self):
+        # 2^62 (1 - q^100) fits, but sum|a| * max|b| = 2^63 does not, on
+        # any route: no operation falls back to Python integers
         a = series_of({0: 2**62, 100: 2**62}, 300)
         b = series_of({0: 1, 100: -1}, 300)
-        prod = a * b
-        assert as_dict(prod) == {0: 2**62, 200: -(2**62)}
+        with pytest.raises(CoefficientOverflowError, match="product bound"):
+            a * b
+
+    @pytest.mark.parametrize("size", [3, 400], ids=["dense", "pairwise"])
+    def test_bound_at_the_edge(self, size):
+        # sum|a| * max|b| == COEFF_LIMIT runs in int64; one more raises
+        a = np.zeros(size, dtype=np.int64)
+        b = np.zeros(size, dtype=np.int64)
+        a[[0, size - 1]] = [COEFF_LIMIT - 1, 1]
+        b[[0, size // 2]] = [1, -1]
+        nz = np.flatnonzero
+        assert (_sparse_convolve(a, nz(a), b, nz(b), size) is None) == (size == 3)
+        out = convolve(a, nz(a), b, nz(b), size)
+        assert out.tolist() == exact_window(a, b, size)
+        a[0] += 1
+        with pytest.raises(CoefficientOverflowError, match="product bound"):
+            convolve(a, nz(a), b, nz(b), size)
 
     def test_true_overflow_raises(self):
         a = series_of({0: 2**62, 100: 2**62}, 300)
@@ -283,15 +368,14 @@ class TestShiftedCopies:
         width = data.draw(st.integers(1, x.size + y.size - 1))
         start = data.draw(st.integers(0, width - 1))
         ref = exact_window(x, y, width)
-        bound_fits = sum(abs(v) for v in x.tolist()) * max(abs(v) for v in y.tolist()) \
-            <= COEFF_LIMIT
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "_SHIFT_TILE", tile)
+            if product_bound(x, y) > COEFF_LIMIT:
+                with pytest.raises(CoefficientOverflowError, match="product bound"):
+                    shifted_copies(x, np.flatnonzero(x), y, start, width)
+                return
             out = shifted_copies(x, np.flatnonzero(x), y, start, width)
-        if not bound_fits:
-            assert out is None
-            return
-        assert out.tolist() == ref[start:]
+        assert out.dtype == np.int64 and out.tolist() == ref[start:]
 
     def test_several_full_tiles(self):
         # theta-shaped factors at the real tile size: 1 and 2 coefficients
@@ -306,9 +390,12 @@ class TestShiftedCopies:
         assert np.array_equal(out, ref[start:])
 
     def test_bound_failure_writes_nothing(self):
+        # B = (2^62 + 1) * 2 is past 64 bits although column 1, 2^62 + 2,
+        # fits: the raise comes before any column is written
         a = np.array([2**62, 0, 1], dtype=np.int64)
         b = np.array([2, 1, 1], dtype=np.int64)
-        assert shifted_copies(a, np.flatnonzero(a), b, 1, 5) is None
+        with pytest.raises(CoefficientOverflowError, match="product bound"):
+            shifted_copies(a, np.flatnonzero(a), b, 1, 5)
 
 
 class TestNarrowAccumulator:

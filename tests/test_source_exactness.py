@@ -5,7 +5,9 @@ Every coefficient and exponent is an exact integer, so a true division,
 a float literal or a ``float(...)`` call in ``src/thetaq`` is a defect
 waiting for an argument past 2^53.  ``np.abs`` maps -2^63 to itself, so
 every int64 magnitude goes through ``series._max_abs``, the one place
-that reads it exactly.
+that reads it exactly.  Series arithmetic proves its 64-bit bounds or
+raises, so no object (Python-integer) array appears outside
+``theta.term_exponents``, whose exponents may pass 64 bits.
 """
 
 import ast
@@ -33,12 +35,16 @@ def test_sources_found():
     assert {p.name for p in SOURCES} >= {"series.py", "theta.py", "identity.py"}
 
 
+def exempt_nodes(tree, allowed_in):
+    """ids of every node inside the def named ``allowed_in``."""
+    return {id(sub) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == allowed_in
+            for sub in ast.walk(node)}
+
+
 def abs_sites(tree, allowed_in=None):
     """``np.abs``/``np.absolute`` references outside the def ``allowed_in``."""
-    exempt = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == allowed_in:
-            exempt.update(map(id, ast.walk(node)))
+    exempt = exempt_nodes(tree, allowed_in)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in ("abs", "absolute")
                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
@@ -83,3 +89,46 @@ def test_each_float_form_is_caught(snippet):
 
 def test_integer_forms_pass():
     assert not list(float_sites(ast.parse("x = a // b; x //= 2; y = 10**20; z = int(w)")))
+
+
+def names_object(node):
+    return ((isinstance(node, ast.Name) and node.id == "object")
+            or (isinstance(node, ast.Attribute) and node.attr == "object_")
+            or (isinstance(node, ast.Constant) and node.value in ("O", "object")))
+
+
+def object_dtype_sites(tree, allowed_in=None):
+    """Object dtypes, in a ``dtype=`` keyword or an ``astype`` argument,
+    outside the def ``allowed_in``."""
+    exempt = exempt_nodes(tree, allowed_in)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+            dtypes += node.args[:1]
+        if any(names_object(sub) for d in dtypes for sub in ast.walk(d)):
+            yield node.lineno, "object dtype"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_object_arrays(path):
+    allowed_in = "term_exponents" if path.name == "theta.py" else None
+    sites = list(object_dtype_sites(ast.parse(path.read_text(), filename=str(path)), allowed_in))
+    assert sites == [], [f"{path.name}:{line}: {what}" for line, what in sites]
+
+
+@pytest.mark.parametrize("snippet", [
+    "a = np.arange(3, dtype=object)", "a = np.zeros(3, dtype='O')",
+    "a = np.arange(n, dtype=object if big else np.int64)", "b = a.astype(np.object_)",
+    "def term_exponents(n):\n    pass\na = np.zeros(2, dtype='O')",
+])
+def test_each_object_dtype_form_is_caught(snippet):
+    assert list(object_dtype_sites(ast.parse(snippet), "term_exponents"))
+
+
+def test_int64_dtypes_pass():
+    assert not list(object_dtype_sites(ast.parse(
+        "def term_exponents(n):\n    return np.arange(n, dtype=object)\n"
+        "a = np.zeros(3, dtype=np.int64); b = a.astype(np.uint8); c = isinstance(a, object)"
+    ), "term_exponents"))

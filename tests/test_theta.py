@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaq.series import HalfPowerSeries
+from thetaq import theta as theta_module
+from thetaq.series import CoefficientOverflowError, HalfPowerSeries
 from thetaq.theta import (
     ExpansionError,
     ThetaArg,
@@ -185,40 +186,41 @@ class TestTripleProductOracle:
             jacobi_triple_product(ThetaArg(1, -2, 6), 20)
 
 
-class TestProductGuard:
-    """The running triple product keeps exact width control."""
+def running_peak(arg, hi):
+    """Largest coefficient magnitude the triple product holds before any
+    of its factors, from the same product in Python integers."""
+    a, b, eps, s = arg.a, arg.b, arg.eps, arg.a + arg.b
+    coeffs, peak, n = [1] + [0] * hi, 0, 0
+    while min(a, b) + s * n <= hi:
+        for e, sign in ((a + s * n, eps), (b + s * n, eps), (s * (n + 1), -1)):
+            if e <= hi:
+                peak = max(peak, *map(abs, coeffs))
+                coeffs = [c + sign * coeffs[i - e] if i >= e else c
+                          for i, c in enumerate(coeffs)]
+        n += 1
+    return peak
 
-    def test_switches_to_exact_integers_when_large(self):
-        from thetaq.theta import _ProductState
 
-        state = _ProductState(4)
-        for _ in range(62):  # doubling factor drives magnitudes to 2^62
-            state.apply(0, 1)
-        assert state.exact is not None
-        series = state.finish()
-        assert series.coeff(0) == 2**62
+class TestProductBound:
+    """One factor at most doubles the running product: with COEFF_LIMIT at
+    twice its peak the product is built, one below it is refused."""
 
-    def test_true_overflow_raises(self):
-        from thetaq.series import CoefficientOverflowError
-        from thetaq.theta import _ProductState
+    ARGS = [ThetaArg(1, 0, 2), ThetaArg(1, 2, 2), ThetaArg(1, 2, 6), ThetaArg(-1, 1, 3)]
 
-        state = _ProductState(4)
-        for _ in range(64):
-            state.apply(0, 1)
-        with pytest.raises(CoefficientOverflowError):
-            state.finish()
+    @pytest.mark.parametrize("arg", ARGS, ids=str)
+    def test_refused_past_the_bound(self, monkeypatch, arg):
+        monkeypatch.setattr(theta_module, "COEFF_LIMIT", 2 * running_peak(arg, 200) - 1)
+        with pytest.raises(CoefficientOverflowError, match="64-bit"):
+            jacobi_triple_product(arg, 200)
 
-    def test_exact_mode_still_multiplies_correctly(self):
-        from thetaq.theta import _ProductState
+    @pytest.mark.parametrize("arg", ARGS, ids=str)
+    def test_built_at_the_bound(self, monkeypatch, arg):
+        monkeypatch.setattr(theta_module, "COEFF_LIMIT", 2 * running_peak(arg, 200))
+        assert jacobi_triple_product(arg, 200).compare(theta_expand(arg, 200), 200).equal
 
-        fast = _ProductState(40)
-        slow = _ProductState(40)
-        slow.exact = [int(c) for c in slow.arr]
-        for e, sign in [(2, 1), (3, 1), (5, -1), (2, 1), (7, -1)]:
-            fast.apply(e, sign)
-            slow.apply(e, sign)
-        a, b = fast.finish(), slow.finish()
-        assert a.compare(b, 40).equal
+    @pytest.mark.parametrize("arg", ARGS, ids=str)
+    def test_matches_the_bilateral_sum_at_600(self, arg):
+        assert jacobi_triple_product(arg, 600).compare(theta_expand(arg, 600), 600).equal
 
 
 class TestNormalize:
