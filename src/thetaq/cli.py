@@ -6,9 +6,9 @@ relation and classical checks, or the whole embedded catalog), ``count``
 (non-representability of a residue class).
 
 Exit codes: 0 when every requested check passes, 1 on a mathematical
-mismatch, 2 on a usage error, a coefficient beyond the 64-bit width, a
-residue class holding no N up to the bound, or a bound too large for
-memory.
+mismatch, 2 on a usage error, a coefficient or a theta term exponent
+beyond the 64-bit width, a residue class holding no N up to the bound,
+or a bound too large for memory.
 Each subcommand is a generator of (cmd, params, status, payload) records
 that prints nothing and reads no clock; ``main`` is the one loop that
 times, prints and scores them, each as soon as it exists.

@@ -22,8 +22,6 @@ from typing import Optional, Sequence
 from .series import HalfPowerSeries, TruncationError
 from .theta import ThetaArg, theta_expand
 
-_EXPANSION_SLACK = 4  # extra half-units so factor products keep their bound
-
 
 @dataclass(frozen=True)
 class ThetaProduct:
@@ -42,9 +40,13 @@ class ThetaProduct:
     def expand(self, hi: int) -> HalfPowerSeries:
         """Expansion exact through ``hi`` half-units.
 
-        Each factor is expanded far enough that the product's validity
-        bound, derived from the factors' minimal exponents, still covers
-        the target; an identically-zero factor zeroes the whole term.
+        A product of series is valid through the least of each factor's
+        bound plus the other's valuation, and a factor's valuation is at
+        least its least exponent m.  So factor f is expanded through
+        exactly hi - shift - (total_min - m_f), where total_min sums every
+        factor's m, and the product is then valid through at least hi;
+        :class:`TruncationError` guards the result all the same.  An
+        identically-zero factor zeroes the whole term.
         """
         if any(f.is_zero_function() for f in self.factors):
             return HalfPowerSeries.zero(max(hi, 0), min(0, hi))
@@ -52,7 +54,7 @@ class ThetaProduct:
         total_min = sum(mins)
         series: Optional[HalfPowerSeries] = None
         for f, m in zip(self.factors, mins):
-            bound = hi - self.shift - (total_min - m) + _EXPANSION_SLACK
+            bound = hi - self.shift - (total_min - m)
             # below its own least exponent m a factor would come back
             # valid through less than m, short of the bound the product needs
             part = theta_expand(f, max(bound, m))

@@ -11,7 +11,9 @@ above ``hi`` are unknown.  Coefficients are exact signed int64 integers.
 Every operation computes one bound on every partial sum it forms; when
 that bound fits in 64 bits it runs in int64, and otherwise it raises
 :class:`CoefficientOverflowError` before it writes any output.  No
-operation wraps, and none falls back to Python integers.
+operation wraps, and none falls back to Python integers.  Every product
+goes through one kernel, :func:`convolve`, which iterates over the
+sparser factor's nonzeros by one of two routes.
 """
 
 from __future__ import annotations
@@ -241,12 +243,10 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).view(np.uint64).max())
 
 
-# Costs of the sparse routes in units of one np.convolve multiply-add,
-# measured with numpy 2.4 on x86-64: setting up a sparse route costs about
-# ten thousand multiply-adds, one shifted slice add carries about two
+# Costs of the two routes in units of one dense multiply-add, measured
+# with numpy 2.4 on x86-64: one shifted slice add carries about two
 # thousand of call overhead, and one pairwise product scattered by
 # np.add.at costs about twenty.
-_SPARSE_SETUP = 10_000
 _SHIFT_OVERHEAD = 2000
 _PAIR_COST = 20
 _PAIR_BLOCK = 1 << 16  # pairwise products scattered per np.add.at call
@@ -275,28 +275,17 @@ def _accumulator(bound: int) -> type:
 
 def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
     """First ``width`` columns of a * b, given the ascending nonzero
-    positions of both factors: by a sparse route where it is cheaper,
-    else by ``np.convolve``.  Each route proves its bound sum|a| * max|b|
-    (over the factor it iterates) before it writes a column, and raises
+    positions of both factors, from the nonzeros of the sparser factor:
+    one shifted copy of the other factor per nonzero, or its pairwise
+    products with the other factor's nonzeros where those cost less.
+    Either route proves its bound sum|a| * max|b| (over the factor it
+    iterates) before it writes a column, and raises
     :class:`CoefficientOverflowError` when that bound does not fit."""
-    out = _sparse_convolve(a, nz_a, b, nz_b, width)
-    if out is None:
-        _proven_bound(a[nz_a], b)
-        out = np.convolve(a, b)[:width]
-    return out
-
-
-def _sparse_convolve(a, nz_a, b, nz_b, width: int) -> Optional[np.ndarray]:
-    """First ``width`` columns of a * b from the nonzeros of the sparser
-    factor, or ``None`` when the dense route is cheaper."""
     shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
     if shifts > nz_b.size * (a.size + _SHIFT_OVERHEAD):
         a, nz_a, b, nz_b = b, nz_b, a, nz_a  # iterate over the sparser factor
         shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
-    pairs = _PAIR_COST * nz_a.size * nz_b.size
-    if _SPARSE_SETUP + min(pairs, shifts) >= a.size * b.size:
-        return None
-    if pairs > shifts:
+    if _PAIR_COST * nz_a.size * nz_b.size >= shifts:
         return shifted_copies(a, nz_a, b, 0, width)
     vals, other = a[nz_a], b[nz_b]
     _proven_bound(vals, other)

@@ -68,26 +68,31 @@ def term_exponents(arg: ThetaArg, hi: int) -> tuple[int, np.ndarray]:
     """``(n_lo, e)``: ``e[i]`` is the exponent of the bilateral sum's term
     ``n = n_lo + i``, over the indices whose exponent is at most ``hi``.
 
-    The exponents are int64, or Python ints where the formula may pass
-    64 bits; they fall and then rise with ``n``, and two terms share an
-    exponent only when ``a - b`` is a multiple of ``a + b``.
+    The exponents are int64; they fall and then rise with ``n``, and two
+    terms share an exponent only when ``a - b`` is a multiple of ``a + b``.
+    With s = a + b and d = a - b, every intermediate of the formula,
+    (s*n + d)*n = 2*e, is at most B = max(s, 2*max(hi, d^2 // 8s + 1) + |d|)
+    in magnitude for an index in range, because each exponent e lies
+    between -d^2 / 8s and ``hi``, and |s*n + d| <= |2*e| when n != 0.  B is
+    computed once; past 64 bits the expansion raises
+    :class:`CoefficientOverflowError` before it forms any exponent.
     """
     a, b = arg.a, arg.b
     s, d = a + b, a - b
     if s <= 0:
         raise ExpansionError(f"divergent specialization {arg}")
+    bound = max(s, 2 * max(hi, d * d // (8 * s) + 1) + abs(d))
+    if bound > COEFF_LIMIT:
+        raise CoefficientOverflowError(
+            f"term exponents of {arg} through {hi} are bounded by {bound}, "
+            "past the 64-bit width"
+        )
     # The exponent (s*n^2 + d*n)/2 is at most hi exactly when
     # |2*s*n + d| <= isqrt(d^2 + 8*s*hi).
     disc = d * d + 8 * s * hi
     root = math.isqrt(disc) if disc >= 0 else -1
     n_lo, n_hi = -((root + d) // (2 * s)), (root - d) // (2 * s)
-    # Every intermediate of the exponent formula is at most
-    # (|a| + |b|) * reach^2 in magnitude; past int64 the same formula
-    # runs on Python ints.
-    reach = max(-n_lo, n_hi) + 1
-    exact = (abs(a) + abs(b)) * reach * reach > COEFF_LIMIT
-    n = np.arange(n_lo, n_hi + 1, dtype=object if exact else np.int64)
-    return n_lo, _term_exponent(a, b, n)
+    return n_lo, _term_exponent(a, b, np.arange(n_lo, n_hi + 1, dtype=np.int64))
 
 
 def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:

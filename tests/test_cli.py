@@ -61,6 +61,13 @@ class TestExpand:
         assert code == 2
         assert "error" in err
 
+    def test_parameter_near_2_to_the_61_expands(self, capsys):
+        # f(-q^(2^61), -q^(-1)) = 1 - q^(-1/2): its exponent bound fits in int64
+        code, out, _ = run(capsys, "--format", "json", "expand",
+                           "--theta", "-1,2305843009213693952,-1", "--order", "100")
+        assert code == 0
+        assert json_records(out)[0]["payload"] == {"coefficients": [["-1", -1], ["0", 1]]}
+
 
 class TestCount:
     def test_single_value(self, capsys):
@@ -430,6 +437,33 @@ class TestOverflow:
                              "--id", "Athm1", "--nmax", "50")
         assert code == 2 and err.startswith("error: coefficient 2**64")
         assert [r["params"]["id"] for r in json_records(out)] == ["Athm1.1"]
+
+
+class TestExponentWidth:
+    """A term exponent bound past 64 bits exits 2 on every stack.  The
+    exponents were once Python ints there, which crashed the count tables
+    with a TypeError and exit 1."""
+
+    ARGV = [
+        ("count", "--form", "r(4611686018427387904,1,1)", "--n", "3", "--method", "series"),
+        ("count", "--form", "r(4611686018427387904,1,1)", "--n", "3", "--method", "both"),
+        ("scan", "--form", "r(10000000000000000000,1,1)", "--modulus", "4",
+         "--residue", "3", "--nmax", "50"),
+        ("verify", "relation", "--id", "user.wide", "--nmax", "50", "--catalog", "CATALOG"),
+        ("expand", "--name", "phi", "--scale", "5000000000000000000", "--order", "10"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", ARGV, ids=["series", "both", "scan", "relation", "expand"])
+    def test_is_usage_error(self, capsys, tmp_path, fmt, argv):
+        catalog = tmp_path / "extra.json"
+        catalog.write_text(json.dumps({"relations": [{
+            "id": "user.wide", "lhs": {"form": "r", "coeffs": [2**62, 1, 1]}}]}))
+        argv = [str(catalog) if a == "CATALOG" else a for a in argv]
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: term exponents of ThetaArg(")
+        assert err.rstrip().endswith("past the 64-bit width")
 
 
 class TestJsonDeterminism:

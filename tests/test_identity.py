@@ -502,3 +502,40 @@ class TestCatalog:
             thm1 = [e for e in entries
                     if e.kind == "thm1" and e.params.get("k") == k and e.params.get("r") == r]
             assert len(thm1) >= 3, (k, r)
+
+
+class TestExpansionBound:
+    """A product is valid through the least of each factor's bound plus
+    the other's valuation, so each factor is expanded through exactly
+    the bound the target needs, and no further."""
+
+    @pytest.mark.parametrize("through", [0, 7, 120])
+    def test_factors_expanded_through_the_exact_bound(self, monkeypatch, through):
+        requests = []
+        products = []
+
+        def spy(arg, hi):
+            requests.append((arg, hi))
+            return theta_expand(arg, hi)
+
+        expand = ThetaProduct.expand
+
+        def checked_expand(self, hi):
+            requests.clear()
+            out = expand(self, hi)
+            want = []
+            if not any(f.is_zero_function() for f in self.factors):
+                mins = [f.min_exponent() for f in self.factors]
+                want = [(f, max(hi - self.shift - (sum(mins) - m), m))
+                        for f, m in zip(self.factors, mins)]
+            assert requests == want
+            assert out.hi >= hi
+            products.append(self)
+            return out
+
+        monkeypatch.setattr(identity, "theta_expand", spy)
+        monkeypatch.setattr(ThetaProduct, "expand", checked_expand)
+        entries = load_identity_catalog()
+        for entry in entries:
+            assert entry.verify(through).ok, entry.id
+        assert len(products) > 2 * len(entries)

@@ -11,7 +11,6 @@ from thetaq.series import (
     EqualityReport,
     HalfPowerSeries,
     TruncationError,
-    _sparse_convolve,
     convolve,
     shifted_copies,
 )
@@ -286,6 +285,20 @@ def exact_or_raises(run, x: np.ndarray, y: np.ndarray, ref: list[int]):
     return out
 
 
+def route_of(monkeypatch, a: np.ndarray, b: np.ndarray, width: int):
+    """The route ``convolve`` takes for the first ``width`` columns of
+    a * b, "shifted" or "pairwise", and its output."""
+    taken = []
+
+    def spy(*args):
+        taken.append("shifted")
+        return shifted_copies(*args)
+
+    monkeypatch.setattr(series_module, "shifted_copies", spy)
+    out = convolve(a, np.flatnonzero(a), b, np.flatnonzero(b), width)
+    return (taken[0] if taken else "pairwise"), out
+
+
 class TestMulKernel:
     """The one multiply kernel against the exact Python-int convolution."""
 
@@ -315,15 +328,19 @@ class TestMulKernel:
             lambda: convolve(x, np.flatnonzero(x), y, np.flatnonzero(y), width), x, y, ref
         )
 
-    def test_route_choice(self):
+    def test_route_choice(self, monkeypatch):
+        # pairwise products while both factors are sparse, else shifted
+        # copies of the denser factor, dense factors included: there is
+        # no third route
         phi = theta_expand(theta_special("phi"), 4000)
         psi = theta_expand(theta_special("psi"), 4000)
-        prod = phi * psi
-        nz = np.flatnonzero
-        for a, b in ((phi.coeffs, psi.coeffs), (prod.coeffs, psi.coeffs)):
-            assert _sparse_convolve(a, nz(a), b, nz(b), a.size) is not None
         noise = np.random.default_rng(3).integers(1, 100, 600)
-        assert _sparse_convolve(noise, nz(noise), noise, nz(noise), 600) is None
+        for a, b, want in ((phi.coeffs, psi.coeffs, "pairwise"),
+                           ((phi * psi).coeffs, psi.coeffs, "shifted"),
+                           (noise, noise, "shifted")):
+            route, out = route_of(monkeypatch, a, b, a.size)
+            assert route == want
+            assert out.tolist() == exact_window(a, b, a.size)
 
     def test_unproven_bound_raises(self):
         # 2^62 (1 - q^100) fits, but sum|a| * max|b| = 2^63 does not, on
@@ -333,20 +350,22 @@ class TestMulKernel:
         with pytest.raises(CoefficientOverflowError, match="product bound"):
             a * b
 
-    @pytest.mark.parametrize("size", [3, 400], ids=["dense", "pairwise"])
-    def test_bound_at_the_edge(self, size):
+    @pytest.mark.parametrize("route", ["pairwise", "shifted"])
+    def test_bound_at_the_edge(self, monkeypatch, route):
         # sum|a| * max|b| == COEFF_LIMIT runs in int64; one more raises
-        a = np.zeros(size, dtype=np.int64)
-        b = np.zeros(size, dtype=np.int64)
-        a[[0, size - 1]] = [COEFF_LIMIT - 1, 1]
-        b[[0, size // 2]] = [1, -1]
-        nz = np.flatnonzero
-        assert (_sparse_convolve(a, nz(a), b, nz(b), size) is None) == (size == 3)
-        out = convolve(a, nz(a), b, nz(b), size)
-        assert out.tolist() == exact_window(a, b, size)
+        a = np.zeros(400, dtype=np.int64)
+        a[[0, 399]] = [COEFF_LIMIT - 1, 1]
+        if route == "pairwise":
+            b = np.zeros(400, dtype=np.int64)
+            b[[0, 200]] = [1, -1]
+        else:  # every column of b nonzero
+            b = np.resize(np.array([1, -1], dtype=np.int64), 400)
+        taken, out = route_of(monkeypatch, a, b, 400)
+        assert taken == route
+        assert out.tolist() == exact_window(a, b, 400)
         a[0] += 1
         with pytest.raises(CoefficientOverflowError, match="product bound"):
-            convolve(a, nz(a), b, nz(b), size)
+            route_of(monkeypatch, a, b, 400)
 
     def test_true_overflow_raises(self):
         a = series_of({0: 2**62, 100: 2**62}, 300)

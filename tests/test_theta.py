@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaq import theta as theta_module
-from thetaq.series import CoefficientOverflowError, HalfPowerSeries
+from thetaq.series import COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries
 from thetaq.theta import (
     ExpansionError,
     ThetaArg,
@@ -30,19 +30,50 @@ def q_coeffs(series, n_max):
     return [series.coeff(2 * n) for n in range(n_max + 1)]
 
 
-def reference_expand(eps, a, b, hi):
-    """The bilateral sum in Python ints, walking out from the vertex."""
+def reference_terms(a, b, hi):
+    """(n, exponent) of every term at most hi, in Python ints, walking out
+    from the vertex."""
     s, d = a + b, a - b
-    out = {}
     for n, step in ((-d // (2 * s) + 1, 1), (-d // (2 * s), -1)):
         while True:
             e = (a * n * (n + 1) + b * n * (n - 1)) // 2
             if e > hi and step * (2 * s * n + d) > 0:  # past the vertex
                 break
             if e <= hi:
-                out[e] = out.get(e, 0) + eps ** (n % 2)
+                yield n, e
             n += step
+
+
+def reference_expand(eps, a, b, hi):
+    """The bilateral sum in Python ints."""
+    out = {}
+    for n, e in reference_terms(a, b, hi):
+        out[e] = out.get(e, 0) + eps ** (n % 2)
     return {e: c for e, c in out.items() if c}
+
+
+def exponent_bound(a, b, hi):
+    """max(s, 2*max(hi, d^2 // 8s + 1) + |d|), the bound term_exponents
+    proves for every intermediate of its exponent formula."""
+    s, d = a + b, a - b
+    return max(s, 2 * max(hi, d * d // (8 * s) + 1) + abs(d))
+
+
+def exact_or_raises(eps, a, b, hi):
+    """The one overflow rule for exponents: the Python-int reference when
+    the bound fits in 64 bits, else CoefficientOverflowError."""
+    if ThetaArg(eps, a, b).is_zero_function():  # forms no exponent
+        assert expand(eps, a, b, hi).is_zero()
+        return
+    bound = exponent_bound(a, b, hi)
+    if bound > COEFF_LIMIT:
+        with pytest.raises(CoefficientOverflowError, match="64-bit width"):
+            expand(eps, a, b, hi)
+        return
+    s, d = a + b, a - b
+    for n, _ in reference_terms(a, b, hi):
+        assert max(abs(s), abs(d), abs(s * n), abs((s * n + d) * n)) <= bound
+    assert dict(expand(eps, a, b, hi).items()) == reference_expand(eps, a, b, hi)
 
 
 class TestSpecials:
@@ -108,13 +139,18 @@ class TestExpand:
         assert next(got.items())[0] == -2  # least nonzero exponent
 
     @pytest.mark.parametrize("eps,a,b,hi,want", [
-        (1, 2**63, 0, 100, {0: 2}),
+        (1, 2**63, 0, 100, CoefficientOverflowError("64-bit width")),
         (-1, 2**62 + 1, -1, 100, {-1: -1, 0: 1}),
         (1, 2**62 - 3, 5, 200, {0: 1, 5: 1}),
-        (-1, 3, 2**63 + 7, 500, {0: 1, 3: -1}),
+        (-1, 3, 2**63 + 7, 500, CoefficientOverflowError("64-bit width")),
     ])
     def test_huge_exponents_stay_exact(self, eps, a, b, hi, want):
-        # (|a| + |b|) * n^2 passes 64 bits, so the exponents are Python ints
+        # a + b or a - b past 64 bits raises; an argument whose bound fits
+        # expands in int64, exactly
+        if isinstance(want, CoefficientOverflowError):
+            with pytest.raises(CoefficientOverflowError, match=str(want)):
+                expand(eps, a, b, hi)
+            return
         assert dict(expand(eps, a, b, hi).items()) == want == reference_expand(eps, a, b, hi)
 
     @settings(max_examples=80, deadline=None)
@@ -122,7 +158,14 @@ class TestExpand:
            st.booleans(), st.integers(-60, 3000))
     def test_huge_exponents_match_reference(self, eps, big, small, swap, hi):
         a, b = (small, big) if swap else (big, small)
-        assert dict(expand(eps, a, b, hi).items()) == reference_expand(eps, a, b, hi)
+        exact_or_raises(eps, a, b, hi)
+
+    def test_bound_at_the_edge(self):
+        # s = 2^63 - 1 with d = 0 is the widest argument that fits
+        exact_or_raises(1, 2**62, 2**62 - 1, 10)
+        assert dict(expand(1, 2**62, 2**62 - 1, 10).items()) == {0: 1}
+        with pytest.raises(CoefficientOverflowError, match="64-bit width"):
+            expand(1, 2**62, 2**62, 10)
 
     @pytest.mark.parametrize("eps,a,b", [(1, 2, 6), (-1, 2, 4), (1, 0, 6), (-1, -2, 8),
                                          (1, 3, 3), (1, -5, 7), (-1, 1, 20)])
@@ -215,8 +258,10 @@ class TestProductBound:
 
     @pytest.mark.parametrize("arg", ARGS, ids=str)
     def test_built_at_the_bound(self, monkeypatch, arg):
+        # the reference first: the patched limit also bounds term_exponents
+        want = theta_expand(arg, 200)
         monkeypatch.setattr(theta_module, "COEFF_LIMIT", 2 * running_peak(arg, 200))
-        assert jacobi_triple_product(arg, 200).compare(theta_expand(arg, 200), 200).equal
+        assert jacobi_triple_product(arg, 200).compare(want, 200).equal
 
     @pytest.mark.parametrize("arg", ARGS, ids=str)
     def test_matches_the_bilateral_sum_at_600(self, arg):
