@@ -177,11 +177,14 @@ def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
                 f"relation {rel.id!r}: the argument of {ref.render()} at N = {last} "
                 "exceeds 64-bit width"
             )
-        args = ref.alpha * ns + ref.beta
-        table = TABLE_CACHE.get(ref.spec, top)
+        # the arguments step by alpha*m from alpha*r + beta; the leading
+        # negative ones count 0, and a cached table may run past top
+        step, first = ref.alpha * m, ref.alpha * r + ref.beta
+        skip = min(ns.size, max(0, -(first // step)))
         vals = np.zeros(ns.size, dtype=np.int64)
-        good = args >= 0
-        vals[good] = table[args[good]]
+        if skip < ns.size:
+            table = TABLE_CACHE.get(ref.spec, top)
+            vals[skip:] = table[first + skip * step :: step][: ns.size - skip]
         return vals
 
     sides = [(ref.scalar, counts(ref)) for ref in (rel.lhs, *rel.rhs)]

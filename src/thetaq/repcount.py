@@ -13,9 +13,11 @@ returns the counts of one residue class (by default all of them), and
 ``nonrep_scan`` builds the class it checks and nothing else.
 ``TABLE_CACHE`` keeps one full table per signature for the relation
 and classical checks and grows it in place: a request past a table
-adds only the new columns.  ``count_enumerate`` reads each kind's
-values and their multiplicities off a prefix of one grow-only
-membership table per figurate kind.
+adds only the new columns.  The builder returns its counts in the
+narrowest integer type their proven bound allows, and the cache stores
+them in that type; ``count_table`` widens them to int64.
+``count_enumerate`` reads each kind's values and their multiplicities
+off a prefix of one grow-only membership table per figurate kind.
 
 Index domains follow the classical conventions: squares, generalized
 pentagonal and generalized octagonal indices run over all integers,
@@ -248,11 +250,16 @@ def _count_columns(
     the three factors' term counts, so one check of that product proves
     every kernel; past 64 bits the table is refused with
     :class:`CoefficientOverflowError` before any column is built.
+
+    A single class part, the whole table at M = 1, comes back in the
+    type ``shifted_copies`` proved for it, int16, int32 or int64.  The
+    term-count check proves a sum of several parts only in int64, so
+    they are added in int64.
     """
     width = (limit - residue) // modulus + 1 if limit >= residue else 0
     first = max(0, -((residue - start) // modulus))  # least j with N >= start
     if first >= width:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=series._accumulator(0))
     factors = []
     for a, kind in spec.terms:
         exps = np.sort(term_exponents(_generating_arg(a, kind), limit)[1])
@@ -294,11 +301,9 @@ def _count_columns(
         if pair is None:
             continue
         part = shifted_copies(np.bincount(pos, minlength=width), nz, pair, first, width)
-        if cols is None:
-            cols = part
-        else:
-            cols += part
-    return np.zeros(width - first, dtype=np.int64) if cols is None else cols
+        # several parts are proven to sum only in int64; += could wrap
+        cols = part if cols is None else np.add(cols, part, dtype=np.int64)
+    return np.zeros(width - first, dtype=series._accumulator(0)) if cols is None else cols
 
 
 def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
@@ -316,11 +321,11 @@ def count_table(
     spec: MixedSumSpec, limit: int, modulus: int = 1, residue: int = 0
 ) -> np.ndarray:
     """counts[N] for the N = residue + modulus*j with 0 <= N <= limit,
-    read off the generating series, as a read-only int64 array; by
-    default every N."""
+    read off the generating series, as a read-only int64 array (the
+    builder's narrow counts widened); by default every N."""
     if not 0 <= residue < modulus:
         raise ValueError("need 0 <= residue < modulus")
-    table = _count_columns(spec, 0, limit, modulus, residue)
+    table = _count_columns(spec, 0, limit, modulus, residue).astype(np.int64, copy=False)
     table.setflags(write=False)
     return table
 
@@ -332,6 +337,11 @@ class _TableCache:
     limit.  A later request past the table computes only the new columns
     and appends them; a request inside it returns the table as it is.  No
     table is larger than the largest limit requested for its signature.
+
+    Each table is stored read-only in the type its builder proved, with
+    no int64 copy beside it; a grown table concatenates its two pieces,
+    which numpy promotes to the wider of their types, exactly.  Readers
+    only index and compare it, or widen it before any arithmetic.
     """
 
     def __init__(self) -> None:
@@ -341,12 +351,12 @@ class _TableCache:
         key = spec.terms
         table = self._tables.get(key)
         if table is None:
-            table = count_table(spec, limit)
+            table = _count_columns(spec, 0, limit)
         elif table.size <= limit:
             table = np.concatenate((table, _count_columns(spec, table.size, limit)))
-            table.setflags(write=False)
         else:
             return table
+        table.setflags(write=False)
         self._tables[key] = table
         return table
 

@@ -280,13 +280,14 @@ def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
     products with the other factor's nonzeros where those cost less.
     Either route proves its bound sum|a| * max|b| (over the factor it
     iterates) before it writes a column, and raises
-    :class:`CoefficientOverflowError` when that bound does not fit."""
+    :class:`CoefficientOverflowError` when that bound does not fit.  Both
+    routes return int64."""
     shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
     if shifts > nz_b.size * (a.size + _SHIFT_OVERHEAD):
         a, nz_a, b, nz_b = b, nz_b, a, nz_a  # iterate over the sparser factor
         shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
     if _PAIR_COST * nz_a.size * nz_b.size >= shifts:
-        return shifted_copies(a, nz_a, b, 0, width)
+        return shifted_copies(a, nz_a, b, 0, width).astype(np.int64, copy=False)
     vals, other = a[nz_a], b[nz_b]
     _proven_bound(vals, other)
     out = np.zeros(width, dtype=np.int64)
@@ -305,7 +306,8 @@ def shifted_copies(a, nz_a, b, start: int, width: int) -> np.ndarray:
 
     B = sum|a| * max|b| bounds every partial sum, so the copies are added
     in the narrowest of int16, int32 and int64 that holds B, and the
-    result is widened to int64 once.  The columns are filled one tile of
+    result is returned in that type; a caller that does arithmetic on it
+    past B widens it first.  The columns are filled one tile of
     ``_SHIFT_TILE`` int64 widths at a time, so a tile stays in cache while
     every copy lands on it.  Copies sharing a coefficient are summed into
     one buffer and scaled once per tile (a theta factor has one or two
@@ -316,9 +318,9 @@ def shifted_copies(a, nz_a, b, start: int, width: int) -> np.ndarray:
     """
     vals = a[nz_a]
     bound = _proven_bound(vals, b)
-    if bound == 0:  # a coefficient beyond the narrow type must not be cast
-        return np.zeros(width - start, dtype=np.int64)
     dtype = _accumulator(bound)
+    if bound == 0:  # a coefficient beyond the narrow type must not be cast
+        return np.zeros(width - start, dtype=dtype)
     b = b.astype(dtype, copy=False)
     step = _SHIFT_TILE * (8 // b.itemsize)
     groups: dict[int, list[int]] = {}
@@ -345,5 +347,5 @@ def shifted_copies(a, nz_a, b, start: int, width: int) -> np.ndarray:
             if c != 1:
                 np.multiply(acc, c, out=acc)
                 tile += acc
-    return out.astype(np.int64, copy=False)
+    return out
 

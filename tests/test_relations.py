@@ -26,6 +26,22 @@ def catalog():
     return load_relation_catalog()
 
 
+def per_n_reference(rel: RelationStatement, n_max: int) -> list[Counterexample]:
+    """The relation's counterexamples through n_max, one N at a time by
+    enumeration; a negative argument counts 0."""
+    def side(ref, n):
+        arg = ref.alpha * n + ref.beta
+        return ref.scalar * count_enumerate(ref.spec, arg) if arg >= 0 else 0
+
+    m, r = rel.residue_class or (1, 0)
+    expected = []
+    for n in range(r, n_max + 1, m):
+        lhs, rhs = side(rel.lhs, n), sum(side(ref, n) for ref in rel.rhs)
+        if lhs != rhs:
+            expected.append(Counterexample(n, lhs, rhs))
+    return expected
+
+
 class TestCatalogShape:
     def test_sizes(self, catalog):
         assert len(catalog) >= 108
@@ -125,20 +141,24 @@ class TestVerification:
             )
         else:
             rel = next(r for r in catalog if r.id == rid)
-
-        def side(ref, n):
-            arg = ref.alpha * n + ref.beta
-            return ref.scalar * count_enumerate(ref.spec, arg) if arg >= 0 else 0
-
-        m, r = rel.residue_class or (1, 0)
-        expected = []
-        for n in range(r, 151, m):
-            lhs, rhs = side(rel.lhs, n), sum(side(ref, n) for ref in rel.rhs)
-            if lhs != rhs:
-                expected.append(Counterexample(n, lhs, rhs))
         counter = verify_relation(rel, 150)
-        assert counter == expected
+        assert counter == per_n_reference(rel, 150)
         assert all(type(v) is int for ce in counter for v in (ce.n, ce.lhs, ce.rhs))
+
+    @pytest.mark.parametrize("lhs,residue_class,wider", [
+        # beta < -alpha*r: the first arguments are negative and count 0
+        (CountRef("rT", (1, 1, 1), 3, -20), (5, 2), None),
+        # every argument is negative
+        (CountRef("T", (1, 2, 4), 2, -1000), (3, 1), None),
+        # a cached table much wider than the largest argument
+        (CountRef("Rt", (1, 1, 2), 2, 1), (4, 3), 5000),
+    ])
+    def test_strided_sides(self, lhs, residue_class, wider):
+        if wider is not None:
+            assert TABLE_CACHE.get(lhs.spec, wider).size > 2 * 150 + 2
+        rel = RelationStatement("probe", lhs, (CountRef("r", (1, 1, 1), 1, 2),),
+                                residue_class=residue_class)
+        assert verify_relation(rel, 150) == per_n_reference(rel, 150)
 
     def test_zero_relations(self, catalog):
         by_id = {r.id: r for r in catalog}

@@ -274,6 +274,29 @@ class TestClassColumns:
             with pytest.raises(ValueError):
                 count_table(spec, 100, modulus, residue)
 
+    @pytest.mark.parametrize("name,coeffs,limit", [
+        ("rtp", (1, 1, 1), 1000), ("tP", (1, 1, 1), 1000), ("rtg", (1, 1, 2), 3000),
+    ])
+    def test_narrow_parts_sum_in_int64(self, monkeypatch, name, coeffs, limit):
+        # an extra int8 rung keeps every class part exact, and makes a sum
+        # of two parts that is not widened wrap past 127 on tables this small
+        spec = MixedSumSpec.of(name, coeffs)
+        full = count_table(spec, limit)
+        assert int(full.max()) > 127
+        real = series_module._accumulator
+        rungs = []
+
+        def with_int8(bound):
+            rungs.append(np.int8 if bound <= 127 else real(bound))
+            return rungs[-1]
+
+        monkeypatch.setattr(series_module, "_accumulator", with_int8)
+        for modulus in range(2, 13):
+            for residue in range(modulus):
+                table = count_table(spec, limit, modulus=modulus, residue=residue)
+                assert np.array_equal(table, full[residue::modulus]), (modulus, residue)
+        assert np.int8 in rungs
+
 
 class TestTableCache:
     # first requests, growth past the table (+1 steps included) and
@@ -301,6 +324,29 @@ class TestTableCache:
                 ns = data.draw(st.lists(st.integers(0, largest), min_size=1, max_size=3))
                 for n in ns:
                     assert int(table[n]) == count_enumerate(spec, n), (spec, n)
+
+
+class TestCacheStorage:
+    """The cache keeps each table in the type its kernel proved."""
+
+    def test_stored_narrow_and_read_only(self, monkeypatch):
+        monkeypatch.setattr(repcount.TABLE_CACHE, "_tables", {})
+        spec = MixedSumSpec.of("T", (2, 5, 5))  # B = 7200
+        table = repcount.TABLE_CACHE.get(spec, 400019)
+        stored = repcount.TABLE_CACHE._tables[spec.terms]
+        assert stored is table and stored.dtype == np.int16
+        assert stored.nbytes == 2 * 400020 and not stored.flags.writeable
+
+    def test_growth_widens_exactly(self, monkeypatch):
+        monkeypatch.setattr(repcount.TABLE_CACHE, "_tables", {})
+        spec = MixedSumSpec.of("r", (1, 1, 1))
+        assert repcount.TABLE_CACHE.get(spec, 1000).dtype == np.int16
+        table = repcount.TABLE_CACHE.get(spec, 200000)  # new columns in int32
+        assert repcount.TABLE_CACHE._tables[spec.terms] is table
+        assert table.dtype == np.int32 and not table.flags.writeable
+        fresh = count_table(spec, 200000)
+        assert fresh.dtype == np.int64 and not fresh.flags.writeable
+        assert np.array_equal(table, fresh)
 
 
 class TestValueLists:

@@ -340,6 +340,7 @@ class TestMulKernel:
                            (noise, noise, "shifted")):
             route, out = route_of(monkeypatch, a, b, a.size)
             assert route == want
+            assert out.dtype == np.int64  # the shifted copies' narrow type is widened
             assert out.tolist() == exact_window(a, b, a.size)
 
     def test_unproven_bound_raises(self):
@@ -394,7 +395,8 @@ class TestShiftedCopies:
                     shifted_copies(x, np.flatnonzero(x), y, start, width)
                 return
             out = shifted_copies(x, np.flatnonzero(x), y, start, width)
-        assert out.dtype == np.int64 and out.tolist() == ref[start:]
+        assert out.dtype.type is series_module._accumulator(product_bound(x, y))
+        assert out.tolist() == ref[start:]
 
     def test_several_full_tiles(self):
         # theta-shaped factors at the real tile size: 1 and 2 coefficients
@@ -418,7 +420,8 @@ class TestShiftedCopies:
 
 
 class TestNarrowAccumulator:
-    """The shifted copies in int16 and int32, at the edges of those types."""
+    """The shifted copies in int16 and int32, at the edges of those types,
+    returned in the type that holds B."""
 
     EDGES = sorted({e + d for e in (2**15 - 1, 2**15, 2**31 - 1, 2**31) for d in (-1, 0, 1)})
 
@@ -453,7 +456,7 @@ class TestNarrowAccumulator:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "_SHIFT_TILE", tile)
             out = shifted_copies(a, np.flatnonzero(a), b, start, width)
-        assert out.dtype == np.int64
+        assert out.dtype.type is series_module._accumulator(bound)
         assert out.tolist() == exact_window(a, b, width)[start:]
 
     @pytest.mark.parametrize("bound", EDGES)
@@ -467,18 +470,21 @@ class TestNarrowAccumulator:
         a[[0, 5, 9]] = [third, third, bound // top - 2 * third]
         b = np.full(30, sign * top, dtype=np.int64)
         out = shifted_copies(a, np.flatnonzero(a), b, 0, 39)
-        assert out.dtype == np.int64 and int(out[9]) == sign * bound
+        assert out.dtype.type is series_module._accumulator(bound)
+        assert int(out[9]) == sign * bound
         assert out.tolist() == exact_window(a, b, 39)
 
     def test_zero_bound_casts_nothing(self):
-        # 40000 does not fit in int16, but a zero b makes B = 0
+        # 40000 does not fit in int16, but a zero b makes B = 0: the result
+        # is zeros of the narrowest type, and no coefficient is cast
         a = np.array([0, 40_000, 0, -3], dtype=np.int64)
+        zero = series_module._accumulator(0)
         for b in (np.zeros(9, dtype=np.int64), np.zeros(0, dtype=np.int64)):
             out = shifted_copies(a, np.flatnonzero(a), b, 2, 12)
-            assert out.dtype == np.int64 and out.tolist() == [0] * 10
+            assert out.dtype.type is zero and out.tolist() == [0] * 10
         nothing = np.zeros(5, dtype=np.int64)
         out = shifted_copies(nothing, np.flatnonzero(nothing), a, 0, 4)
-        assert out.dtype == np.int64 and out.tolist() == [0] * 4
+        assert out.dtype.type is zero and out.tolist() == [0] * 4
 
 
 class TestCoeff:
