@@ -62,6 +62,14 @@ def _parse_form(text: str) -> MixedSumSpec:
     return MixedSumSpec.of(m.group(1), (int(m.group(2)), int(m.group(3)), int(m.group(4))))
 
 
+def _int_fields(flag: str, form: str, pattern: str, text: str) -> list[int]:
+    """The comma-separated integers of a flag's value; a malformed value is
+    refused with the flag and the form it takes."""
+    if not re.fullmatch(pattern, text):
+        raise ValueError(f"expected {flag} {form} (integers), got {text!r}")
+    return [int(x) for x in text.split(",")]
+
+
 def _report_identity(rep) -> tuple[str, dict]:
     payload = {
         "equal": rep.equal,
@@ -90,7 +98,7 @@ def _cmd_expand(args):
     else:
         if args.scale is not None:  # refused rather than silently ignored
             raise ValueError("--scale applies to --name, not to --theta")
-        eps, g, h = (int(x) for x in args.theta.split(","))
+        eps, g, h = _int_fields("--theta", "EPS,G,H", _SIGNED_VALUES["--theta"], args.theta)
         arg = ThetaArg(eps, 2 * g, 2 * h)
         params = {"theta": args.theta, "order": args.order}
     series = theta_expand(arg, 2 * args.order)
@@ -161,7 +169,7 @@ def _cmd_scan(args):
 
 
 def _verify_thm1(args):
-    eps1, eps2, eps3 = (int(x) for x in args.eps.split(","))
+    eps1, eps2, eps3 = _int_fields("--eps", "E1,E2,E3", _SIGNED_VALUES["--theta"], args.eps)
     p = TripleParams(args.k, args.r, args.g, args.h, args.u, args.v,
                      args.i, args.j, eps1, eps2, eps3)
     params = {k: getattr(args, k) for k in ("k", "r", "g", "h", "u", "v", "i", "j")}
@@ -171,7 +179,8 @@ def _verify_thm1(args):
 
 
 def _verify_thm2(args):
-    p = PairParams(args.k, args.r, args.s, args.t, args.i, args.j, int(args.eps))
+    (eps,) = _int_fields("--eps", "E", r"-?\d+", args.eps)
+    p = PairParams(args.k, args.r, args.s, args.t, args.i, args.j, eps)
     params = {k: getattr(args, k) for k in ("k", "r", "s", "t", "i", "j", "eps")}
     params["order"] = args.order
     yield "verify thm2", params, *_report_identity(verify_pair(p, 2 * args.order))

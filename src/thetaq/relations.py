@@ -119,7 +119,6 @@ class RelationStatement:
     lhs: CountRef
     rhs: tuple[CountRef, ...]  # empty tuple states a zero relation
     residue_class: Optional[tuple[int, int]] = None  # (modulus, residue) on N
-    citation: str = ""
     status: str = "empirical"  # pinned | empirical
 
     def __post_init__(self) -> None:
@@ -207,9 +206,24 @@ def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
 # ----------------------------------------------------------------------
 
 
+# the keys each catalog object may hold; a row's note and citation are free text
+_REF_KEYS = ("form", "coeffs", "alpha", "beta", "scalar")
+_ROW_KEYS = ("id", "lhs", "rhs", "residue", "status", "note", "citation")
+
+
+def _refuse_unknown_keys(raw: dict, known: tuple[str, ...], what: str) -> None:
+    """A misspelt key would otherwise load as its default, silently."""
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise ValueError(
+            f"{what} has unknown key {unknown[0]!r}; expected one of {', '.join(known)}"
+        )
+
+
 def _parse_ref(raw) -> CountRef:
     if not isinstance(raw, dict):
         raise ValueError(f"count {raw!r:.60} is not an object")
+    _refuse_unknown_keys(raw, _REF_KEYS, f"count {raw.get('form')!r}")
     coeffs = raw.get("coeffs")
     return CountRef(
         form=raw.get("form"),
@@ -227,6 +241,7 @@ def _parse_relation(raw) -> RelationStatement:
     residue = raw.get("residue")
     rhs = raw.get("rhs", [])
     try:
+        _refuse_unknown_keys(raw, _ROW_KEYS, "row")
         if not isinstance(rhs, list):
             raise ValueError(f"rhs {rhs!r:.60} is not a list of counts")
         lhs = _parse_ref(raw.get("lhs"))
@@ -238,7 +253,6 @@ def _parse_relation(raw) -> RelationStatement:
         lhs=lhs,
         rhs=rhs,
         residue_class=tuple(residue) if isinstance(residue, list) else residue,
-        citation=raw.get("citation", ""),
         status=raw.get("status", "empirical"),
     )
 
@@ -257,6 +271,11 @@ def load_relation_catalog(extra: str | Path | None = None) -> list[RelationState
                 f"catalog {str(extra)!r} is not an object with a 'relations' list"
             )
         relations.extend(_parse_relation(item) for item in rows)
+    seen = set()
+    for rel in relations:
+        if rel.id in seen:  # a second row would shadow or double the first
+            raise ValueError(f"relation {rel.id!r} appears twice in the catalog")
+        seen.add(rel.id)
     return relations
 
 

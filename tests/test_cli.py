@@ -175,6 +175,11 @@ class TestVerify:
         assert code == 0
 
 
+# a well-formed row of an extra catalog: T(1,1,1;N) = T(1,1,1;N)
+_USER_ROW = {"id": "user.bad", "lhs": {"form": "T", "coeffs": [1, 1, 1]},
+             "rhs": [{"form": "T", "coeffs": [1, 1, 1]}]}
+
+
 class TestDomainErrors:
     def test_missing_catalog_is_usage_error(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.json")
@@ -279,12 +284,23 @@ class TestDomainErrors:
         ({"relations": [{"id": "user.bad", "residue": [],
                          "lhs": {"form": "T", "coeffs": [1, 1, 1]}}]},
          "relation 'user.bad': residue class"),
+        ({"relations": [{**_USER_ROW, "stauts": "pinned"}]},
+         "relation 'user.bad': row has unknown key 'stauts'"),
+        ({"relations": [{**_USER_ROW, "rhs": [{"form": "T", "coeffs": [1, 1, 1],
+                                               "scaler": 2}]}]},
+         "relation 'user.bad': count 'T' has unknown key 'scaler'"),
+        ({"relations": [_USER_ROW, _USER_ROW]},
+         "relation 'user.bad' appears twice in the catalog"),
+        ({"relations": [{**_USER_ROW, "id": "Athm1.1"}]},
+         "relation 'Athm1.1' appears twice in the catalog"),
     ], ids=["lhs-int", "rhs-int", "top-list", "row-int", "no-id", "no-relations",
-            "residue-0", "residue-empty"])
+            "residue-0", "residue-empty", "row-key", "count-key", "id-twice-in-file",
+            "id-in-both"])
     def test_malformed_catalog_shape_is_usage_error(self, capsys, tmp_path, catalog,
                                                     prefix):
         # the first three used to escape as TypeError tracebacks with exit 1,
-        # and a residue of 0 or [] was read as no residue class at all
+        # a residue of 0 or [] was read as no residue class at all, "stauts"
+        # loaded as an empirical row and "scaler" as scalar 1
         extra = tmp_path / "extra.json"
         extra.write_text(json.dumps(catalog))
         for argv in (("verify", "relation", "--id", "user.bad"), ("verify", "all")):
@@ -293,6 +309,14 @@ class TestDomainErrors:
             assert err.startswith("error: " + prefix), err
         if prefix == "catalog ":
             assert repr(str(extra)) in err
+
+    def test_note_and_citation_are_free_text(self, capsys, tmp_path):
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps({"relations": [{**_USER_ROW, "note": "a remark",
+                                                    "citation": "T = T"}]}))
+        code, out, _ = run(capsys, "verify", "relation", "--id", "user.bad",
+                           "--nmax", "20", "--catalog", str(extra))
+        assert code == 0 and out.startswith("[info] verify relation id=user.bad")
 
     THM1 =("verify", "thm1", "--k", "2", "--r", "1", "--g", "1", "--h", "0",
             "--u", "1", "--v", "0", "--i", "1", "--j", "1")
@@ -314,6 +338,20 @@ class TestDomainErrors:
         out = capsys.readouterr()
         assert exc.value.code == 2
         assert out.out == "" and "expected a nonnegative integer" in out.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("expand", "--theta", "1,2", "--order", "3"),
+         "expected --theta EPS,G,H (integers), got '1,2'"),
+        (THM1 + ("--eps", "1,1"), "expected --eps E1,E2,E3 (integers), got '1,1'"),
+        (("verify", "thm2", "--k", "2", "--r", "1", "--s", "1", "--t", "1", "--i", "2",
+          "--j", "0", "--eps", "x"), "expected --eps E (integers), got 'x'"),
+    ], ids=["theta", "thm1-eps", "thm2-eps"])
+    def test_malformed_integer_list_names_its_flag(self, capsys, argv, message):
+        # these printed "not enough values to unpack (expected 3, got 2)" and
+        # "invalid literal for int() with base 10: 'x'"
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("modulus,residue", [("4", "5"), ("0", "0"), ("4", "-1")],
                              ids=["r>=m", "m=0", "r<0"])
