@@ -348,11 +348,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Flags whose value may start with '-', which argparse reads as an option.
-_SIGNED_VALUES = {"--theta": r"-?\d+,-?\d+,-?\d+", "--range": r"\s*-?\d+\.\.-?\d+\s*"}
+_SIGNED_VALUES = {
+    "--theta": r"-?\d+,-?\d+,-?\d+",
+    "--range": r"\s*-?\d+\.\.-?\d+\s*",
+    "--eps": r"-?\d+(?:,-?\d+)*",  # thm1's E1,E2,E3 and thm2's E
+}
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """Let `--theta -1,0,3` and `--range -3..-1` parse as `--flag=value`."""
+    """Let `--theta -1,0,3`, `--eps -1,-1,1` and `--range -3..-1` parse as
+    `--flag=value`."""
     out = []
     i = 0
     while i < len(argv):

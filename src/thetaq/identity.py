@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-from .series import HalfPowerSeries, TruncationError
+from .series import HalfPowerSeries, TruncationError, sum_series
 from .theta import ThetaArg, theta_expand
 
 
@@ -71,13 +71,46 @@ class ThetaProduct:
 
 
 def expand_sum(terms: Sequence[ThetaProduct], hi: int) -> HalfPowerSeries:
-    """Expand and add a list of theta products, exact through ``hi``."""
-    total = HalfPowerSeries.zero(hi)
+    """Expand and add a list of theta products, exact through ``hi``.
+
+    Three-factor terms that share their first factor o are expanded by
+    the distributive law, sum_t o * x_t = o * sum_t x_t: the two-factor
+    remainders x_t (with each term's sign and shift) are summed through
+    hi - m, where m = o.min_exponent(), and o is expanded once, through
+    max(hi - v, m), where v is the valuation of that inner sum; the one
+    product is then valid through hi, because each side's bound plus the
+    other side's valuation (at least v, at least m) reaches hi.  No factor
+    is expanded further than in its own term: each remainder factor gets
+    the bound :meth:`ThetaProduct.expand` gives it, and v is at least the
+    least over the group of a term's shift plus its remainder factors'
+    least exponents, so o's bound is at most the largest it had in any
+    one term.  A group whose o is identically zero, or whose inner sum
+    cancels, adds nothing; a group of one term, such as a left side, is
+    expanded as it stands.  Every part is added in one :func:`sum_series`.
+    """
+    parts = []
+    groups: dict[ThetaArg, list[ThetaProduct]] = {}
     for term in terms:
-        total = total + term.expand(hi)
-    if total.hi < hi:
-        raise TruncationError("sum lost validity below the requested bound")
-    return total
+        if len(term.factors) == 3:
+            groups.setdefault(term.factors[0], []).append(term)
+        else:
+            parts.append(term.expand(hi))
+    for outer, group in groups.items():
+        if len(group) == 1:  # nothing to share
+            parts.append(group[0].expand(hi))
+            continue
+        if outer.is_zero_function():
+            continue
+        m = outer.min_exponent()
+        inner = sum_series(
+            [ThetaProduct(t.sign, t.shift, t.factors[1:]).expand(hi - m) for t in group],
+            hi - m,
+        )
+        first = next(inner.items(), None)
+        if first is None:  # the group cancels exactly
+            continue
+        parts.append(theta_expand(outer, max(hi - first[0], m)) * inner)
+    return sum_series(parts, hi)
 
 
 @dataclass(frozen=True)

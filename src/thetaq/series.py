@@ -13,13 +13,14 @@ that bound fits in 64 bits it runs in int64, and otherwise it raises
 :class:`CoefficientOverflowError` before it writes any output.  No
 operation wraps, and none falls back to Python integers.  Every product
 goes through one kernel, :func:`convolve`, which iterates over the
-sparser factor's nonzeros by one of two routes.
+sparser factor's nonzeros by one of two routes, and every sum through
+one, :func:`sum_series`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -112,14 +113,7 @@ class HalfPowerSeries:
     def __add__(self, other: "HalfPowerSeries") -> "HalfPowerSeries":
         if not isinstance(other, HalfPowerSeries):
             return NotImplemented
-        hi = min(self.hi, other.hi)
-        lo = min(self.lo, other.lo)
-        a = self._window(lo, hi)
-        b = other._window(lo, hi)
-        bound = _max_abs(a) + _max_abs(b)
-        if bound > COEFF_LIMIT:
-            raise CoefficientOverflowError(f"sum bound {bound} exceeds the 64-bit width")
-        return HalfPowerSeries(lo, hi, a + b)
+        return sum_series((self, other), min(self.hi, other.hi))
 
     def __neg__(self) -> "HalfPowerSeries":
         return self.scale(-1)
@@ -233,6 +227,31 @@ class HalfPowerSeries:
                 src_lo - self.lo : src_hi - self.lo + 1
             ]
         return out
+
+
+def sum_series(parts: Sequence[HalfPowerSeries], hi: int) -> HalfPowerSeries:
+    """The sum of ``parts``, exact through ``hi``, from the least ``lo``.
+
+    B = the sum over the parts of their largest magnitude through ``hi``
+    bounds every partial sum, so the parts are added in place into one
+    int64 buffer once B is proven to fit in 64 bits; otherwise
+    :class:`CoefficientOverflowError` is raised before any output is
+    written.  A part valid through less than ``hi`` raises
+    :class:`TruncationError`.
+    """
+    for p in parts:
+        if p.hi < hi:
+            raise TruncationError(f"summand only valid through {p.hi}, needed {hi}")
+    lo = min([hi, *(p.lo for p in parts)])
+    # every part starts at or above lo; one ending above hi is cut there
+    windows = [p.coeffs[: max(hi - p.lo + 1, 0)] for p in parts]
+    bound = sum(map(_max_abs, windows))
+    if bound > COEFF_LIMIT:
+        raise CoefficientOverflowError(f"sum bound {bound} exceeds the 64-bit width")
+    out = np.zeros(hi - lo + 1, dtype=np.int64)
+    for p, w in zip(parts, windows):
+        out[p.lo - lo : p.lo - lo + w.size] += w
+    return HalfPowerSeries(lo, hi, out)
 
 
 def _max_abs(arr: np.ndarray) -> int:

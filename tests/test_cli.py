@@ -137,6 +137,23 @@ class TestVerify:
                            "--eps", "-1", "--order", "100")
         assert code == 0
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("thm1", "--k", "2", "--r", "1", "--g", "1", "--h", "0", "--u", "1",
+         "--v", "0", "--i", "1", "--j", "1", "--eps", "-1,-1,1"),
+        ("thm2", "--k", "2", "--r", "1", "--s", "1", "--t", "1", "--i", "2",
+         "--j", "0", "--eps", "-1"),
+    ], ids=["thm1", "thm2"])
+    def test_negative_eps_as_its_own_argument(self, capsys, fmt, argv):
+        # `--eps -1,-1,1` exited 2 with argparse's "expected one argument"
+        code, out, err = run(capsys, "--format", fmt, "verify", *argv, "--order", "60")
+        assert code == 0 and err == ""
+        if fmt == "json":
+            rec = json_records(out)[0]
+            assert rec["status"] == "pass" and rec["params"]["eps"] == argv[-1]
+        else:
+            assert out.startswith(f"[pass] verify {argv[0]} ")
+
     def test_corollary(self, capsys):
         code, out, _ = run(capsys, "verify", "corollary", "--id", "cor1",
                            "--k", "2", "--r", "1", "--order", "100")
@@ -343,9 +360,10 @@ class TestDomainErrors:
         (("expand", "--theta", "1,2", "--order", "3"),
          "expected --theta EPS,G,H (integers), got '1,2'"),
         (THM1 + ("--eps", "1,1"), "expected --eps E1,E2,E3 (integers), got '1,1'"),
+        (THM1 + ("--eps", "-1,1"), "expected --eps E1,E2,E3 (integers), got '-1,1'"),
         (("verify", "thm2", "--k", "2", "--r", "1", "--s", "1", "--t", "1", "--i", "2",
           "--j", "0", "--eps", "x"), "expected --eps E (integers), got 'x'"),
-    ], ids=["theta", "thm1-eps", "thm2-eps"])
+    ], ids=["theta", "thm1-eps", "thm1-negative-eps", "thm2-eps"])
     def test_malformed_integer_list_names_its_flag(self, capsys, argv, message):
         # these printed "not enough values to unpack (expected 3, got 2)" and
         # "invalid literal for int() with base 10: 'x'"

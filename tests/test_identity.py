@@ -3,6 +3,7 @@
 import pytest
 
 from thetaq import identity
+from thetaq.series import HalfPowerSeries
 from thetaq.theta import ThetaArg, theta_expand, theta_special
 from thetaq.identity import (
     PairParams,
@@ -13,6 +14,7 @@ from thetaq.identity import (
     _all_even,
     _reduced_signed_pair,
     load_identity_catalog,
+    pair_lhs,
     pair_rhs,
     signed_pair_params,
     triple_lhs,
@@ -513,14 +515,21 @@ class TestExpansionBound:
     def test_factors_expanded_through_the_exact_bound(self, monkeypatch, through):
         requests = []
         products = []
+        outer = []  # requests made outside any product: shared outer factors
+        sides = []
 
         def spy(arg, hi):
             requests.append((arg, hi))
             return theta_expand(arg, hi)
 
+        def recording_sum(terms, hi):
+            sides.append((terms, hi))
+            return expand_sum(terms, hi)
+
         expand = ThetaProduct.expand
 
         def checked_expand(self, hi):
+            outer.extend(requests)
             requests.clear()
             out = expand(self, hi)
             want = []
@@ -531,11 +540,175 @@ class TestExpansionBound:
             assert requests == want
             assert out.hi >= hi
             products.append(self)
+            requests.clear()
             return out
 
         monkeypatch.setattr(identity, "theta_expand", spy)
+        monkeypatch.setattr(identity, "expand_sum", recording_sum)
         monkeypatch.setattr(ThetaProduct, "expand", checked_expand)
         entries = load_identity_catalog()
         for entry in entries:
             assert entry.verify(through).ok, entry.id
+        outer.extend(requests)
         assert len(products) > 2 * len(entries)
+        monkeypatch.undo()
+        assert outer == [req for terms, hi in sides for req in outer_requests(terms, hi)]
+        assert outer
+
+    @pytest.mark.parametrize("eid", ["thm1.Athm1", "thm1.k4r1.1", "thm1.k6r1.1"])
+    def test_each_shared_outer_factor_is_expanded_once(self, monkeypatch, eid):
+        # Term by term, every three-factor product costs 3 expansions and 2
+        # products, so the left side and the 2k right-side terms cost 6k+3
+        # and 4k+2.  Grouped, the left side (a one-term group) still costs
+        # 3 and 2; each of the 2k two-factor remainders costs 2 and 1; and
+        # each of the two outer factors, block 1's and the one blocks 2 and
+        # 3 share, is expanded once and multiplied once: 3 + 4k + 2 = 4k+5
+        # expansions and 2 + 2k + 2 = 2k+4 products.
+        p = TripleParams(**{e.id: e for e in load_identity_catalog()}[eid].params)
+        terms = [triple_lhs(p)] + triple_rhs(p)
+        assert not any(f.is_zero_function() for t in terms for f in t.factors)
+        assert len({t.factors[0] for t in terms[1:]}) == 2
+        expansions, products = [], []
+        mul = HalfPowerSeries.__mul__
+
+        def counting_expand(arg, hi):
+            expansions.append(arg)
+            return theta_expand(arg, hi)
+
+        def counting_mul(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(identity, "theta_expand", counting_expand)
+        monkeypatch.setattr(HalfPowerSeries, "__mul__", counting_mul)
+        for term in terms:
+            term.expand(120)
+        assert (len(expansions), len(products)) == (6 * p.k + 3, 4 * p.k + 2)
+        expansions.clear()
+        products.clear()
+        assert verify_triple(p, 120).ok
+        assert (len(expansions), len(products)) == (4 * p.k + 5, 2 * p.k + 4)
+
+
+def term_sum(terms, hi) -> dict:
+    """Nonzero coefficients through ``hi`` of the sum of each term's own
+    expansion, added one coefficient at a time in Python integers."""
+    total: dict = {}
+    for t in terms:
+        for e, c in t.expand(hi).items():
+            if e <= hi:
+                total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def shared_groups(terms) -> dict:
+    """Three-factor terms of two or more by their first factor."""
+    groups: dict = {}
+    for t in terms:
+        if len(t.factors) == 3:
+            groups.setdefault(t.factors[0], []).append(t)
+    return {f: g for f, g in groups.items() if len(g) > 1}
+
+
+def outer_requests(terms, hi) -> list:
+    """(factor, bound) of each shared outer factor that :func:`expand_sum`
+    expands: through hi - v, where v is the valuation of the summed
+    remainders, and never below the factor's least exponent m."""
+    out = []
+    for f, group in shared_groups(terms).items():
+        if f.is_zero_function():
+            continue
+        m = f.min_exponent()
+        inner = term_sum([ThetaProduct(t.sign, t.shift, t.factors[1:]) for t in group], hi - m)
+        if not inner:
+            continue
+        bound = max(hi - min(inner), m)
+        # no further than in any one term expanded as it stands
+        assert bound <= max(
+            max(hi - t.shift - sum(g.min_exponent() for g in t.factors[1:]), m)
+            for t in group
+        )
+        out.append((f, bound))
+    return out
+
+
+def entry_sides(entry):
+    if entry.kind == "thm1":
+        p = TripleParams(**entry.params)
+        return [triple_lhs(p)], triple_rhs(p)
+    if entry.kind == "thm2":
+        p = PairParams(**entry.params)
+        return [pair_lhs(p)], pair_rhs(p)
+    params = dict(entry.params)
+    return instantiate_corollary(params.pop("id"), **params)
+
+
+PHI = theta_special("phi")
+NEG = ThetaArg(1, -2, 6)  # least exponent -2
+SGN = ThetaArg(-1, 2, 4)
+PSI = theta_special("psi")
+ZERO = ThetaArg(-1, 0, 4)  # f(-1, -q^2) vanishes identically
+
+
+class TestGroupedSum:
+    """The grouped expansion equals the sum of every term's own expansion."""
+
+    @pytest.mark.parametrize("hi", [9, 150])
+    def test_every_catalog_side(self, hi):
+        for entry in load_identity_catalog():
+            for side in entry_sides(entry):
+                got = expand_sum(side, hi)
+                assert got.hi == hi
+                assert dict(got.items()) == term_sum(side, hi), entry.id
+
+    @pytest.mark.parametrize("hi", [0, 5, 60])
+    @pytest.mark.parametrize("terms", [
+        [ThetaProduct(1, 0, (PHI,)),
+         ThetaProduct(-1, 3, (SGN, PSI)),
+         ThetaProduct(1, -4, (NEG, PHI, SGN)),
+         ThetaProduct(-1, 2, (NEG, PSI, NEG)),
+         ThetaProduct(1, 1, (PHI, NEG, PSI)),
+         ThetaProduct(-1, -1, (NEG, SGN, SGN))],
+        [ThetaProduct(1, 0, (ZERO, PHI, SGN)),
+         ThetaProduct(-1, 5, (ZERO, PSI, PSI)),
+         ThetaProduct(1, 0, (SGN, NEG))],
+        [ThetaProduct(1, 2, (PSI, PHI, SGN)),
+         ThetaProduct(-1, 2, (PSI, SGN, PHI)),
+         ThetaProduct(1, -3, (NEG, NEG, PHI))],
+        [ThetaProduct(-1, -2, (NEG, PHI, PSI))],
+        [ThetaProduct(1, -2, (SGN, NEG, NEG)),
+         ThetaProduct(1, 0, (PHI, NEG, SGN)),
+         ThetaProduct(-1, 4, (PSI,))],
+    ], ids=["mixed", "zero-outer", "cancelling", "one-term", "one-term-groups"])
+    def test_hand_built(self, monkeypatch, terms, hi):
+        outer = []  # requests made outside any product: shared outer factors
+        inside = []
+        expand = ThetaProduct.expand
+
+        def spy(arg, bound):
+            if not inside:
+                outer.append((arg, bound))
+            return theta_expand(arg, bound)
+
+        def marked_expand(self, bound):
+            inside.append(self)
+            try:
+                return expand(self, bound)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(identity, "theta_expand", spy)
+        monkeypatch.setattr(ThetaProduct, "expand", marked_expand)
+        got = expand_sum(terms, hi)
+        monkeypatch.undo()
+        assert got.hi == hi
+        assert dict(got.items()) == term_sum(terms, hi)
+        # a shared outer factor is expanded once, through its exact bound,
+        # and a vanishing or cancelled group's never
+        assert outer == outer_requests(terms, hi)
+
+    def test_cancelling_group_adds_nothing(self):
+        terms = [ThetaProduct(1, 2, (PSI, PHI, SGN)), ThetaProduct(-1, 2, (PSI, SGN, PHI))]
+        assert term_sum(terms, 40) == {}
+        assert expand_sum(terms, 40).is_zero()
+        assert outer_requests(terms, 40) == []

@@ -13,6 +13,7 @@ from thetaq.series import (
     TruncationError,
     convolve,
     shifted_copies,
+    sum_series,
 )
 from thetaq import series as series_module
 from thetaq.theta import theta_expand, theta_special
@@ -74,6 +75,41 @@ class TestAdd:
         assert total.hi == 6
         # frozen by hand: phi 1,2,0,0 and psi 1,1,0,1 through q^3
         assert [total.coeff(2 * n) for n in range(4)] == [2, 3, 0, 1]
+
+
+class TestSumSeries:
+    """Any number of parts added in one buffer under one bound: the sum
+    over the parts of their largest magnitude through ``hi``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(small_series, st.integers(-4, 30)), min_size=1, max_size=5),
+           st.integers(-8, 12))
+    def test_python_integer_sum(self, shifted, hi):
+        # some parts start above hi and add nothing
+        parts = [s.shift(d) for s, d in shifted if s.hi + d >= hi]
+        assume(parts)
+        total = sum_series(parts, hi)
+        lo = min(hi, *(p.lo for p in parts))
+        assert (total.lo, total.hi) == (lo, hi)
+        assert total.coeffs.tolist() == [
+            sum(p.coeff(e) for p in parts) for e in range(lo, hi + 1)
+        ]
+
+    def test_bound_is_the_sum_of_the_largest_magnitudes(self, monkeypatch):
+        # the exact sum stays within 2, but a partial sum may reach 2 + 2;
+        # the 50 lies above hi and is not added
+        parts = [series_of({0: 2}, 3), series_of({1: 2}, 3),
+                 series_of({0: -3, 2: 1}, 3), series_of({4: 50}, 6)]
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", 7)
+        total = sum_series(parts, 3)
+        assert (total.lo, total.coeffs.tolist()) == (0, [-1, 2, 1, 0])
+        monkeypatch.setattr(series_module, "COEFF_LIMIT", 6)
+        with pytest.raises(CoefficientOverflowError, match="sum bound 7 exceeds"):
+            sum_series(parts, 3)
+
+    def test_short_part_raises(self):
+        with pytest.raises(TruncationError, match="only valid through 2, needed 3"):
+            sum_series([series_of({0: 1}, 5), series_of({0: 1}, 2)], 3)
 
 
 class TestMul:
