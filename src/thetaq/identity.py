@@ -19,8 +19,16 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-from .series import HalfPowerSeries, TruncationError, sum_series
-from .theta import ThetaArg, theta_expand
+import numpy as np
+
+from .series import (
+    COEFF_LIMIT,
+    CoefficientOverflowError,
+    HalfPowerSeries,
+    _PAIR_BLOCK,
+    sum_series,
+)
+from .theta import ThetaArg, term_exponents, theta_expand
 
 
 @dataclass(frozen=True)
@@ -38,79 +46,137 @@ class ThetaProduct:
             raise ValueError("a theta product carries one to three factors")
 
     def expand(self, hi: int) -> HalfPowerSeries:
-        """Expansion exact through ``hi`` half-units.
-
-        A product of series is valid through the least of each factor's
-        bound plus the other's valuation, and a factor's valuation is at
-        least its least exponent m.  So factor f is expanded through
-        exactly hi - shift - (total_min - m_f), where total_min sums every
-        factor's m, and the product is then valid through at least hi;
-        :class:`TruncationError` guards the result all the same.  An
-        identically-zero factor zeroes the whole term.
-        """
-        if any(f.is_zero_function() for f in self.factors):
-            return HalfPowerSeries.zero(max(hi, 0), min(0, hi))
-        mins = [f.min_exponent() for f in self.factors]
-        total_min = sum(mins)
-        series: Optional[HalfPowerSeries] = None
-        for f, m in zip(self.factors, mins):
-            bound = hi - self.shift - (total_min - m)
-            # below its own least exponent m a factor would come back
-            # valid through less than m, short of the bound the product needs
-            part = theta_expand(f, max(bound, m))
-            series = part if series is None else series * part
-        assert series is not None
-        out = series.shift(self.shift)
-        if self.sign == -1:
-            out = -out
-        if out.hi < hi:
-            raise TruncationError(
-                f"product only valid through {out.hi}, needed {hi}"
-            )
-        return out
+        """Expansion exact through ``hi`` half-units: :func:`expand_sum`
+        of this one term."""
+        return expand_sum((self,), hi)
 
 
 def expand_sum(terms: Sequence[ThetaProduct], hi: int) -> HalfPowerSeries:
     """Expand and add a list of theta products, exact through ``hi``.
 
-    Three-factor terms that share their first factor o are expanded by
-    the distributive law, sum_t o * x_t = o * sum_t x_t: the two-factor
-    remainders x_t (with each term's sign and shift) are summed through
-    hi - m, where m = o.min_exponent(), and o is expanded once, through
-    max(hi - v, m), where v is the valuation of that inner sum; the one
-    product is then valid through hi, because each side's bound plus the
-    other side's valuation (at least v, at least m) reaches hi.  No factor
-    is expanded further than in its own term: each remainder factor gets
-    the bound :meth:`ThetaProduct.expand` gives it, and v is at least the
-    least over the group of a term's shift plus its remainder factors'
-    least exponents, so o's bound is at most the largest it had in any
-    one term.  A group whose o is identically zero, or whose inner sum
-    cancels, adds nothing; a group of one term, such as a left side, is
-    expanded as it stands.  Every part is added in one :func:`sum_series`.
+    Terms of one or two factors are added in one :func:`_pair_scatter`
+    through ``hi``.  Three-factor terms are grouped by their first factor
+    o and expanded by the distributive law, sum_t o * x_t = o * sum_t x_t:
+    the two-factor remainders x_t (with each term's sign and shift) are
+    added in one :func:`_pair_scatter` through hi - m, where
+    m = o.min_exponent(), and o is expanded once, through max(hi - v, m),
+    where v is the valuation of that inner sum; the one product is then
+    valid through hi, because each side's bound plus the other side's
+    valuation (at least v, at least m) reaches hi.  A group of one term,
+    such as a left side, takes the same route.  A group whose o is
+    identically zero, or whose inner sum cancels, adds nothing.  Every
+    part is added in one :func:`sum_series`.
     """
-    parts = []
+    flat = []
     groups: dict[ThetaArg, list[ThetaProduct]] = {}
     for term in terms:
         if len(term.factors) == 3:
             groups.setdefault(term.factors[0], []).append(term)
         else:
-            parts.append(term.expand(hi))
+            flat.append((term.sign, term.shift, term.factors))
+    parts = [_pair_scatter(flat, hi)] if flat else []
     for outer, group in groups.items():
-        if len(group) == 1:  # nothing to share
-            parts.append(group[0].expand(hi))
-            continue
         if outer.is_zero_function():
             continue
         m = outer.min_exponent()
-        inner = sum_series(
-            [ThetaProduct(t.sign, t.shift, t.factors[1:]).expand(hi - m) for t in group],
-            hi - m,
-        )
+        inner = _pair_scatter([(t.sign, t.shift, t.factors[1:]) for t in group], hi - m)
         first = next(inner.items(), None)
         if first is None:  # the group cancels exactly
             continue
         parts.append(theta_expand(outer, max(hi - first[0], m)) * inner)
     return sum_series(parts, hi)
+
+
+_NO_FACTOR = ((1, np.zeros(1, dtype=np.int64)),)  # the one term of a constant 1
+
+
+def _pair_scatter(terms, hi: int) -> HalfPowerSeries:
+    """The sum over ``terms`` of sign * q^(shift/2) * f1 * f2, exact
+    through ``hi``; a term of one factor carries the constant 1 as f2.
+
+    f1 * f2 is the sum over index pairs (n1, n2) of
+    eps1^n1 * eps2^n2 * q^((e1 + e2)/2), so each coefficient counts the
+    pairs whose exponent sum shift + e1 + e2 lands on it: the plus pairs
+    and the minus pairs are counted by two unweighted ``np.bincount``
+    calls into one int64 array.  Each factor's term exponents are taken
+    through exactly hi - shift - m_other, m_other the other factor's
+    least exponent, past which no pair reaches hi.  A term with an
+    identically-zero factor adds nothing.
+
+    Every coefficient and every partial count is at most the number of
+    pairs P, and every exponent sum formed is at most
+    R = max|e1| + max|e2| + |shift| in magnitude.  Both are checked
+    against ``COEFF_LIMIT`` before the output is allocated, and
+    :class:`CoefficientOverflowError` is raised past it.  The pairs are
+    formed after the output exists, ``_PAIR_BLOCK`` at a time.
+    """
+    lo, pairs, reach = hi, 0, 0
+    blocks = []  # (sign, shift, parity classes of f1, of f2)
+    for sign, shift, factors in terms:
+        if any(f.is_zero_function() for f in factors):
+            continue
+        mins = [f.min_exponent() for f in factors]
+        total = sum(mins)
+        lo = min(lo, shift + total)
+        sides, term_pairs, term_reach = [], 1, abs(shift)
+        for f, m in zip(factors, mins):
+            n_lo, e = term_exponents(f, hi - shift - (total - m))
+            if e.size:  # the least exponent m sits between the two ends
+                term_reach += max(int(e[0]), int(e[-1]), -m)
+            term_pairs *= e.size
+            if f.eps == 1:
+                sides.append(((1, e),))
+            else:  # eps^n: + on the even indices n, - on the odd
+                even = n_lo % 2
+                sides.append(((1, e[even::2]), (-1, e[1 - even :: 2])))
+        if len(sides) == 1:
+            sides.append(_NO_FACTOR)
+        pairs += term_pairs
+        reach = max(reach, term_reach)
+        blocks.append((sign, shift, *sides))
+    if pairs > COEFF_LIMIT:
+        raise CoefficientOverflowError(f"pair count {pairs} exceeds the 64-bit width")
+    if reach > COEFF_LIMIT:
+        raise CoefficientOverflowError(f"exponent sum bound {reach} exceeds the 64-bit width")
+    out = np.zeros(hi - lo + 1, dtype=np.int64)
+    held: dict[int, list] = {1: [], -1: []}
+    count = 0
+    for sign, shift, ones, twos in blocks:
+        for s1, e1 in ones:
+            for s2, e2 in twos:
+                for cols in _pair_sums(e1, e2 + shift):
+                    kept = cols[cols <= hi] - lo
+                    if count + kept.size > _PAIR_BLOCK:
+                        _count_pairs(out, held)
+                        count = 0
+                    held[sign * s1 * s2].append(kept)
+                    count += kept.size
+    _count_pairs(out, held)
+    return HalfPowerSeries(lo, hi, out)
+
+
+def _pair_sums(a: np.ndarray, b: np.ndarray):
+    """Every sum a[i] + b[j], at most ``_PAIR_BLOCK`` at a time."""
+    if a.size == 0 or b.size == 0:
+        return
+    cols = min(b.size, _PAIR_BLOCK)
+    rows = _PAIR_BLOCK // cols
+    for j in range(0, b.size, cols):
+        for i in range(0, a.size, rows):
+            yield (a[i : i + rows, None] + b[j : j + cols]).ravel()
+
+
+def _count_pairs(out: np.ndarray, held: dict[int, list]) -> None:
+    """Add the held plus pairs' counts to ``out``, subtract the minus
+    pairs' counts, and empty both lists."""
+    for sign, idx in held.items():
+        if idx:
+            counts = np.bincount(np.concatenate(idx))
+            if sign == 1:
+                out[: counts.size] += counts
+            else:
+                out[: counts.size] -= counts
+            idx.clear()
 
 
 @dataclass(frozen=True)

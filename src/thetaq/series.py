@@ -268,7 +268,7 @@ def _max_abs(arr: np.ndarray) -> int:
 # np.add.at costs about twenty.
 _SHIFT_OVERHEAD = 2000
 _PAIR_COST = 20
-_PAIR_BLOCK = 1 << 16  # pairwise products scattered per np.add.at call
+_PAIR_BLOCK = 1 << 16  # pairs formed at a time by a pairwise scatter
 # Output columns the shifted copies fill at a time in int64: a tile is
 # 2^18 bytes, and a narrower accumulator fills 8 // itemsize times as many.
 _SHIFT_TILE = 1 << 15

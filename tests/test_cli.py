@@ -476,6 +476,15 @@ class TestOverflow:
         assert code == 2 and out == ""
         assert err.startswith("error: not enough memory: Unable to allocate")
 
+    def test_identity_past_memory_is_usage_error(self, capsys):
+        # through 2 * 10^11 half-units the left side's pair scatter asks
+        # for a 1.46 TiB output array; it must ask before it forms a pair
+        code, out, err = run(capsys, "verify", "thm1", "--k", "2", "--r", "1", "--g", "1",
+                             "--h", "0", "--u", "1", "--v", "0", "--i", "1", "--j", "1",
+                             "--order", "100000000000")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: not enough memory: Unable to allocate 1.46 TiB")
+
     def test_records_stream_and_an_error_stops_the_stream(self, capsys, monkeypatch):
         # Athm1 has two relations: the first record prints before the second
         # one's check raises, so a buffered loop would print none

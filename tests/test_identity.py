@@ -1,10 +1,22 @@
 """Product decompositions: validation, term counts, display cross-checks."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaq import identity
-from thetaq.series import HalfPowerSeries
-from thetaq.theta import ThetaArg, theta_expand, theta_special
+from thetaq.series import CoefficientOverflowError, HalfPowerSeries
+from thetaq.theta import (
+    ThetaArg,
+    jacobi_triple_product,
+    term_exponents,
+    theta_expand,
+    theta_normalize,
+    theta_special,
+)
 from thetaq.identity import (
     PairParams,
     ThetaProduct,
@@ -507,119 +519,155 @@ class TestCatalog:
 
 
 class TestExpansionBound:
-    """A product is valid through the least of each factor's bound plus
-    the other's valuation, so each factor is expanded through exactly
-    the bound the target needs, and no further."""
+    """Each scatter term's factors are asked for their term exponents
+    through exactly the bound the target needs, and each outer factor is
+    expanded once, through its exact bound, and no further."""
 
     @pytest.mark.parametrize("through", [0, 7, 120])
     def test_factors_expanded_through_the_exact_bound(self, monkeypatch, through):
-        requests = []
-        products = []
-        outer = []  # requests made outside any product: shared outer factors
+        events = spy_requests(monkeypatch)
         sides = []
 
-        def spy(arg, hi):
-            requests.append((arg, hi))
-            return theta_expand(arg, hi)
-
         def recording_sum(terms, hi):
-            sides.append((terms, hi))
+            sides.append((list(terms), hi))
             return expand_sum(terms, hi)
 
-        expand = ThetaProduct.expand
-
-        def checked_expand(self, hi):
-            outer.extend(requests)
-            requests.clear()
-            out = expand(self, hi)
-            want = []
-            if not any(f.is_zero_function() for f in self.factors):
-                mins = [f.min_exponent() for f in self.factors]
-                want = [(f, max(hi - self.shift - (sum(mins) - m), m))
-                        for f, m in zip(self.factors, mins)]
-            assert requests == want
-            assert out.hi >= hi
-            products.append(self)
-            requests.clear()
-            return out
-
-        monkeypatch.setattr(identity, "theta_expand", spy)
         monkeypatch.setattr(identity, "expand_sum", recording_sum)
-        monkeypatch.setattr(ThetaProduct, "expand", checked_expand)
         entries = load_identity_catalog()
         for entry in entries:
             assert entry.verify(through).ok, entry.id
-        outer.extend(requests)
-        assert len(products) > 2 * len(entries)
         monkeypatch.undo()
-        assert outer == [req for terms, hi in sides for req in outer_requests(terms, hi)]
-        assert outer
+        assert len(sides) == 2 * len(entries)
+        assert events == [req for terms, hi in sides for req in route_requests(terms, hi)]
+        assert {kind for kind, _, _ in events} == {"terms", "theta"}
 
     @pytest.mark.parametrize("eid", ["thm1.Athm1", "thm1.k4r1.1", "thm1.k6r1.1"])
     def test_each_shared_outer_factor_is_expanded_once(self, monkeypatch, eid):
-        # Term by term, every three-factor product costs 3 expansions and 2
-        # products, so the left side and the 2k right-side terms cost 6k+3
-        # and 4k+2.  Grouped, the left side (a one-term group) still costs
-        # 3 and 2; each of the 2k two-factor remainders costs 2 and 1; and
-        # each of the two outer factors, block 1's and the one blocks 2 and
-        # 3 share, is expanded once and multiplied once: 3 + 4k + 2 = 4k+5
-        # expansions and 2 + 2k + 2 = 2k+4 products.
+        # Every two-factor remainder is a pair scatter: no theta expansion
+        # and no product.  Term by term, each of the left side and the 2k
+        # right-side terms expands its outer factor once and multiplies
+        # once, 2k+1 of each; grouped, the left side and the two outer
+        # factors, block 1's and the one blocks 2 and 3 share, cost 3 and 3.
         p = TripleParams(**{e.id: e for e in load_identity_catalog()}[eid].params)
         terms = [triple_lhs(p)] + triple_rhs(p)
         assert not any(f.is_zero_function() for t in terms for f in t.factors)
         assert len({t.factors[0] for t in terms[1:]}) == 2
-        expansions, products = [], []
-        mul = HalfPowerSeries.__mul__
-
-        def counting_expand(arg, hi):
-            expansions.append(arg)
-            return theta_expand(arg, hi)
-
-        def counting_mul(a, b):
-            products.append((a, b))
-            return mul(a, b)
-
-        monkeypatch.setattr(identity, "theta_expand", counting_expand)
-        monkeypatch.setattr(HalfPowerSeries, "__mul__", counting_mul)
+        expansions, products = count_route(monkeypatch)
         for term in terms:
             term.expand(120)
-        assert (len(expansions), len(products)) == (6 * p.k + 3, 4 * p.k + 2)
+        assert (len(expansions), len(products)) == (2 * p.k + 1, 2 * p.k + 1)
         expansions.clear()
         products.clear()
         assert verify_triple(p, 120).ok
-        assert (len(expansions), len(products)) == (4 * p.k + 5, 2 * p.k + 4)
+        assert (len(expansions), len(products)) == (3, 3)
+
+    def test_two_factor_sides_expand_no_theta(self, monkeypatch):
+        # thm2 and the signed pairs carry two factors a term on both sides
+        entries = [e for e in load_identity_catalog()
+                   if e.kind == "thm2" or e.params.get("id", "").startswith("clp2")]
+        assert len(entries) > 20
+        expansions, products = count_route(monkeypatch)
+        for entry in entries:
+            assert entry.verify(120).ok, entry.id
+            assert (len(expansions), len(products)) == (0, 0), entry.id
 
 
-def term_sum(terms, hi) -> dict:
-    """Nonzero coefficients through ``hi`` of the sum of each term's own
-    expansion, added one coefficient at a time in Python integers."""
+def count_route(monkeypatch):
+    """Lists that collect each theta expansion and each series product."""
+    expansions, products = [], []
+    mul = HalfPowerSeries.__mul__
+
+    def counting_expand(arg, hi):
+        expansions.append(arg)
+        return theta_expand(arg, hi)
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(identity, "theta_expand", counting_expand)
+    monkeypatch.setattr(HalfPowerSeries, "__mul__", counting_mul)
+    return expansions, products
+
+
+def spy_requests(monkeypatch) -> list:
+    """A list that collects ("terms", f, bound) for each term-exponent
+    request and ("theta", f, bound) for each theta expansion, in order."""
+    events = []
+
+    def terms_spy(arg, bound):
+        events.append(("terms", arg, bound))
+        return term_exponents(arg, bound)
+
+    def theta_spy(arg, bound):
+        events.append(("theta", arg, bound))
+        return theta_expand(arg, bound)
+
+    monkeypatch.setattr(identity, "term_exponents", terms_spy)
+    monkeypatch.setattr(identity, "theta_expand", theta_spy)
+    return events
+
+
+def product_oracle(terms, hi) -> dict:
+    """Nonzero coefficients through ``hi`` of the sum of the terms.
+
+    Each factor is cleared of a negative exponent by theta_normalize and
+    expanded by the Jacobi triple product, the factors are multiplied by
+    ``np.convolve``, and the terms are added in Python integers: no
+    route of :func:`expand_sum` is used.  A normalized factor starts at
+    q^0, so the term's least exponent is its shift plus the factors'
+    normalizing shifts, and every factor is needed through hi minus that.
+    """
     total: dict = {}
     for t in terms:
-        for e, c in t.expand(hi).items():
-            if e <= hi:
-                total[e] = total.get(e, 0) + c
+        if any(f.is_zero_function() for f in t.factors):
+            continue
+        norms = [theta_normalize(f) for f in t.factors]
+        low = t.shift + sum(n.shift for n in norms)
+        top = hi - low
+        if top < 0:
+            continue
+        sign, prod = t.sign, np.ones(1, dtype=np.int64)
+        for n in norms:
+            sign *= n.sign
+            prod = np.convolve(prod, jacobi_triple_product(n.arg, top).coeffs)[: top + 1]
+        for i in np.flatnonzero(prod).tolist():
+            total[low + i] = total.get(low + i, 0) + sign * int(prod[i])
     return {e: c for e, c in total.items() if c}
 
 
-def shared_groups(terms) -> dict:
-    """Three-factor terms of two or more by their first factor."""
+def scatter_requests(terms, hi) -> list:
+    """Term-exponent requests of one pair scatter through ``hi``: each
+    factor of a term without a vanishing factor, through exactly
+    hi - shift - m_other, m_other the other factor's least exponent."""
+    out = []
+    for t in terms:
+        if any(f.is_zero_function() for f in t.factors):
+            continue
+        mins = [f.min_exponent() for f in t.factors]
+        out += [("terms", f, hi - t.shift - (sum(mins) - m)) for f, m in zip(t.factors, mins)]
+    return out
+
+
+def route_requests(terms, hi) -> list:
+    """Every request :func:`expand_sum` makes, in order: one scatter of
+    the one- and two-factor terms through hi, then per outer factor o,
+    by first appearance, one scatter of its group's remainders through
+    hi - m and, unless o vanishes or the remainders cancel, o's expansion
+    through max(hi - v, m), where m = o.min_exponent() and v is the
+    valuation of the summed remainders."""
+    out = scatter_requests([t for t in terms if len(t.factors) < 3], hi)
     groups: dict = {}
     for t in terms:
         if len(t.factors) == 3:
             groups.setdefault(t.factors[0], []).append(t)
-    return {f: g for f, g in groups.items() if len(g) > 1}
-
-
-def outer_requests(terms, hi) -> list:
-    """(factor, bound) of each shared outer factor that :func:`expand_sum`
-    expands: through hi - v, where v is the valuation of the summed
-    remainders, and never below the factor's least exponent m."""
-    out = []
-    for f, group in shared_groups(terms).items():
+    for f, group in groups.items():
         if f.is_zero_function():
             continue
         m = f.min_exponent()
-        inner = term_sum([ThetaProduct(t.sign, t.shift, t.factors[1:]) for t in group], hi - m)
+        rest = [ThetaProduct(t.sign, t.shift, t.factors[1:]) for t in group]
+        out += scatter_requests(rest, hi - m)
+        inner = product_oracle(rest, hi - m)
         if not inner:
             continue
         bound = max(hi - min(inner), m)
@@ -628,7 +676,7 @@ def outer_requests(terms, hi) -> list:
             max(hi - t.shift - sum(g.min_exponent() for g in t.factors[1:]), m)
             for t in group
         )
-        out.append((f, bound))
+        out.append(("theta", f, bound))
     return out
 
 
@@ -648,18 +696,60 @@ NEG = ThetaArg(1, -2, 6)  # least exponent -2
 SGN = ThetaArg(-1, 2, 4)
 PSI = theta_special("psi")
 ZERO = ThetaArg(-1, 0, 4)  # f(-1, -q^2) vanishes identically
+UNIT = ThetaArg(1, 0, 2)  # f(1, q): every exponent taken twice
+DEEP = ThetaArg(1, -20, 22)  # least exponent -110
+
+
+@st.composite
+def theta_args(draw):
+    """A convergent ThetaArg, either sign, one exponent possibly negative."""
+    a = draw(st.integers(-6, 12))
+    b = draw(st.integers(max(0, 1 - a), 12))
+    if draw(st.booleans()):
+        a, b = b, a
+    return ThetaArg(draw(st.sampled_from([1, -1])), a, b)
+
+
+@st.composite
+def sides(draw):
+    """Terms of one to three factors drawn from a small pool, so that
+    three-factor terms share their first factor."""
+    pool = draw(st.lists(st.one_of(st.sampled_from([PHI, NEG, SGN, PSI, ZERO]),
+                                   theta_args()), min_size=1, max_size=4))
+    return draw(st.lists(st.builds(
+        ThetaProduct,
+        st.sampled_from([1, -1]),
+        st.integers(-12, 12),
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(tuple),
+    ), min_size=1, max_size=6))
 
 
 class TestGroupedSum:
-    """The grouped expansion equals the sum of every term's own expansion."""
+    """The grouped expansion equals the sum of every term's product of
+    Jacobi triple products."""
 
-    @pytest.mark.parametrize("hi", [9, 150])
+    @pytest.mark.parametrize("hi", [9, 150, 800])
     def test_every_catalog_side(self, hi):
         for entry in load_identity_catalog():
             for side in entry_sides(entry):
                 got = expand_sum(side, hi)
                 assert got.hi == hi
-                assert dict(got.items()) == term_sum(side, hi), entry.id
+                assert dict(got.items()) == product_oracle(side, hi), entry.id
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=sides(), hi=st.integers(-4, 200))
+    def test_random_sides(self, terms, hi):
+        got = expand_sum(terms, hi)
+        assert got.hi == hi
+        assert dict(got.items()) == product_oracle(terms, hi)
+
+    def test_below_every_least_exponent(self):
+        terms = [ThetaProduct(1, 5, (PHI, NEG)), ThetaProduct(-1, 2, (NEG, SGN, NEG)),
+                 ThetaProduct(1, -1, (NEG,))]
+        hi = min(t.shift + sum(f.min_exponent() for f in t.factors) for t in terms) - 1
+        got = expand_sum(terms, hi)
+        assert got.hi == hi and got.is_zero()
+        assert product_oracle(terms, hi) == {}
 
     @pytest.mark.parametrize("hi", [0, 5, 60])
     @pytest.mark.parametrize("terms", [
@@ -681,34 +771,99 @@ class TestGroupedSum:
          ThetaProduct(-1, 4, (PSI,))],
     ], ids=["mixed", "zero-outer", "cancelling", "one-term", "one-term-groups"])
     def test_hand_built(self, monkeypatch, terms, hi):
-        outer = []  # requests made outside any product: shared outer factors
-        inside = []
-        expand = ThetaProduct.expand
-
-        def spy(arg, bound):
-            if not inside:
-                outer.append((arg, bound))
-            return theta_expand(arg, bound)
-
-        def marked_expand(self, bound):
-            inside.append(self)
-            try:
-                return expand(self, bound)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(identity, "theta_expand", spy)
-        monkeypatch.setattr(ThetaProduct, "expand", marked_expand)
+        events = spy_requests(monkeypatch)
         got = expand_sum(terms, hi)
         monkeypatch.undo()
         assert got.hi == hi
-        assert dict(got.items()) == term_sum(terms, hi)
-        # a shared outer factor is expanded once, through its exact bound,
-        # and a vanishing or cancelled group's never
-        assert outer == outer_requests(terms, hi)
+        assert dict(got.items()) == product_oracle(terms, hi)
+        # each scatter factor is asked through its exact bound, each outer
+        # factor is expanded once, through its exact bound, and a
+        # vanishing or cancelled group's never
+        assert events == route_requests(terms, hi)
 
     def test_cancelling_group_adds_nothing(self):
         terms = [ThetaProduct(1, 2, (PSI, PHI, SGN)), ThetaProduct(-1, 2, (PSI, SGN, PHI))]
-        assert term_sum(terms, 40) == {}
+        assert product_oracle(terms, 40) == {}
         assert expand_sum(terms, 40).is_zero()
-        assert outer_requests(terms, 40) == []
+        assert [kind for kind, _, _ in route_requests(terms, 40)] == ["terms"] * 4
+
+
+def scatter_bounds(terms, hi) -> tuple[int, int]:
+    """(P, R): the pair count of a scatter through ``hi`` and the largest
+    max|e1| + max|e2| + |shift| over its terms."""
+    pairs, reach = 0, 0
+    for sign, shift, factors in terms:
+        mins = [f.min_exponent() for f in factors]
+        exps = [term_exponents(f, hi - shift - (sum(mins) - m))[1].tolist()
+                for f, m in zip(factors, mins)]
+        pairs += math.prod(len(e) for e in exps)
+        reach = max(reach, abs(shift) + sum(max(map(abs, e), default=0) for e in exps))
+    return pairs, reach
+
+
+class TestPairScatter:
+    """Both bounds of the pair scatter are proven before its output is
+    allocated, and its pairs are formed in bounded blocks."""
+
+    def scatter_at(self, monkeypatch, terms, hi, limit, events):
+        """Run the scatter under ``limit``, logging "output" for its
+        allocation and "pairs" for each pair-block generator."""
+        zeros, pair_sums = np.zeros, identity._pair_sums
+
+        def counting_zeros(*args, **kwargs):
+            events.append("output")
+            return zeros(*args, **kwargs)
+
+        def counting_pair_sums(a, b):
+            events.append("pairs")
+            return pair_sums(a, b)
+
+        monkeypatch.setattr(identity, "COEFF_LIMIT", limit)
+        monkeypatch.setattr(np, "zeros", counting_zeros)
+        monkeypatch.setattr(identity, "_pair_sums", counting_pair_sums)
+        try:
+            return identity._pair_scatter(terms, hi)
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("bound,terms,hi", [
+        ("pair count", [(1, 0, (UNIT, UNIT)), (-1, 2, (PHI, SGN))], 60),
+        ("exponent sum", [(1, -1000, (PHI,)), (1, 3, (NEG, PSI))], 10),
+        # every exponent taken lies below 0, so the least one is the largest
+        ("exponent sum", [(1, 0, (DEEP,)), (-1, 1, (PHI, PHI))], 0),
+    ])
+    def test_bound_at_the_edge(self, monkeypatch, bound, terms, hi):
+        # the binding bound equal to COEFF_LIMIT runs, allocating the
+        # output before any pair; one less raises before the output exists
+        pairs, reach = scatter_bounds(terms, hi)
+        limit = pairs if bound == "pair count" else reach
+        assert limit > min(pairs, reach)
+        events = []
+        got = self.scatter_at(monkeypatch, terms, hi, limit, events)
+        assert events[0] == "output" and events.count("output") == 1 and "pairs" in events
+        assert dict(got.items()) == product_oracle([ThetaProduct(*t) for t in terms], hi)
+        events.clear()
+        with pytest.raises(CoefficientOverflowError, match=bound):
+            self.scatter_at(monkeypatch, terms, hi, limit - 1, events)
+        assert events == []
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_pairs_are_counted_in_bounded_blocks(self, monkeypatch, block):
+        terms = [ThetaProduct(1, -3, (NEG, SGN)), ThetaProduct(-1, 2, (UNIT, PSI)),
+                 ThetaProduct(1, 0, (SGN,))]
+        want = product_oracle(terms, 90)
+        counted = []
+        bincount = np.bincount
+
+        def recording_bincount(idx, *args, **kwargs):
+            counted.append(idx.size)
+            return bincount(idx, *args, **kwargs)
+
+        monkeypatch.setattr(identity, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(np, "bincount", recording_bincount)
+        got = expand_sum(terms, 90)
+        monkeypatch.undo()
+        assert dict(got.items()) == want
+        assert counted and max(counted) <= block
+        pairs, _ = scatter_bounds([(t.sign, t.shift, t.factors) for t in terms], 90)
+        assert sum(counted) <= pairs

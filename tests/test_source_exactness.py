@@ -7,7 +7,8 @@ waiting for an argument past 2^53.  ``np.abs`` maps -2^63 to itself, so
 every int64 magnitude goes through ``series._max_abs``, the one place
 that reads it exactly.  Series arithmetic proves its 64-bit bounds or
 raises, and so do the theta term exponents, so no object
-(Python-integer) array appears anywhere.
+(Python-integer) array appears anywhere.  ``np.bincount`` with weights
+returns float64, so every count is unweighted.
 """
 
 import ast
@@ -121,4 +122,36 @@ def test_each_object_dtype_form_is_caught(snippet):
 def test_int64_dtypes_pass():
     assert not list(object_dtype_sites(ast.parse(
         "a = np.zeros(3, dtype=np.int64); b = a.astype(np.uint8); c = isinstance(a, object)"
+    )))
+
+
+def weighted_bincount_sites(tree):
+    """``bincount`` calls given weights, by keyword or as a second argument."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "bincount" and (len(node.args) > 1
+                                   or any(k.arg == "weights" for k in node.keywords)):
+            yield node.lineno, "weighted bincount"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_weighted_bincount(path):
+    sites = list(weighted_bincount_sites(ast.parse(path.read_text(), filename=str(path))))
+    assert sites == [], [f"{path.name}:{line}: {what}" for line, what in sites]
+
+
+@pytest.mark.parametrize("snippet", [
+    "c = np.bincount(i, weights=w)", "c = numpy.bincount(i, w)",
+    "c = bincount(i, weights=w, minlength=n)", "c = np.bincount(i, None, n)",
+])
+def test_each_weighted_bincount_form_is_caught(snippet):
+    assert list(weighted_bincount_sites(ast.parse(snippet)))
+
+
+def test_unweighted_bincount_passes():
+    assert not list(weighted_bincount_sites(ast.parse(
+        "c = np.bincount(i); d = np.bincount(i, minlength=n); e = counts(i, w)"
     )))
