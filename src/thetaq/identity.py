@@ -19,16 +19,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .series import (
-    COEFF_LIMIT,
-    CoefficientOverflowError,
-    HalfPowerSeries,
-    _PAIR_BLOCK,
-    sum_series,
-)
-from .theta import ThetaArg, term_exponents, theta_expand
+from .series import HalfPowerSeries, sum_series
+from .theta import ThetaArg, _pair_scatter, theta_expand
 
 
 @dataclass(frozen=True)
@@ -55,8 +47,9 @@ def expand_sum(terms: Sequence[ThetaProduct], hi: int) -> HalfPowerSeries:
     """Expand and add a list of theta products, exact through ``hi``.
 
     Terms of one or two factors are added in one :func:`_pair_scatter`
-    through ``hi``.  Three-factor terms are grouped by their first factor
-    o and expanded by the distributive law, sum_t o * x_t = o * sum_t x_t:
+    of :mod:`thetaq.theta` through ``hi``.  Three-factor terms are grouped
+    by their first factor o and expanded by the distributive law,
+    sum_t o * x_t = o * sum_t x_t:
     the two-factor remainders x_t (with each term's sign and shift) are
     added in one :func:`_pair_scatter` through hi - m, where
     m = o.min_exponent(), and o is expanded once, through max(hi - v, m),
@@ -85,98 +78,6 @@ def expand_sum(terms: Sequence[ThetaProduct], hi: int) -> HalfPowerSeries:
             continue
         parts.append(theta_expand(outer, max(hi - first[0], m)) * inner)
     return sum_series(parts, hi)
-
-
-_NO_FACTOR = ((1, np.zeros(1, dtype=np.int64)),)  # the one term of a constant 1
-
-
-def _pair_scatter(terms, hi: int) -> HalfPowerSeries:
-    """The sum over ``terms`` of sign * q^(shift/2) * f1 * f2, exact
-    through ``hi``; a term of one factor carries the constant 1 as f2.
-
-    f1 * f2 is the sum over index pairs (n1, n2) of
-    eps1^n1 * eps2^n2 * q^((e1 + e2)/2), so each coefficient counts the
-    pairs whose exponent sum shift + e1 + e2 lands on it: the plus pairs
-    and the minus pairs are counted by two unweighted ``np.bincount``
-    calls into one int64 array.  Each factor's term exponents are taken
-    through exactly hi - shift - m_other, m_other the other factor's
-    least exponent, past which no pair reaches hi.  A term with an
-    identically-zero factor adds nothing.
-
-    Every coefficient and every partial count is at most the number of
-    pairs P, and every exponent sum formed is at most
-    R = max|e1| + max|e2| + |shift| in magnitude.  Both are checked
-    against ``COEFF_LIMIT`` before the output is allocated, and
-    :class:`CoefficientOverflowError` is raised past it.  The pairs are
-    formed after the output exists, ``_PAIR_BLOCK`` at a time.
-    """
-    lo, pairs, reach = hi, 0, 0
-    blocks = []  # (sign, shift, parity classes of f1, of f2)
-    for sign, shift, factors in terms:
-        if any(f.is_zero_function() for f in factors):
-            continue
-        mins = [f.min_exponent() for f in factors]
-        total = sum(mins)
-        lo = min(lo, shift + total)
-        sides, term_pairs, term_reach = [], 1, abs(shift)
-        for f, m in zip(factors, mins):
-            n_lo, e = term_exponents(f, hi - shift - (total - m))
-            if e.size:  # the least exponent m sits between the two ends
-                term_reach += max(int(e[0]), int(e[-1]), -m)
-            term_pairs *= e.size
-            if f.eps == 1:
-                sides.append(((1, e),))
-            else:  # eps^n: + on the even indices n, - on the odd
-                even = n_lo % 2
-                sides.append(((1, e[even::2]), (-1, e[1 - even :: 2])))
-        if len(sides) == 1:
-            sides.append(_NO_FACTOR)
-        pairs += term_pairs
-        reach = max(reach, term_reach)
-        blocks.append((sign, shift, *sides))
-    if pairs > COEFF_LIMIT:
-        raise CoefficientOverflowError(f"pair count {pairs} exceeds the 64-bit width")
-    if reach > COEFF_LIMIT:
-        raise CoefficientOverflowError(f"exponent sum bound {reach} exceeds the 64-bit width")
-    out = np.zeros(hi - lo + 1, dtype=np.int64)
-    held: dict[int, list] = {1: [], -1: []}
-    count = 0
-    for sign, shift, ones, twos in blocks:
-        for s1, e1 in ones:
-            for s2, e2 in twos:
-                for cols in _pair_sums(e1, e2 + shift):
-                    kept = cols[cols <= hi] - lo
-                    if count + kept.size > _PAIR_BLOCK:
-                        _count_pairs(out, held)
-                        count = 0
-                    held[sign * s1 * s2].append(kept)
-                    count += kept.size
-    _count_pairs(out, held)
-    return HalfPowerSeries(lo, hi, out)
-
-
-def _pair_sums(a: np.ndarray, b: np.ndarray):
-    """Every sum a[i] + b[j], at most ``_PAIR_BLOCK`` at a time."""
-    if a.size == 0 or b.size == 0:
-        return
-    cols = min(b.size, _PAIR_BLOCK)
-    rows = _PAIR_BLOCK // cols
-    for j in range(0, b.size, cols):
-        for i in range(0, a.size, rows):
-            yield (a[i : i + rows, None] + b[j : j + cols]).ravel()
-
-
-def _count_pairs(out: np.ndarray, held: dict[int, list]) -> None:
-    """Add the held plus pairs' counts to ``out``, subtract the minus
-    pairs' counts, and empty both lists."""
-    for sign, idx in held.items():
-        if idx:
-            counts = np.bincount(np.concatenate(idx))
-            if sign == 1:
-                out[: counts.size] += counts
-            else:
-                out[: counts.size] -= counts
-            idx.clear()
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ Every operation computes one bound on every partial sum it forms; when
 that bound fits in 64 bits it runs in int64, and otherwise it raises
 :class:`CoefficientOverflowError` before it writes any output.  No
 operation wraps, and none falls back to Python integers.  Every product
-goes through one kernel, :func:`convolve`, which iterates over the
-sparser factor's nonzeros by one of two routes, and every sum through
-one, :func:`sum_series`.
+of two series goes through one kernel, :func:`convolve`, which iterates
+over the sparser factor's nonzeros by one of two routes, and every sum
+through one, :func:`sum_series`.  A product of two theta functions
+forms neither factor's series: the pair scatter of :mod:`thetaq.theta`
+counts its pairs of term exponents.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ denotes the bilateral series
     f(eps*q^(a/2), eps*q^(b/2)) = sum over n in Z of
         eps^n * q^((a*n(n+1)/2 + b*n(n-1)/2) / 2)
 
-which converges formally whenever a + b > 0.  The classical special
+which converges formally exactly when a + b > 0.  That is the one
+convergence check: :class:`ThetaArg` refuses any other argument when it
+is built, so every function here may assume it.  The classical special
 cases phi, psi, f(-q), X and Y are fixed specializations whose
 expansions generate squares, triangular, signed-pentagonal, generalized
 pentagonal and generalized octagonal numbers respectively.
@@ -14,7 +16,9 @@ pentagonal and generalized octagonal numbers respectively.
 The module provides two independent expansion routes (the bilateral sum
 and the Jacobi triple product), a normalization that clears a negative
 exponent, and the n-term dissection of a theta function into shifted
-theta terms.
+theta terms.  The bilateral sum is the one-factor case of
+:func:`_pair_scatter`, which counts the term-exponent pairs of every
+product of two theta functions that :mod:`thetaq.identity` adds.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries, _max_abs
+from .series import (
+    COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries, _PAIR_BLOCK, _max_abs,
+)
 
 
 class ExpansionError(ValueError):
@@ -33,7 +39,7 @@ class ExpansionError(ValueError):
 
 @dataclass(frozen=True)
 class ThetaArg:
-    """f(eps*q^(a/2), eps*q^(b/2)); symmetric in a and b."""
+    """f(eps*q^(a/2), eps*q^(b/2)); symmetric in a and b, with a + b > 0."""
 
     eps: int
     a: int
@@ -42,26 +48,31 @@ class ThetaArg:
     def __post_init__(self) -> None:
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
+        if self.a + self.b <= 0:
+            raise ExpansionError(f"divergent specialization {self}")
 
     def is_zero_function(self) -> bool:
         """True when one argument is eps*q^0 = -1, which kills the series."""
         return self.eps == -1 and (self.a == 0 or self.b == 0)
 
     def min_exponent(self) -> int:
-        """Least exponent carrying a term of the bilateral sum (always <= 0)."""
-        if self.is_zero_function():
-            return 0
-        s, d = self.a + self.b, self.a - self.b
-        if s <= 0:
-            raise ExpansionError(f"divergent specialization {self}")
-        # the integers either side of the exponent quadratic's vertex -d/(2s)
-        n0 = -d // (2 * s)
-        return min(0, *(_term_exponent(self.a, self.b, n) for n in (n0, n0 + 1)))
+        """Least exponent of a term of the bilateral sum (always <= 0, and 0
+        for an identically zero function)."""
+        s, d, n0 = _quadratic(self)
+        return min(_term_exponent(s, d, n0), _term_exponent(s, d, n0 + 1))
 
 
-def _term_exponent(a: int, b: int, n):
+def _quadratic(arg: ThetaArg) -> tuple[int, int, int]:
+    """(s, d, n0): the n-th term's exponent is (s*n + d)*n / 2, with
+    s = a + b and d = a - b, and n0 = floor(-d / 2s) and n0 + 1 are the
+    integers either side of its vertex."""
+    s, d = arg.a + arg.b, arg.a - arg.b
+    return s, d, -d // (2 * s)
+
+
+def _term_exponent(s: int, d: int, n):
     """Exponent of the n-th term; ``n`` may be an int or an integer array."""
-    return ((a + b) * n + (a - b)) * n // 2
+    return (s * n + d) * n // 2
 
 
 def term_exponents(arg: ThetaArg, hi: int) -> tuple[int, np.ndarray]:
@@ -77,10 +88,7 @@ def term_exponents(arg: ThetaArg, hi: int) -> tuple[int, np.ndarray]:
     computed once; past 64 bits the expansion raises
     :class:`CoefficientOverflowError` before it forms any exponent.
     """
-    a, b = arg.a, arg.b
-    s, d = a + b, a - b
-    if s <= 0:
-        raise ExpansionError(f"divergent specialization {arg}")
+    s, d, _ = _quadratic(arg)
     bound = max(s, 2 * max(hi, d * d // (8 * s) + 1) + abs(d))
     if bound > COEFF_LIMIT:
         raise CoefficientOverflowError(
@@ -92,22 +100,111 @@ def term_exponents(arg: ThetaArg, hi: int) -> tuple[int, np.ndarray]:
     disc = d * d + 8 * s * hi
     root = math.isqrt(disc) if disc >= 0 else -1
     n_lo, n_hi = -((root + d) // (2 * s)), (root - d) // (2 * s)
-    return n_lo, _term_exponent(a, b, np.arange(n_lo, n_hi + 1, dtype=np.int64))
+    return n_lo, _term_exponent(s, d, np.arange(n_lo, n_hi + 1, dtype=np.int64))
 
 
 def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
-    """Bilateral-sum expansion, exact through ``hi`` half-units."""
-    if arg.is_zero_function():
-        return HalfPowerSeries.zero(max(hi, 0), min(0, hi))
-    n_lo, e = term_exponents(arg, hi)
-    eps = arg.eps
-    lo = min(int(e.min()) if e.size else 0, 0, hi)
-    idx = (e - lo).astype(np.intp, copy=False)
-    arr = np.zeros(hi - lo + 1, dtype=np.int64)
-    even = n_lo % 2  # position of the first even index
-    np.add.at(arr, idx[even::2], 1)
-    np.add.at(arr, idx[1 - even :: 2], eps)
-    return HalfPowerSeries(lo, hi, arr)
+    """Bilateral-sum expansion, exact through ``hi`` half-units: the
+    one-factor case of :func:`_pair_scatter`.
+
+    The series runs from lo = min(hi, ``arg.min_exponent()``) to ``hi``.
+    Through a bound below the least exponent, and for an identically
+    zero function, it is the one coefficient 0 at ``hi``.
+    """
+    return _pair_scatter(((1, 0, (arg,)),), hi)
+
+
+_NO_FACTOR = ((1, np.zeros(1, dtype=np.int64)),)  # the one term of a constant 1
+
+
+def _pair_scatter(terms, hi: int) -> HalfPowerSeries:
+    """The sum over ``terms`` of sign * q^(shift/2) * f1 * f2, exact
+    through ``hi``, from lo = min(hi, the least exponent of any term it
+    adds); a term of one factor carries the constant 1 as f2.
+
+    f1 * f2 is the sum over index pairs (n1, n2) of
+    eps1^n1 * eps2^n2 * q^((e1 + e2)/2), so each coefficient counts the
+    pairs whose exponent sum shift + e1 + e2 lands on it: the plus pairs
+    and the minus pairs are counted by two unweighted ``np.bincount``
+    calls into one int64 array.  Each factor's term exponents are taken
+    through exactly hi - shift - m_other, m_other the other factor's
+    least exponent, past which no pair reaches hi.  A term with an
+    identically-zero factor adds nothing.
+
+    Every coefficient and every partial count is at most the number of
+    pairs P, and every exponent sum formed is at most
+    R = max|e1| + max|e2| + |shift| in magnitude.  Both are checked
+    against ``COEFF_LIMIT`` before the output is allocated, and
+    :class:`CoefficientOverflowError` is raised past it.  The pairs are
+    formed after the output exists, ``_PAIR_BLOCK`` at a time.
+    """
+    lo, pairs, reach = hi, 0, 0
+    blocks = []  # (sign, shift, parity classes of f1, of f2)
+    for sign, shift, factors in terms:
+        if any(f.is_zero_function() for f in factors):
+            continue
+        mins = [f.min_exponent() for f in factors]
+        total = sum(mins)
+        lo = min(lo, shift + total)
+        sides, term_pairs, term_reach = [], 1, abs(shift)
+        for f, m in zip(factors, mins):
+            n_lo, e = term_exponents(f, hi - shift - (total - m))
+            if e.size:  # the least exponent m sits between the two ends
+                term_reach += max(int(e[0]), int(e[-1]), -m)
+            term_pairs *= e.size
+            if f.eps == 1:
+                sides.append(((1, e),))
+            else:  # eps^n: + on the even indices n, - on the odd
+                even = n_lo % 2
+                sides.append(((1, e[even::2]), (-1, e[1 - even :: 2])))
+        if len(sides) == 1:
+            sides.append(_NO_FACTOR)
+        pairs += term_pairs
+        reach = max(reach, term_reach)
+        blocks.append((sign, shift, *sides))
+    if pairs > COEFF_LIMIT:
+        raise CoefficientOverflowError(f"pair count {pairs} exceeds the 64-bit width")
+    if reach > COEFF_LIMIT:
+        raise CoefficientOverflowError(f"exponent sum bound {reach} exceeds the 64-bit width")
+    out = np.zeros(hi - lo + 1, dtype=np.int64)
+    held: dict[int, list] = {1: [], -1: []}
+    count = 0
+    for sign, shift, ones, twos in blocks:
+        for s1, e1 in ones:
+            for s2, e2 in twos:
+                for cols in _pair_sums(e1, e2 + shift):
+                    kept = cols[cols <= hi] - lo
+                    if count + kept.size > _PAIR_BLOCK:
+                        _count_pairs(out, held)
+                        count = 0
+                    held[sign * s1 * s2].append(kept)
+                    count += kept.size
+    _count_pairs(out, held)
+    return HalfPowerSeries(lo, hi, out)
+
+
+def _pair_sums(a: np.ndarray, b: np.ndarray):
+    """Every sum a[i] + b[j], at most ``_PAIR_BLOCK`` at a time."""
+    if a.size == 0 or b.size == 0:
+        return
+    cols = min(b.size, _PAIR_BLOCK)
+    rows = _PAIR_BLOCK // cols
+    for j in range(0, b.size, cols):
+        for i in range(0, a.size, rows):
+            yield (a[i : i + rows, None] + b[j : j + cols]).ravel()
+
+
+def _count_pairs(out: np.ndarray, held: dict[int, list]) -> None:
+    """Add the held plus pairs' counts to ``out``, subtract the minus
+    pairs' counts, and empty both lists."""
+    for sign, idx in held.items():
+        if idx:
+            counts = np.bincount(np.concatenate(idx))
+            if sign == 1:
+                out[: counts.size] += counts
+            else:
+                out[: counts.size] -= counts
+            idx.clear()
 
 
 def jacobi_triple_product(arg: ThetaArg, hi: int) -> HalfPowerSeries:
@@ -125,10 +222,8 @@ def jacobi_triple_product(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     half-units for f(1, q), 11896 for phi and 24516 for psi.
     """
     a, b, eps = arg.a, arg.b, arg.eps
-    if a < 0 or b < 0 or a + b <= 0:
-        raise ExpansionError(
-            f"triple product needs nonnegative exponents with a+b > 0, got {arg}"
-        )
+    if a < 0 or b < 0:
+        raise ExpansionError(f"triple product needs nonnegative exponents, got {arg}")
     if hi < 0:
         return HalfPowerSeries.zero(0, hi)
     s = a + b
@@ -174,17 +269,14 @@ def theta_normalize(arg: ThetaArg) -> NormalizedTheta:
     For f(+-q^(-r/2), +-q^(s/2)) with 0 <= r < s the function equals
     (+-1)^m q^(-h/2) f(+-q^(l/2), +-q^(k/2)) where m = floor(s/(s-r)),
     l = m(s-r) - r, k = s - m(s-r) and h = m*r - m(m-1)(s-r)/2; the sign
-    twist applies only in the negative-sign case.
+    twist applies only in the negative-sign case.  Convergence, a + b > 0,
+    gives r < s.
     """
     a, b = arg.a, arg.b
     if a >= 0 and b >= 0:
         lo, hi_ = sorted((a, b))
         return NormalizedTheta(1, 0, ThetaArg(arg.eps, lo, hi_))
-    if a < 0 and b < 0:
-        raise ExpansionError(f"both exponents negative in {arg}")
     r, s = -min(a, b), max(a, b)
-    if r >= s:
-        raise ExpansionError(f"divergent specialization {arg}")
     m = s // (s - r)
     l = m * (s - r) - r
     k = s - m * (s - r)

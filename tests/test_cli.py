@@ -57,9 +57,11 @@ class TestExpand:
         ]
 
     def test_divergent_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "expand", "--theta", "1,-2,1", "--order", "10")
-        assert code == 2
-        assert "error" in err
+        # a -q^0 argument with a + b <= 0 diverges; it is not the zero function
+        for theta in ("1,-2,1", "-1,0,0", "-1,0,-1", "-1,-3,0"):
+            code, out, err = run(capsys, "expand", "--theta", theta, "--order", "10")
+            assert code == 2, theta
+            assert "divergent specialization" in err and "[pass]" not in out
 
     def test_parameter_near_2_to_the_61_expands(self, capsys):
         # f(-q^(2^61), -q^(-1)) = 1 - q^(-1/2): its exponent bound fits in int64

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaq import identity
-from thetaq.series import CoefficientOverflowError, HalfPowerSeries
+from thetaq import theta as theta_module
+from thetaq.series import COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries
 from thetaq.theta import (
     ThetaArg,
     jacobi_triple_product,
@@ -592,7 +593,9 @@ def count_route(monkeypatch):
 
 def spy_requests(monkeypatch) -> list:
     """A list that collects ("terms", f, bound) for each term-exponent
-    request and ("theta", f, bound) for each theta expansion, in order."""
+    request of the pair scatter in :mod:`thetaq.theta` and
+    ("theta", f, bound) for each theta expansion :func:`expand_sum` asks
+    for, in order."""
     events = []
 
     def terms_spy(arg, bound):
@@ -603,7 +606,7 @@ def spy_requests(monkeypatch) -> list:
         events.append(("theta", arg, bound))
         return theta_expand(arg, bound)
 
-    monkeypatch.setattr(identity, "term_exponents", terms_spy)
+    monkeypatch.setattr(theta_module, "term_exponents", terms_spy)
     monkeypatch.setattr(identity, "theta_expand", theta_spy)
     return events
 
@@ -655,7 +658,9 @@ def route_requests(terms, hi) -> list:
     by first appearance, one scatter of its group's remainders through
     hi - m and, unless o vanishes or the remainders cancel, o's expansion
     through max(hi - v, m), where m = o.min_exponent() and v is the
-    valuation of the summed remainders."""
+    valuation of the summed remainders.  That expansion is the scatter's
+    one-factor case, so it asks for o's term exponents through the same
+    bound."""
     out = scatter_requests([t for t in terms if len(t.factors) < 3], hi)
     groups: dict = {}
     for t in terms:
@@ -676,7 +681,7 @@ def route_requests(terms, hi) -> list:
             max(hi - t.shift - sum(g.min_exponent() for g in t.factors[1:]), m)
             for t in group
         )
-        out.append(("theta", f, bound))
+        out += [("theta", f, bound), ("terms", f, bound)]
     return out
 
 
@@ -807,8 +812,10 @@ class TestPairScatter:
 
     def scatter_at(self, monkeypatch, terms, hi, limit, events):
         """Run the scatter under ``limit``, logging "output" for its
-        allocation and "pairs" for each pair-block generator."""
-        zeros, pair_sums = np.zeros, identity._pair_sums
+        allocation and "pairs" for each pair-block generator.  The term
+        exponents keep their own bound under the true limit."""
+        zeros, pair_sums = np.zeros, theta_module._pair_sums
+        term_exponents = theta_module.term_exponents
 
         def counting_zeros(*args, **kwargs):
             events.append("output")
@@ -818,11 +825,19 @@ class TestPairScatter:
             events.append("pairs")
             return pair_sums(a, b)
 
-        monkeypatch.setattr(identity, "COEFF_LIMIT", limit)
+        def exponents_at_the_true_limit(arg, bound):
+            theta_module.COEFF_LIMIT = COEFF_LIMIT
+            try:
+                return term_exponents(arg, bound)
+            finally:
+                theta_module.COEFF_LIMIT = limit
+
+        monkeypatch.setattr(theta_module, "COEFF_LIMIT", limit)
         monkeypatch.setattr(np, "zeros", counting_zeros)
-        monkeypatch.setattr(identity, "_pair_sums", counting_pair_sums)
+        monkeypatch.setattr(theta_module, "_pair_sums", counting_pair_sums)
+        monkeypatch.setattr(theta_module, "term_exponents", exponents_at_the_true_limit)
         try:
-            return identity._pair_scatter(terms, hi)
+            return theta_module._pair_scatter(terms, hi)
         finally:
             monkeypatch.undo()
 
@@ -859,7 +874,7 @@ class TestPairScatter:
             counted.append(idx.size)
             return bincount(idx, *args, **kwargs)
 
-        monkeypatch.setattr(identity, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(theta_module, "_PAIR_BLOCK", block)
         monkeypatch.setattr(np, "bincount", recording_bincount)
         got = expand_sum(terms, 90)
         monkeypatch.undo()

@@ -203,10 +203,26 @@ class TestExpand:
             assert got == min(0, min(reference_expand(1, a, b, 0), default=0))
 
     def test_divergent_raises(self):
-        with pytest.raises(ExpansionError):
-            expand(1, -4, 2)
-        with pytest.raises(ExpansionError):
-            expand(1, 0, 0)
+        # a + b <= 0 diverges, whatever the sign; a -q^0 argument does not
+        # make it the zero function
+        for eps, a, b in [(1, -4, 2), (1, 0, 0), (-1, 0, 0), (-1, 0, -2)]:
+            with pytest.raises(ExpansionError, match="divergent specialization"):
+                ThetaArg(eps, a, b)
+            with pytest.raises(ExpansionError):
+                expand(eps, a, b)
+
+    def test_window_of_the_one_factor_scatter(self):
+        # theta_expand runs from min(hi, m) to hi, m the least exponent
+        for hi, window in [(5, (-2, 5)), (-2, (-2, -2)), (-3, (-3, -3))]:
+            got = expand(1, -2, 6, hi)  # least exponent -2
+            assert (got.lo, got.hi) == window
+            assert dict(got.items()) == reference_expand(1, -2, 6, hi)
+
+    @pytest.mark.parametrize("hi", [-4, 0, 9])
+    def test_zero_function_is_valid_through_the_bound(self, hi):
+        # one zero coefficient at hi, also below 0
+        got = expand(-1, 0, 6, hi)
+        assert (got.lo, got.hi) == (hi, hi) and got.is_zero()
 
 
 class TestTripleProductOracle:
