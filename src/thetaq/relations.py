@@ -157,11 +157,20 @@ class RelationStatement:
 def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
     """All N <= n_max in the relation's class where the two sides differ.
 
-    Every argument alpha*N + beta, |scalar| * max(counts) of the left side
-    and the sum of |scalar| * max(counts) over the right side are proven
-    to fit in 64 bits before any int64 arithmetic; otherwise the relation
-    is refused, by :class:`CoefficientOverflowError` for the scaled counts,
-    so that no wrapped value is ever compared.
+    Each side reads its counts off ``TABLE_CACHE``'s table through
+    L = alpha*(n_max + 1 + beta // alpha) - 1, the last argument of the
+    alpha-block that holds alpha*n_max + beta.  L is at least the side's
+    largest argument and less than alpha*m past it, and it depends on
+    beta only through beta // alpha, so sides that share a signature and
+    alpha but differ in class or in beta mod alpha ask for one bound, and
+    a table built for one is not grown for the next by a few columns.
+
+    Every argument alpha*N + beta, L + 1, |scalar| * max(counts) of the
+    left side and the sum of |scalar| * max(counts) over the right side
+    are proven to fit in 64 bits before any int64 arithmetic or table
+    request; otherwise the relation is refused, by
+    :class:`CoefficientOverflowError` for the scaled counts, so that no
+    wrapped value is ever compared.
     """
     m, r = rel.residue_class or (1, 0)
     ns = np.arange(r, n_max + 1, m, dtype=np.int64)
@@ -170,19 +179,20 @@ def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
     last = int(ns[-1])
 
     def counts(ref: CountRef) -> np.ndarray:
-        top = ref.alpha * last + ref.beta
-        if max(ref.alpha * max(last, 1), abs(ref.beta), top) > COEFF_LIMIT:
+        # L of the docstring: the end of alpha*n_max + beta's alpha-block
+        block_end = ref.alpha * (n_max + 1 + ref.beta // ref.alpha) - 1
+        if max(ref.alpha * max(last, 1), abs(ref.beta), block_end + 1) > COEFF_LIMIT:
             raise ValueError(
                 f"relation {rel.id!r}: the argument of {ref.render()} at N = {last} "
                 "exceeds 64-bit width"
             )
         # the arguments step by alpha*m from alpha*r + beta; the leading
-        # negative ones count 0, and a cached table may run past top
+        # negative ones count 0, and the table may run past the last one
         step, first = ref.alpha * m, ref.alpha * r + ref.beta
         skip = min(ns.size, max(0, -(first // step)))
         vals = np.zeros(ns.size, dtype=np.int64)
         if skip < ns.size:
-            table = TABLE_CACHE.get(ref.spec, top)
+            table = TABLE_CACHE.get(ref.spec, block_end)
             vals[skip:] = table[first + skip * step :: step][: ns.size - skip]
         return vals
 

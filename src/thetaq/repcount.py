@@ -337,6 +337,11 @@ class _TableCache:
     limit.  A later request past the table computes only the new columns
     and appends them; a request inside it returns the table as it is.  No
     table is larger than the largest limit requested for its signature.
+    A grow re-runs the full-width pair product of the two densest
+    generating thetas for its new columns, so ``verify_relation`` asks for
+    each side through the end of its argument's alpha-block: the sides of
+    a signature that share alpha and beta // alpha ask for one limit, and
+    only a side with another alpha or block can grow a table.
 
     Each table is stored read-only in the type its builder proved, with
     no int64 copy beside it; a grown table concatenates its two pieces,

@@ -266,15 +266,20 @@ class TestDomainErrors:
             assert code == 2 and "user.big" not in out
             assert err.startswith("error: relation 'user.big': scaled counts")
 
-    @pytest.mark.parametrize("field", [{"alpha": 2**63}, {"beta": -(10**20)}],
-                             ids=["alpha-2^63", "beta--10^20"])
-    def test_argument_beyond_64_bits_is_usage_error(self, capsys, tmp_path, field):
+    @pytest.mark.parametrize("field,nmax", [
+        ({"alpha": 2**63}, "50"),
+        ({"beta": -(10**20)}, "50"),
+        # 2^62 * N fits at N <= 1, but the table's bound 2^63 - 1, the end
+        # of N = 1's block, plus one does not
+        ({"alpha": 2**62}, "1"),
+    ], ids=["alpha-2^63", "beta--10^20", "block-end-2^63"])
+    def test_argument_beyond_64_bits_is_usage_error(self, capsys, tmp_path, field, nmax):
         # alpha*N + beta used to escape as an OverflowError traceback
         row = {"id": "user.big", "lhs": {"form": "r", "coeffs": [1, 1, 1], **field}}
         extra = tmp_path / "extra.json"
         extra.write_text(json.dumps({"relations": [row]}))
         code, out, err = run(capsys, "verify", "relation", "--id", "user.big",
-                             "--nmax", "50", "--catalog", str(extra))
+                             "--nmax", nmax, "--catalog", str(extra))
         assert code == 2 and out == ""
         assert err.startswith("error: relation 'user.big': the argument of")
 

@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thetaq import relations
+from thetaq import relations, repcount
 from thetaq.relations import (
     CLASSICAL_IDS,
     ClassicalReport,
@@ -181,6 +183,75 @@ class TestVerification:
         assert any(r.id == "user.1" for r in merged)
         user = next(r for r in merged if r.id == "user.1")
         assert verify_relation(user, 50) == []
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(spec, start, limit) of every table build and grow, from an empty cache."""
+    calls = []
+    build = repcount._count_columns
+
+    def spy(spec, start, limit, *rest):
+        calls.append((spec, start, limit))
+        return build(spec, start, limit, *rest)
+
+    monkeypatch.setattr(TABLE_CACHE, "_tables", {})
+    monkeypatch.setattr(repcount, "_count_columns", spy)
+    return calls
+
+
+class TestTableRequests:
+    """Each side asks for its table through the end of the alpha-block
+    that holds its largest argument at n_max."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.integers(1, 10**6), beta=st.integers(-10**7, 10**7),
+           mr=st.integers(1, 40).flatmap(
+               lambda m: st.tuples(st.just(m), st.integers(0, m - 1))),
+           n_max=st.integers(0, 5000))
+    def test_bound_covers_every_argument_and_less_than_one_step_more(
+            self, alpha, beta, mr, n_max):
+        requests = []
+
+        class Spy:
+            def get(self, spec, limit):
+                requests.append(limit)
+                return np.broadcast_to(np.int16(0), (limit + 1,))  # no memory
+
+        rel = RelationStatement("probe", CountRef("T", (1, 1, 1), alpha, beta), (),
+                                residue_class=mr)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relations, "TABLE_CACHE", Spy())
+            verify_relation(rel, n_max)
+        m, r = mr
+        args = [alpha * n + beta for n in range(r, n_max + 1, m)]
+        if not args or args[-1] < 0:  # every argument counts 0 unread
+            assert requests == []
+            return
+        (bound,) = requests
+        assert all(bound >= arg for arg in args)
+        assert bound - args[-1] < alpha * m
+
+    def test_betas_of_one_block_share_one_build(self, builds):
+        # beta = 0 .. alpha - 1 in several classes; exact bounds would
+        # grow the table at every new beta
+        alpha, n_max = 4, 300
+        for beta in range(alpha):
+            for residue_class in ((1, 0), (3, 2), (5, beta)):
+                rel = RelationStatement("probe", CountRef("Tp", (1, 2, 3), alpha, beta),
+                                        (), residue_class=residue_class)
+                verify_relation(rel, n_max)
+        spec = MixedSumSpec.of("Tp", (1, 2, 3))
+        assert builds == [(spec, 0, alpha * (n_max + 1) - 1)]
+
+    def test_catalog_builds_at_most_one_table_per_block(self, catalog, builds):
+        # one bound per (signature, alpha, beta // alpha): 190 keys; exact
+        # bounds made 224 builds and grows here in catalog order
+        for rel in catalog:
+            verify_relation(rel, 2000)
+        keys = {(ref.spec.terms, ref.alpha, ref.beta // ref.alpha)
+                for rel in catalog for ref in (rel.lhs, *rel.rhs)}
+        assert len(builds) <= len(keys)
 
 
 class TestCounterexamples:
