@@ -12,7 +12,6 @@ catalog was assembled from.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -77,42 +76,6 @@ class Counterexample:
     rhs: int
 
 
-class Counterexamples(Sequence[Counterexample]):
-    """Read-only sequence of counterexamples, smallest N first.
-
-    Holds the failing N and both sides as int64 arrays and builds a
-    :class:`Counterexample` with Python-int fields only for the items
-    read; a slice is another such sequence.  Compares equal to a list
-    of the same items, in either operand order.
-    """
-
-    __slots__ = ("_n", "_lhs", "_rhs")
-
-    def __init__(self, n: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> None:
-        self._n, self._lhs, self._rhs = n, lhs, rhs
-
-    def __len__(self) -> int:
-        return self._n.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Counterexamples(self._n[i], self._lhs[i], self._rhs[i])
-        return Counterexample(int(self._n[i]), int(self._lhs[i]), int(self._rhs[i]))
-
-    def __iter__(self):
-        return map(Counterexample, self._n.tolist(), self._lhs.tolist(), self._rhs.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, Counterexamples)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    def __repr__(self) -> str:
-        shown = ", ".join(map(repr, self[:5]))
-        more = f", ... ({len(self)} in all)" if len(self) > 5 else ""
-        return f"Counterexamples([{shown}{more}])"
-
-
 @dataclass(frozen=True)
 class RelationStatement:
     id: str
@@ -154,8 +117,9 @@ class RelationStatement:
         return f"{self.lhs.render()} = {rhs_text}{tail}"
 
 
-def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
-    """All N <= n_max in the relation's class where the two sides differ.
+def verify_relation(rel: RelationStatement, n_max: int) -> list[Counterexample]:
+    """The smallest N <= n_max in the relation's class where the two sides
+    differ, as a one-item list, or ``[]`` when they agree at every N.
 
     Each side reads its counts off ``TABLE_CACHE``'s table through
     L = alpha*(n_max + 1 + beta // alpha) - 1, the last argument of the
@@ -163,7 +127,7 @@ def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
     largest argument and less than alpha*m past it, and it depends on
     beta only through beta // alpha, so sides that share a signature and
     alpha but differ in class or in beta mod alpha ask for one bound, and
-    a table built for one is not grown for the next by a few columns.
+    a table built for one is not rebuilt for the next by a few columns.
 
     Every argument alpha*N + beta, L + 1, |scalar| * max(counts) of the
     left side and the sum of |scalar| * max(counts) over the right side
@@ -172,10 +136,18 @@ def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
     :class:`CoefficientOverflowError` for the scaled counts, so that no
     wrapped value is ever compared.
     """
+    ns, lhs, rhs = _sides(rel, n_max)
+    bad = np.flatnonzero(lhs != rhs)[:1].tolist()
+    return [Counterexample(int(ns[i]), int(lhs[i]), int(rhs[i])) for i in bad]
+
+
+def _sides(rel: RelationStatement, n_max: int) -> tuple[np.ndarray, ...]:
+    """(ns, lhs, rhs): the N <= n_max in the relation's class and the two
+    sides at each, as the int64 arrays ``verify_relation`` compares."""
     m, r = rel.residue_class or (1, 0)
     ns = np.arange(r, n_max + 1, m, dtype=np.int64)
     if ns.size == 0:
-        return Counterexamples(ns, ns, ns)
+        return ns, ns, ns
     last = int(ns[-1])
 
     def counts(ref: CountRef) -> np.ndarray:
@@ -207,8 +179,7 @@ def verify_relation(rel: RelationStatement, n_max: int) -> Counterexamples:
     rhs = np.zeros(ns.size, dtype=np.int64)
     for term in terms:
         rhs += term
-    bad = lhs != rhs
-    return Counterexamples(ns[bad], lhs[bad], rhs[bad])
+    return ns, lhs, rhs
 
 
 # ----------------------------------------------------------------------

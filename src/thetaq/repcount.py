@@ -12,8 +12,8 @@ mod M, and computes only the counts at N = R mod M, every N when M = 1.
 returns the counts of one residue class (by default all of them), and
 ``nonrep_scan`` builds the class it checks and nothing else.
 ``TABLE_CACHE`` keeps one full table per signature for the relation
-and classical checks and grows it in place: a request past a table
-adds only the new columns.  The builder returns its counts in the
+and classical checks, each a single build: a request past a table
+rebuilds it at the new limit.  The builder returns its counts in the
 narrowest integer type their proven bound allows, and the cache stores
 them in that type; ``count_table`` widens them to int64.
 ``count_enumerate`` reads each kind's values and their multiplicities
@@ -227,9 +227,9 @@ def _split(exps, nz, modulus: int, offset: int) -> dict:
 
 
 def _count_columns(
-    spec: MixedSumSpec, start: int, limit: int, modulus: int = 1, residue: int = 0
+    spec: MixedSumSpec, limit: int, modulus: int = 1, residue: int = 0
 ) -> np.ndarray:
-    """counts[N] for N = residue + modulus*j with start <= N <= limit.
+    """counts[N] for N = residue + modulus*j with 0 <= N <= limit.
 
     Each generating theta is taken as the exponents of its bilateral
     sum's terms: every generating theta has eps = +1, so a coefficient
@@ -241,8 +241,8 @@ def _count_columns(
     through ``convolve``; a class no pair of classes reaches is an exact
     zero and costs nothing, and a dense class array is built only for
     the product that reads it.  The sparsest factor's terms then add their
-    shifted copies of class c, by ``shifted_copies``, only on the
-    requested columns.  At M = 1 this is one product and one set of
+    shifted copies of class c, by ``shifted_copies``, on the class's
+    columns.  At M = 1 this is one product and one set of
     copies: the full table.
 
     Every partial sum formed here, the class-pair sums, each
@@ -256,10 +256,9 @@ def _count_columns(
     term-count check proves a sum of several parts only in int64, so
     they are added in int64.
     """
-    width = (limit - residue) // modulus + 1 if limit >= residue else 0
-    first = max(0, -((residue - start) // modulus))  # least j with N >= start
-    if first >= width:
+    if limit < residue:
         return np.zeros(0, dtype=series._accumulator(0))
+    width = (limit - residue) // modulus + 1
     factors = []
     for a, kind in spec.terms:
         exps = np.sort(term_exponents(_generating_arg(a, kind), limit)[1])
@@ -300,10 +299,10 @@ def _count_columns(
             pair[carry:] += prod
         if pair is None:
             continue
-        part = shifted_copies(np.bincount(pos, minlength=width), nz, pair, first, width)
+        part = shifted_copies(np.bincount(pos, minlength=width), nz, pair, width)
         # several parts are proven to sum only in int64; += could wrap
         cols = part if cols is None else np.add(cols, part, dtype=np.int64)
-    return np.zeros(width - first, dtype=series._accumulator(0)) if cols is None else cols
+    return np.zeros(width, dtype=series._accumulator(0)) if cols is None else cols
 
 
 def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
@@ -314,7 +313,7 @@ def count_series(spec: MixedSumSpec, order: int) -> HalfPowerSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return HalfPowerSeries(0, order, _count_columns(spec, 0, order)).substitute_power(2)
+    return HalfPowerSeries(0, order, _count_columns(spec, order)).substitute_power(2)
 
 
 def count_table(
@@ -325,44 +324,38 @@ def count_table(
     builder's narrow counts widened); by default every N."""
     if not 0 <= residue < modulus:
         raise ValueError("need 0 <= residue < modulus")
-    table = _count_columns(spec, 0, limit, modulus, residue).astype(np.int64, copy=False)
+    table = _count_columns(spec, limit, modulus, residue).astype(np.int64, copy=False)
     table.setflags(write=False)
     return table
 
 
 class _TableCache:
-    """Count tables keyed by the sum signature, grown in place.
+    """One count table per sum signature, each a single build.
 
-    A signature's first request builds its table at exactly the requested
-    limit.  A later request past the table computes only the new columns
-    and appends them; a request inside it returns the table as it is.  No
-    table is larger than the largest limit requested for its signature.
-    A grow re-runs the full-width pair product of the two densest
-    generating thetas for its new columns, so ``verify_relation`` asks for
-    each side through the end of its argument's alpha-block: the sides of
-    a signature that share alpha and beta // alpha ask for one limit, and
-    only a side with another alpha or block can grow a table.
+    A request inside a signature's table returns the table as it is; a
+    first request, or one past the table, builds the table at exactly the
+    requested limit and replaces the old one, which a refused build
+    (:class:`CoefficientOverflowError`) leaves in place.  No table is
+    larger than the largest limit requested for its signature.  A rebuild
+    recomputes every column, so ``verify_relation`` asks for each side
+    through the end of its argument's alpha-block: the sides of a
+    signature that share alpha and beta // alpha ask for one limit, and
+    only a side with another alpha or block can rebuild a table.
 
-    Each table is stored read-only in the type its builder proved, with
-    no int64 copy beside it; a grown table concatenates its two pieces,
-    which numpy promotes to the wider of their types, exactly.  Readers
-    only index and compare it, or widen it before any arithmetic.
+    Each table is stored read-only in the one type its build proved, with
+    no int64 copy beside it.  Readers only index and compare it, or widen
+    it before any arithmetic.
     """
 
     def __init__(self) -> None:
         self._tables: dict[tuple, np.ndarray] = {}
 
     def get(self, spec: MixedSumSpec, limit: int) -> np.ndarray:
-        key = spec.terms
-        table = self._tables.get(key)
-        if table is None:
-            table = _count_columns(spec, 0, limit)
-        elif table.size <= limit:
-            table = np.concatenate((table, _count_columns(spec, table.size, limit)))
-        else:
-            return table
-        table.setflags(write=False)
-        self._tables[key] = table
+        table = self._tables.get(spec.terms)
+        if table is None or table.size <= limit:
+            table = _count_columns(spec, limit)
+            table.setflags(write=False)
+            self._tables[spec.terms] = table
         return table
 
 

@@ -308,7 +308,7 @@ def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
         a, nz_a, b, nz_b = b, nz_b, a, nz_a  # iterate over the sparser factor
         shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
     if _PAIR_COST * nz_a.size * nz_b.size >= shifts:
-        return shifted_copies(a, nz_a, b, 0, width).astype(np.int64, copy=False)
+        return shifted_copies(a, nz_a, b, width).astype(np.int64, copy=False)
     vals, other = a[nz_a], b[nz_b]
     _proven_bound(vals, other)
     out = np.zeros(width, dtype=np.int64)
@@ -321,8 +321,8 @@ def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
     return out
 
 
-def shifted_copies(a, nz_a, b, start: int, width: int) -> np.ndarray:
-    """Columns ``start .. width-1`` of a * b: one shifted copy of ``b`` per
+def shifted_copies(a, nz_a, b, width: int) -> np.ndarray:
+    """First ``width`` columns of a * b: one shifted copy of ``b`` per
     nonzero of ``a`` (``nz_a`` ascending).
 
     B = sum|a| * max|b| bounds every partial sum, so the copies are added
@@ -341,17 +341,17 @@ def shifted_copies(a, nz_a, b, start: int, width: int) -> np.ndarray:
     bound = _proven_bound(vals, b)
     dtype = _accumulator(bound)
     if bound == 0:  # a coefficient beyond the narrow type must not be cast
-        return np.zeros(width - start, dtype=dtype)
+        return np.zeros(width, dtype=dtype)
     b = b.astype(dtype, copy=False)
     step = _SHIFT_TILE * (8 // b.itemsize)
     groups: dict[int, list[int]] = {}
     for s, c in zip(nz_a.tolist(), vals.tolist()):
         groups.setdefault(c, []).append(s)
-    out = np.zeros(width - start, dtype=dtype)
-    scratch = np.empty(min(step, out.size), dtype=dtype)
-    for lo in range(start, width, step):
+    out = np.zeros(width, dtype=dtype)
+    scratch = np.empty(min(step, width), dtype=dtype)
+    for lo in range(0, width, step):
         hi = min(lo + step, width)
-        tile = out[lo - start : hi - start]
+        tile = out[lo:hi]
         for c, shifts in groups.items():
             if c == 1:
                 acc = tile

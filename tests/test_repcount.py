@@ -221,13 +221,13 @@ class TestTermBound:
         with pytest.raises(CoefficientOverflowError, match="64 bits"):
             count_table(self.SPEC, 3000, modulus, residue)
 
-    def test_growth_refused_past_the_bound(self, monkeypatch):
+    def test_rebuild_refused_past_the_bound(self, monkeypatch):
         cache = _TableCache()
         table = cache.get(self.SPEC, 1000)
         monkeypatch.setattr(series_module, "COEFF_LIMIT", term_product(self.SPEC, 3000) - 1)
         with pytest.raises(CoefficientOverflowError, match="64 bits"):
             cache.get(self.SPEC, 3000)
-        assert cache.get(self.SPEC, 1000) is table  # the refused growth kept the table
+        assert cache.get(self.SPEC, 1000) is table  # the refused rebuild kept the table
 
     @pytest.mark.parametrize("modulus,residue", CLASSES)
     def test_built_at_the_bound(self, monkeypatch, modulus, residue):
@@ -238,7 +238,7 @@ class TestTermBound:
         for n in range(residue, 3001, modulus)[::40]:
             assert int(full[n]) == count_enumerate(self.SPEC, n), n
 
-    def test_growth_at_the_bound(self, monkeypatch):
+    def test_rebuild_at_the_bound(self, monkeypatch):
         full = count_table(self.SPEC, 3000)
         cache = _TableCache()
         cache.get(self.SPEC, 1000)
@@ -255,15 +255,14 @@ class TestClassColumns:
            modulus=st.integers(1, 12), data=st.data())
     def test_class_is_a_slice_of_the_full_table(self, name, coeffs, limit, modulus, data):
         residue = data.draw(st.integers(0, modulus - 1))
-        start = data.draw(st.integers(0, limit + modulus))
+        width = data.draw(st.integers(-1, limit))  # the class through a smaller N
         spec = MixedSumSpec.of(name, coeffs)
         full = count_table(spec, limit)
         table = count_table(spec, limit, modulus, residue)
         assert table.dtype == np.int64 and not table.flags.writeable
         assert np.array_equal(table, full[residue::modulus])
-        first = start + (residue - start) % modulus  # least N >= start in the class
-        assert np.array_equal(_count_columns(spec, start, limit, modulus, residue),
-                              full[first::modulus])
+        assert np.array_equal(_count_columns(spec, width, modulus, residue),
+                              full[residue : width + 1 : modulus])
         ns = data.draw(st.lists(st.integers(0, limit), max_size=2))
         for n in ns:
             assert int(full[n]) == count_enumerate(spec, n), (spec, n)
@@ -299,7 +298,7 @@ class TestClassColumns:
 
 
 class TestTableCache:
-    # first requests, growth past the table (+1 steps included) and
+    # first requests, rebuilds past the table (+1 steps included) and
     # requests inside it
     limits = st.lists(
         st.one_of(st.integers(0, 3000), st.just(-1), st.just("+1")),
@@ -309,14 +308,16 @@ class TestTableCache:
     @settings(max_examples=25, deadline=None)
     @given(name=st.sampled_from(sorted(REGISTRY)),
            coeffs=st.tuples(*[st.integers(1, 6)] * 3), steps=limits, data=st.data())
-    def test_grows_in_place(self, name, coeffs, steps, data):
+    def test_rebuilds_past_the_table(self, name, coeffs, steps, data):
         spec = MixedSumSpec.of(name, coeffs)
         cache = _TableCache()
-        largest = -1
+        largest, before = -1, None
         for step in steps:
             limit = largest + 1 if step == "+1" else step
             table = cache.get(spec, limit)
-            largest = max(largest, limit)
+            if before is not None and limit <= largest:  # inside: read as it is
+                assert table is before
+            largest, before = max(largest, limit), table
             # never larger than the largest request
             assert table.size == largest + 1
             assert np.array_equal(table, count_table(spec, largest))
@@ -337,13 +338,23 @@ class TestCacheStorage:
         assert stored is table and stored.dtype == np.int16
         assert stored.nbytes == 2 * 400020 and not stored.flags.writeable
 
-    def test_growth_widens_exactly(self, monkeypatch):
+    def test_rebuild_is_one_build_in_one_type(self, monkeypatch):
         monkeypatch.setattr(repcount.TABLE_CACHE, "_tables", {})
+        builds = []
+        build = repcount._count_columns
+
+        def spy(spec, limit, *rest):
+            builds.append(build(spec, limit, *rest))
+            return builds[-1]
+
+        monkeypatch.setattr(repcount, "_count_columns", spy)
         spec = MixedSumSpec.of("r", (1, 1, 1))
         assert repcount.TABLE_CACHE.get(spec, 1000).dtype == np.int16
-        table = repcount.TABLE_CACHE.get(spec, 200000)  # new columns in int32
-        assert repcount.TABLE_CACHE._tables[spec.terms] is table
-        assert table.dtype == np.int32 and not table.flags.writeable
+        table = repcount.TABLE_CACHE.get(spec, 200000)  # B = 85920: int32
+        # the stored table is the second build itself, with no int16 piece
+        assert repcount.TABLE_CACHE._tables[spec.terms] is table is builds[1]
+        assert table.dtype == np.int32 and table.size == 200001
+        assert not table.flags.writeable
         fresh = count_table(spec, 200000)
         assert fresh.dtype == np.int64 and not fresh.flags.writeable
         assert np.array_equal(table, fresh)

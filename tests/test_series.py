@@ -412,39 +412,38 @@ class TestMulKernel:
 
 
 class TestShiftedCopies:
-    """The tiled shifted-copies route from any start column."""
+    """The tiled shifted-copies route at any output width."""
 
     @settings(max_examples=150, deadline=None)
     @given(pair=st.sampled_from([(0.02, 1.0), (0.02, 0.02), (0.3, 1.0)]).flatmap(
                lambda d: st.tuples(mul_factor(d[0]), mul_factor(d[1]))),
            tile=st.sampled_from([1, 7, 64, 1 << 15]), data=st.data())
-    def test_columns_from_start(self, pair, tile, data):
+    def test_columns_at_any_width(self, pair, tile, data):
         # small tiles make short outputs span many of them
         x, y = pair[0].coeffs, pair[1].coeffs
         width = data.draw(st.integers(1, x.size + y.size - 1))
-        start = data.draw(st.integers(0, width - 1))
         ref = exact_window(x, y, width)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "_SHIFT_TILE", tile)
             if product_bound(x, y) > COEFF_LIMIT:
                 with pytest.raises(CoefficientOverflowError, match="product bound"):
-                    shifted_copies(x, np.flatnonzero(x), y, start, width)
+                    shifted_copies(x, np.flatnonzero(x), y, width)
                 return
-            out = shifted_copies(x, np.flatnonzero(x), y, start, width)
+            out = shifted_copies(x, np.flatnonzero(x), y, width)
         assert out.dtype.type is series_module._accumulator(product_bound(x, y))
-        assert out.tolist() == ref[start:]
+        assert out.tolist() == ref
 
     def test_several_full_tiles(self):
         # theta-shaped factors at the real tile size: 1 and 2 coefficients
-        # (phi) against a dense product, from a start inside the second tile
+        # (phi) against a dense product
         phi = theta_expand(theta_special("phi", 3), 200_000).coeffs[::2]
         dense = np.random.default_rng(5).integers(-50, 50, 100_001)
-        width, start = 100_001, 40_000
-        out = shifted_copies(phi, np.flatnonzero(phi), dense, start, width)
+        width = 100_001
+        out = shifted_copies(phi, np.flatnonzero(phi), dense, width)
         ref = np.zeros(width, dtype=np.int64)  # untiled; |ref| < 2^30
         for s in np.flatnonzero(phi).tolist():
             ref[s:] += phi[s] * dense[: width - s]
-        assert np.array_equal(out, ref[start:])
+        assert np.array_equal(out, ref)
 
     def test_bound_failure_writes_nothing(self):
         # B = (2^62 + 1) * 2 is past 64 bits although column 1, 2^62 + 2,
@@ -452,7 +451,7 @@ class TestShiftedCopies:
         a = np.array([2**62, 0, 1], dtype=np.int64)
         b = np.array([2, 1, 1], dtype=np.int64)
         with pytest.raises(CoefficientOverflowError, match="product bound"):
-            shifted_copies(a, np.flatnonzero(a), b, 1, 5)
+            shifted_copies(a, np.flatnonzero(a), b, 5)
 
 
 class TestNarrowAccumulator:
@@ -488,12 +487,11 @@ class TestNarrowAccumulator:
             b = rng.integers(-top, top + 1, size)
             b[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([-top, top]))
         width = data.draw(st.integers(1, a.size + b.size - 1))
-        start = data.draw(st.integers(0, width - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "_SHIFT_TILE", tile)
-            out = shifted_copies(a, np.flatnonzero(a), b, start, width)
+            out = shifted_copies(a, np.flatnonzero(a), b, width)
         assert out.dtype.type is series_module._accumulator(bound)
-        assert out.tolist() == exact_window(a, b, width)[start:]
+        assert out.tolist() == exact_window(a, b, width)
 
     @pytest.mark.parametrize("bound", EDGES)
     @pytest.mark.parametrize("sign", [-1, 1])
@@ -505,7 +503,7 @@ class TestNarrowAccumulator:
         third = bound // top // 3
         a[[0, 5, 9]] = [third, third, bound // top - 2 * third]
         b = np.full(30, sign * top, dtype=np.int64)
-        out = shifted_copies(a, np.flatnonzero(a), b, 0, 39)
+        out = shifted_copies(a, np.flatnonzero(a), b, 39)
         assert out.dtype.type is series_module._accumulator(bound)
         assert int(out[9]) == sign * bound
         assert out.tolist() == exact_window(a, b, 39)
@@ -516,10 +514,10 @@ class TestNarrowAccumulator:
         a = np.array([0, 40_000, 0, -3], dtype=np.int64)
         zero = series_module._accumulator(0)
         for b in (np.zeros(9, dtype=np.int64), np.zeros(0, dtype=np.int64)):
-            out = shifted_copies(a, np.flatnonzero(a), b, 2, 12)
+            out = shifted_copies(a, np.flatnonzero(a), b, 10)
             assert out.dtype.type is zero and out.tolist() == [0] * 10
         nothing = np.zeros(5, dtype=np.int64)
-        out = shifted_copies(nothing, np.flatnonzero(nothing), a, 0, 4)
+        out = shifted_copies(nothing, np.flatnonzero(nothing), a, 4)
         assert out.dtype.type is zero and out.tolist() == [0] * 4
 
 

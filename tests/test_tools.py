@@ -16,7 +16,7 @@ def test_table_traffic_reports_every_signature_then_totals():
     )
     assert run.returncode == 0, run.stderr
     header, *lines = run.stdout.splitlines()
-    assert header.split() == ["signature", "requests", "builds", "grows",
+    assert header.split() == ["signature", "requests", "builds", "rebuilds",
                               "cells_built", "cells_read"]
     *rows, total = [line.split() for line in lines]
     assert total[0] == "total"
@@ -26,8 +26,8 @@ def test_table_traffic_reports_every_signature_then_totals():
     catalog = load_relation_catalog()
     sides = [ref for rel in catalog for ref in (rel.lhs, *rel.rhs)]
     assert len(rows) == len({ref.spec.terms for ref in sides})
-    requests, builds, grows = map(int, total[1:4])
+    requests, builds, rebuilds = map(int, total[1:4])
     assert requests == len(sides) and builds == len(rows)
     # one bound per signature, alpha and beta // alpha
-    assert builds + grows <= len({(ref.spec.terms, ref.alpha, ref.beta // ref.alpha)
+    assert builds + rebuilds <= len({(ref.spec.terms, ref.alpha, ref.beta // ref.alpha)
                                   for ref in sides})

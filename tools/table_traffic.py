@@ -5,9 +5,10 @@
 Verifies every relation of the embedded catalog through N = n_max with
 ``verify_relation``, in catalog order, starting from an empty
 ``TABLE_CACHE``.  For each signature it prints the table requests, the
-builds (a first request), the grows (a request past the table, which
-computes the new columns), the cells those builds and grows computed,
-and the cells the relations read off the table; the totals come last.
+builds (a first request), the rebuilds (a request past the table, which
+builds the whole table again at the new limit), the cells those builds
+and rebuilds computed, and the cells the relations read off the table;
+the totals come last.
 The package is imported from the ``src`` directory beside this one.
 """
 
@@ -22,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from thetaq import load_relation_catalog, repcount, verify_relation  # noqa: E402
 
-COLUMNS = ("requests", "builds", "grows", "cells_built", "cells_read")
+COLUMNS = ("requests", "builds", "rebuilds", "cells_built", "cells_read")
 
 
 def cells_read(ref, m: int, r: int, n_max: int) -> int:
@@ -38,10 +39,10 @@ def traffic(relations, n_max: int) -> dict[str, dict[str, int]]:
     labels = {}
     build, get = repcount._count_columns, repcount.TABLE_CACHE.get
 
-    def counted_build(spec, start, limit, *rest):
-        cols = build(spec, start, limit, *rest)
+    def counted_build(spec, limit, *rest):
         row = rows[labels[spec.terms]]
-        row["grows" if start else "builds"] += 1
+        row["rebuilds" if spec.terms in repcount.TABLE_CACHE._tables else "builds"] += 1
+        cols = build(spec, limit, *rest)
         row["cells_built"] += cols.size
         return cols
 
