@@ -15,8 +15,9 @@ times, prints and scores them, each as soon as it exists.
 ``--format json`` emits one record per line with the shape
 {cmd, params, status, payload, elapsed_ms}; the payload is deterministic
 for a given command.  ``elapsed_ms`` runs from the end of the previous
-record to this one, so it covers one record's own work; the first
-``verify all`` record also covers loading the catalogs.
+record to this one, in milliseconds to the microsecond, so it covers one
+record's own work; the first ``verify all`` record also covers loading
+the catalogs.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def _print_record(fmt: str, cmd: str, params: dict, status: str, payload,
-                  elapsed_ms: int) -> None:
+                  elapsed_ms: float) -> None:
     if fmt == "json":
         print(json.dumps({"cmd": cmd, "params": params, "status": status,
                           "payload": payload, "elapsed_ms": elapsed_ms}, sort_keys=True))
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
     try:
         started = time.perf_counter()
         for cmd, params, status, payload in args.run(args):
-            elapsed_ms = int((time.perf_counter() - started) * 1000)
+            elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
             # informational rows never flip the exit code
             failed |= status not in ("pass", "info")
             _print_record(args.format, cmd, params, status, payload, elapsed_ms)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .series import CoefficientOverflowError, HalfPowerSeries, convolve, shifted_copies
+from .series import CoefficientOverflowError, HalfPowerSeries, scatter_pairs, shifted_copies
 from .theta import ThetaArg, term_exponents, theta_special
 
 
@@ -200,29 +200,34 @@ def _generating_arg(a: int, kind: FigurateKind) -> ThetaArg:
     return ThetaArg(arg.eps, arg.a // 2, arg.b // 2)
 
 
-def _distinct(pos: np.ndarray) -> np.ndarray:
-    """The distinct values of an ascending array."""
-    keep = np.empty(pos.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(pos[1:], pos[:-1], out=keep[1:])
-    return pos[keep]
+def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values, multiplicities) of a nonempty ascending array:
+    the multiplicities are the run lengths."""
+    last = np.empty(exps.size, dtype=bool)  # exps[i] ends a run
+    np.not_equal(exps[1:], exps[:-1], out=last[:-1])
+    last[-1] = True
+    ends = np.flatnonzero(last)
+    mult = np.empty_like(ends)
+    mult[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=mult[1:])
+    return exps[ends], mult
 
 
-def _split(exps, nz, modulus: int, offset: int) -> dict:
-    """{class: (positions, distinct positions)} of ascending exponents
-    ``exps`` whose distinct values are ``nz``.
+def _split(exps, mult, modulus: int, offset: int) -> dict:
+    """{class: (positions, multiplicities)} of the distinct ascending
+    exponents ``exps``, whose multiplicities are ``mult``.
 
     Each exponent e goes to class (e + offset) mod M at position
-    (e + offset) // M; positions keep the exponents' repeats and order,
-    and empty classes are left out.
+    (e + offset) // M, so a class's positions stay distinct and
+    ascending.  Empty classes are left out.
     """
     if modulus == 1:  # offset is 0
-        return {0: (exps, nz)}
+        return {0: (exps, mult)}
     pos, cls = np.divmod(exps + offset, modulus)
     out = {}
-    for c in _distinct(np.sort(cls)).tolist():
-        sel = pos[cls == c]
-        out[c] = (sel, _distinct(sel))
+    for c in _runs(np.sort(cls))[0].tolist():
+        sel = cls == c
+        out[c] = pos[sel], mult[sel]
     return out
 
 
@@ -234,15 +239,17 @@ def _count_columns(
     Each generating theta is taken as the exponents of its bilateral
     sum's terms: every generating theta has eps = +1, so a coefficient
     is the number of terms at its exponent, and no pass over a dense
-    expansion is needed to find the nonzeros.  The terms of all three
-    factors are split by exponent mod M.  Each class c of the two
-    densest factors' product that the sparsest factor's terms reach is
-    the sum of the class products x_r1 * y_r2 with r1 + r2 = c mod M,
-    through ``convolve``; a class no pair of classes reaches is an exact
-    zero and costs nothing, and a dense class array is built only for
-    the product that reads it.  The sparsest factor's terms then add their
-    shifted copies of class c, by ``shifted_copies``, on the class's
-    columns.  At M = 1 this is one product and one set of
+    expansion is needed to find the nonzeros.  Each factor is taken as
+    its distinct exponents and their multiplicities, the run lengths of
+    its sorted exponents, split by exponent mod M.  Each class c of the
+    two densest factors' product that the sparsest factor's terms reach
+    is the sum of the class products x_r1 * y_r2 with r1 + r2 = c mod M,
+    each scattered straight into the class's pair array by
+    :func:`~thetaq.series.scatter_pairs`; a class no pair of classes
+    reaches is an exact zero and costs nothing, and a pair array is
+    built only for the class that reads it.  The sparsest factor's terms
+    then add their shifted copies of class c, by ``shifted_copies``, on
+    the class's columns.  At M = 1 this is one product and one set of
     copies: the full table.
 
     Every partial sum formed here, the class-pair sums, each
@@ -259,18 +266,15 @@ def _count_columns(
     if limit < residue:
         return np.zeros(0, dtype=series._accumulator(0))
     width = (limit - residue) // modulus + 1
-    factors = []
-    for a, kind in spec.terms:
-        exps = np.sort(term_exponents(_generating_arg(a, kind), limit)[1])
-        factors.append((exps, _distinct(exps)))
-    factors.sort(key=lambda factor: factor[1].size)
-    terms = math.prod(e.size for e, _ in factors)
+    exps = [np.sort(term_exponents(_generating_arg(a, kind), limit)[1]) for a, kind in spec.terms]
+    terms = math.prod(e.size for e in exps)
     if terms > series.COEFF_LIMIT:
         raise CoefficientOverflowError(
             f"counts through N = {limit} are not proven to fit in 64 bits: the "
             f"generating thetas' term counts multiply to {terms}, past the "
             f"bound {series.COEFF_LIMIT}"
         )
+    factors = sorted(map(_runs, exps), key=lambda factor: factor[0].size)
     # A sparsest term at e meets the product's class c = residue - e mod M,
     # ceil((e - residue) / M) positions up: offset M - 1 - residue puts it
     # at that position, in class M - 1 - c.
@@ -280,26 +284,21 @@ def _count_columns(
     )
 
     cols = None
-    for c_sparse, (pos, nz) in sparse.items():
+    for c_sparse, (nz, mult) in sparse.items():
         c = modulus - 1 - c_sparse
         pair = None
-        for r1 in left:
+        for r1, (nz_a, mult_a) in left.items():
             r2 = (c - r1) % modulus
             carry = int(r1 > c)  # r1 + r2 = c + M: one position up
             if r2 not in right or carry >= width:
                 continue
-            (pos_a, nz_a), (pos_b, nz_b) = left[r1], right[r2]
-            prod = convolve(np.bincount(pos_a, minlength=width), nz_a,
-                            np.bincount(pos_b, minlength=width), nz_b, width - carry)
-            if pair is None and not carry:
-                pair = prod
-                continue
             if pair is None:
                 pair = np.zeros(width, dtype=np.int64)
-            pair[carry:] += prod
+            nz_b, mult_b = right[r2]
+            scatter_pairs(pair, 0, nz_a, mult_a, nz_b + carry, mult_b)
         if pair is None:
             continue
-        part = shifted_copies(np.bincount(pos, minlength=width), nz, pair, width)
+        part = shifted_copies(nz, mult, pair, width)
         # several parts are proven to sum only in int64; += could wrap
         cols = part if cols is None else np.add(cols, part, dtype=np.int64)
     return np.zeros(width, dtype=series._accumulator(0)) if cols is None else cols

@@ -14,9 +14,12 @@ that bound fits in 64 bits it runs in int64, and otherwise it raises
 operation wraps, and none falls back to Python integers.  Every product
 of two series goes through one kernel, :func:`convolve`, which iterates
 over the sparser factor's nonzeros by one of two routes, and every sum
-through one, :func:`sum_series`.  A product of two theta functions
-forms neither factor's series: the pair scatter of :mod:`thetaq.theta`
-counts its pairs of term exponents.
+through one, :func:`sum_series`.  Every weighted sum over pairs of
+exponents goes through one pair kernel, :func:`scatter_pairs`: the
+pairwise route of :func:`convolve`, the pair scatter of
+:mod:`thetaq.theta`, which adds a product of two theta functions from
+their term exponents without forming either series, and the class
+products of :mod:`thetaq.repcount`'s count tables.
 """
 
 from __future__ import annotations
@@ -270,7 +273,7 @@ def _max_abs(arr: np.ndarray) -> int:
 # np.add.at costs about twenty.
 _SHIFT_OVERHEAD = 2000
 _PAIR_COST = 20
-_PAIR_BLOCK = 1 << 16  # pairs formed at a time by a pairwise scatter
+_PAIR_BLOCK = 1 << 16  # pairs scatter_pairs forms at a time
 # Output columns the shifted copies fill at a time in int64: a tile is
 # 2^18 bytes, and a narrower accumulator fills 8 // itemsize times as many.
 _SHIFT_TILE = 1 << 15
@@ -298,32 +301,52 @@ def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
     """First ``width`` columns of a * b, given the ascending nonzero
     positions of both factors, from the nonzeros of the sparser factor:
     one shifted copy of the other factor per nonzero, or its pairwise
-    products with the other factor's nonzeros where those cost less.
-    Either route proves its bound sum|a| * max|b| (over the factor it
-    iterates) before it writes a column, and raises
-    :class:`CoefficientOverflowError` when that bound does not fit.  Both
-    routes return int64."""
+    products with the other factor's nonzeros, by :func:`scatter_pairs`,
+    where those cost less.  Either route proves its bound
+    sum|a| * max|b| (over the factor it iterates) before it writes a
+    column, and raises :class:`CoefficientOverflowError` when that bound
+    does not fit.  Both routes return int64."""
     shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
     if shifts > nz_b.size * (a.size + _SHIFT_OVERHEAD):
         a, nz_a, b, nz_b = b, nz_b, a, nz_a  # iterate over the sparser factor
         shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
+    vals = a[nz_a]
     if _PAIR_COST * nz_a.size * nz_b.size >= shifts:
-        return shifted_copies(a, nz_a, b, width).astype(np.int64, copy=False)
-    vals, other = a[nz_a], b[nz_b]
+        return shifted_copies(nz_a, vals, b, width).astype(np.int64, copy=False)
+    other = b[nz_b]
     _proven_bound(vals, other)
     out = np.zeros(width, dtype=np.int64)
-    step = max(1, _PAIR_BLOCK // nz_b.size)  # bounds the scratch arrays
-    for i in range(0, nz_a.size, step):
-        cols = (nz_a[i : i + step, None] + nz_b).ravel()
-        prods = (vals[i : i + step, None] * other).ravel()
-        keep = cols < width
-        np.add.at(out, cols[keep], prods[keep])
+    scatter_pairs(out, 0, nz_a, vals, nz_b, other)
     return out
 
 
-def shifted_copies(a, nz_a, b, width: int) -> np.ndarray:
-    """First ``width`` columns of a * b: one shifted copy of ``b`` per
-    nonzero of ``a`` (``nz_a`` ascending).
+def scatter_pairs(out: np.ndarray, lo: int, e1, w1, e2, w2) -> None:
+    """Add w1[i] * w2[j] to ``out`` at column e1[i] + e2[j] - lo, for every
+    pair whose column is at or below the last column of ``out``.
+
+    The pairs are formed ``_PAIR_BLOCK`` at a time and added by
+    ``np.add.at``, which adds repeated columns exactly.  The kernel
+    checks nothing: its callers prove that every exponent sum, every
+    product and every partial sum fits the type of ``out``, and that no
+    column lies below 0.
+    """
+    last = lo + out.size - 1
+    cols = min(e2.size, _PAIR_BLOCK)
+    if cols == 0:
+        return
+    rows = _PAIR_BLOCK // cols
+    for j in range(0, e2.size, cols):
+        for i in range(0, e1.size, rows):
+            at = (e1[i : i + rows, None] + e2[j : j + cols]).ravel()
+            keep = at <= last
+            prods = (w1[i : i + rows, None] * w2[j : j + cols]).ravel()
+            np.add.at(out, at[keep] - lo, prods[keep])
+
+
+def shifted_copies(nz_a, vals, b, width: int) -> np.ndarray:
+    """First ``width`` columns of a * b, where ``a`` has the nonzero
+    coefficients ``vals`` at the ascending positions ``nz_a``: one
+    shifted copy of ``b`` per nonzero of ``a``.
 
     B = sum|a| * max|b| bounds every partial sum, so the copies are added
     in the narrowest of int16, int32 and int64 that holds B, and the
@@ -337,7 +360,6 @@ def shifted_copies(a, nz_a, b, width: int) -> np.ndarray:
     add is in place.  Raises :class:`CoefficientOverflowError` when B
     does not fit in 64 bits, before any column is written.
     """
-    vals = a[nz_a]
     bound = _proven_bound(vals, b)
     dtype = _accumulator(bound)
     if bound == 0:  # a coefficient beyond the narrow type must not be cast

@@ -17,8 +17,9 @@ The module provides two independent expansion routes (the bilateral sum
 and the Jacobi triple product), a normalization that clears a negative
 exponent, and the n-term dissection of a theta function into shifted
 theta terms.  The bilateral sum is the one-factor case of
-:func:`_pair_scatter`, which counts the term-exponent pairs of every
-product of two theta functions that :mod:`thetaq.identity` adds.
+:func:`_pair_scatter`, which adds every product of two theta functions
+that :mod:`thetaq.identity` adds from the pairs of their term exponents,
+through the one pair kernel :func:`thetaq.series.scatter_pairs`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import (
-    COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries, _PAIR_BLOCK, _max_abs,
+    COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries, _max_abs, scatter_pairs,
 )
 
 
@@ -114,7 +115,8 @@ def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     return _pair_scatter(((1, 0, (arg,)),), hi)
 
 
-_NO_FACTOR = ((1, np.zeros(1, dtype=np.int64)),)  # the one term of a constant 1
+# the one term of a constant 1: exponent 0, weight 1
+_NO_FACTOR = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
 
 
 def _pair_scatter(terms, hi: int) -> HalfPowerSeries:
@@ -123,23 +125,23 @@ def _pair_scatter(terms, hi: int) -> HalfPowerSeries:
     adds); a term of one factor carries the constant 1 as f2.
 
     f1 * f2 is the sum over index pairs (n1, n2) of
-    eps1^n1 * eps2^n2 * q^((e1 + e2)/2), so each coefficient counts the
-    pairs whose exponent sum shift + e1 + e2 lands on it: the plus pairs
-    and the minus pairs are counted by two unweighted ``np.bincount``
-    calls into one int64 array.  Each factor's term exponents are taken
+    eps1^n1 * eps2^n2 * q^((e1 + e2)/2), so each term is one call of
+    :func:`~thetaq.series.scatter_pairs` with the two factors' term
+    exponents, weighted eps^n; f1's weights carry the term's sign and
+    f2's exponents its shift.  Each factor's term exponents are taken
     through exactly hi - shift - m_other, m_other the other factor's
     least exponent, past which no pair reaches hi.  A term with an
     identically-zero factor adds nothing.
 
-    Every coefficient and every partial count is at most the number of
-    pairs P, and every exponent sum formed is at most
+    Every coefficient and every partial sum is at most the number of
+    pairs P in magnitude, and every exponent sum formed is at most
     R = max|e1| + max|e2| + |shift| in magnitude.  Both are checked
     against ``COEFF_LIMIT`` before the output is allocated, and
-    :class:`CoefficientOverflowError` is raised past it.  The pairs are
-    formed after the output exists, ``_PAIR_BLOCK`` at a time.
+    :class:`CoefficientOverflowError` is raised past it.  The kernel
+    forms the pairs after the output exists.
     """
     lo, pairs, reach = hi, 0, 0
-    blocks = []  # (sign, shift, parity classes of f1, of f2)
+    sets = []  # (shift, (e1, w1), (e2, w2)) per term
     for sign, shift, factors in terms:
         if any(f.is_zero_function() for f in factors):
             continue
@@ -152,59 +154,24 @@ def _pair_scatter(terms, hi: int) -> HalfPowerSeries:
             if e.size:  # the least exponent m sits between the two ends
                 term_reach += max(int(e[0]), int(e[-1]), -m)
             term_pairs *= e.size
-            if f.eps == 1:
-                sides.append(((1, e),))
-            else:  # eps^n: + on the even indices n, - on the odd
-                even = n_lo % 2
-                sides.append(((1, e[even::2]), (-1, e[1 - even :: 2])))
+            # weights eps^n, times the term's sign on the first factor
+            w = np.full(e.size, 1 if sides else sign, dtype=np.int64)
+            if f.eps == -1:
+                w[(n_lo + 1) % 2 :: 2] *= -1
+            sides.append((e, w))
         if len(sides) == 1:
             sides.append(_NO_FACTOR)
         pairs += term_pairs
         reach = max(reach, term_reach)
-        blocks.append((sign, shift, *sides))
+        sets.append((shift, *sides))
     if pairs > COEFF_LIMIT:
         raise CoefficientOverflowError(f"pair count {pairs} exceeds the 64-bit width")
     if reach > COEFF_LIMIT:
         raise CoefficientOverflowError(f"exponent sum bound {reach} exceeds the 64-bit width")
     out = np.zeros(hi - lo + 1, dtype=np.int64)
-    held: dict[int, list] = {1: [], -1: []}
-    count = 0
-    for sign, shift, ones, twos in blocks:
-        for s1, e1 in ones:
-            for s2, e2 in twos:
-                for cols in _pair_sums(e1, e2 + shift):
-                    kept = cols[cols <= hi] - lo
-                    if count + kept.size > _PAIR_BLOCK:
-                        _count_pairs(out, held)
-                        count = 0
-                    held[sign * s1 * s2].append(kept)
-                    count += kept.size
-    _count_pairs(out, held)
+    for shift, (e1, w1), (e2, w2) in sets:
+        scatter_pairs(out, lo, e1, w1, e2 + shift, w2)
     return HalfPowerSeries(lo, hi, out)
-
-
-def _pair_sums(a: np.ndarray, b: np.ndarray):
-    """Every sum a[i] + b[j], at most ``_PAIR_BLOCK`` at a time."""
-    if a.size == 0 or b.size == 0:
-        return
-    cols = min(b.size, _PAIR_BLOCK)
-    rows = _PAIR_BLOCK // cols
-    for j in range(0, b.size, cols):
-        for i in range(0, a.size, rows):
-            yield (a[i : i + rows, None] + b[j : j + cols]).ravel()
-
-
-def _count_pairs(out: np.ndarray, held: dict[int, list]) -> None:
-    """Add the held plus pairs' counts to ``out``, subtract the minus
-    pairs' counts, and empty both lists."""
-    for sign, idx in held.items():
-        if idx:
-            counts = np.bincount(np.concatenate(idx))
-            if sign == 1:
-                out[: counts.size] += counts
-            else:
-                out[: counts.size] -= counts
-            idx.clear()
 
 
 def jacobi_triple_product(arg: ThetaArg, hi: int) -> HalfPowerSeries:

@@ -588,6 +588,16 @@ class TestJsonDeterminism:
         rec = json_records(out)[0]
         assert set(rec) == {"cmd", "params", "status", "payload", "elapsed_ms"}
 
+    def test_elapsed_ms_keeps_sub_millisecond_time(self, capsys, monkeypatch):
+        # a clock that moves 0.4 ms per reading: a record that takes less
+        # than a millisecond reads 0.4, not 0
+        ticks = iter(range(1000))
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks) * 4e-4)
+        _, out, _ = run(capsys, "--format", "json", "count", "--form",
+                        "G(1,1,2)", "--n", "1")
+        monkeypatch.undo()
+        assert json_records(out)[0]["elapsed_ms"] == 0.4
+
 
 class TestCountRange:
     @pytest.mark.parametrize("method", ["enumerate", "series", "both"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaq import identity
+from thetaq import series as series_module
 from thetaq import theta as theta_module
 from thetaq.series import COEFF_LIMIT, CoefficientOverflowError, HalfPowerSeries
 from thetaq.theta import (
@@ -812,18 +813,18 @@ class TestPairScatter:
 
     def scatter_at(self, monkeypatch, terms, hi, limit, events):
         """Run the scatter under ``limit``, logging "output" for its
-        allocation and "pairs" for each pair-block generator.  The term
+        allocation and "pairs" for each call of the pair kernel.  The term
         exponents keep their own bound under the true limit."""
-        zeros, pair_sums = np.zeros, theta_module._pair_sums
+        zeros, scatter_pairs = np.zeros, theta_module.scatter_pairs
         term_exponents = theta_module.term_exponents
 
         def counting_zeros(*args, **kwargs):
             events.append("output")
             return zeros(*args, **kwargs)
 
-        def counting_pair_sums(a, b):
+        def counting_scatter_pairs(*args):
             events.append("pairs")
-            return pair_sums(a, b)
+            return scatter_pairs(*args)
 
         def exponents_at_the_true_limit(arg, bound):
             theta_module.COEFF_LIMIT = COEFF_LIMIT
@@ -834,7 +835,7 @@ class TestPairScatter:
 
         monkeypatch.setattr(theta_module, "COEFF_LIMIT", limit)
         monkeypatch.setattr(np, "zeros", counting_zeros)
-        monkeypatch.setattr(theta_module, "_pair_sums", counting_pair_sums)
+        monkeypatch.setattr(theta_module, "scatter_pairs", counting_scatter_pairs)
         monkeypatch.setattr(theta_module, "term_exponents", exponents_at_the_true_limit)
         try:
             return theta_module._pair_scatter(terms, hi)
@@ -868,14 +869,20 @@ class TestPairScatter:
                  ThetaProduct(1, 0, (SGN,))]
         want = product_oracle(terms, 90)
         counted = []
-        bincount = np.bincount
+        add = np.add
 
-        def recording_bincount(idx, *args, **kwargs):
-            counted.append(idx.size)
-            return bincount(idx, *args, **kwargs)
+        class RecordingAdd:
+            """``np.add`` whose ``at`` records the size of each block."""
 
-        monkeypatch.setattr(theta_module, "_PAIR_BLOCK", block)
-        monkeypatch.setattr(np, "bincount", recording_bincount)
+            def __call__(self, *args, **kwargs):
+                return add(*args, **kwargs)
+
+            def at(self, out, idx, vals):
+                counted.append(idx.size)
+                add.at(out, idx, vals)
+
+        monkeypatch.setattr(series_module, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(np, "add", RecordingAdd())
         got = expand_sum(terms, 90)
         monkeypatch.undo()
         assert dict(got.items()) == want

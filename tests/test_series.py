@@ -321,6 +321,12 @@ def exact_or_raises(run, x: np.ndarray, y: np.ndarray, ref: list[int]):
     return out
 
 
+def copies_of(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """``shifted_copies`` of ``b`` at the nonzeros of the dense factor ``a``."""
+    nz = np.flatnonzero(a)
+    return shifted_copies(nz, a[nz], b, width)
+
+
 def route_of(monkeypatch, a: np.ndarray, b: np.ndarray, width: int):
     """The route ``convolve`` takes for the first ``width`` columns of
     a * b, "shifted" or "pairwise", and its output."""
@@ -411,6 +417,35 @@ class TestMulKernel:
             a * b
 
 
+class TestScatterPairs:
+    """The one pair kernel against a Python-int double loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(e1=st.lists(st.integers(-8, 30), max_size=25),
+           e2=st.lists(st.integers(-8, 30), max_size=25),
+           block=st.sampled_from([1, 5, 64]), data=st.data())
+    def test_matches_double_loop(self, e1, e2, block, data):
+        # small ranges repeat exponents; lo lies at or below every pair
+        # sum, and the output may end before the last one
+        w1 = data.draw(st.lists(st.integers(-2, 2), min_size=len(e1), max_size=len(e1)))
+        w2 = data.draw(st.lists(st.integers(-2, 2), min_size=len(e2), max_size=len(e2)))
+        sums = [x + y for x in e1 for y in e2]
+        lo = min(sums, default=0) - data.draw(st.integers(0, 5))
+        width = data.draw(st.integers(1, max(sums, default=lo) - lo + 4))
+        start = data.draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width))
+        want = list(start)
+        for x, a in zip(e1, w1):
+            for y, b in zip(e2, w2):
+                if x + y - lo < width:
+                    want[x + y - lo] += a * b
+        out = np.array(start, dtype=np.int64)
+        arrays = [np.array(v, dtype=np.int64) for v in (e1, w1, e2, w2)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_PAIR_BLOCK", block)
+            series_module.scatter_pairs(out, lo, *arrays)
+        assert out.tolist() == want
+
+
 class TestShiftedCopies:
     """The tiled shifted-copies route at any output width."""
 
@@ -427,9 +462,9 @@ class TestShiftedCopies:
             mp.setattr(series_module, "_SHIFT_TILE", tile)
             if product_bound(x, y) > COEFF_LIMIT:
                 with pytest.raises(CoefficientOverflowError, match="product bound"):
-                    shifted_copies(x, np.flatnonzero(x), y, width)
+                    copies_of(x, y, width)
                 return
-            out = shifted_copies(x, np.flatnonzero(x), y, width)
+            out = copies_of(x, y, width)
         assert out.dtype.type is series_module._accumulator(product_bound(x, y))
         assert out.tolist() == ref
 
@@ -439,7 +474,7 @@ class TestShiftedCopies:
         phi = theta_expand(theta_special("phi", 3), 200_000).coeffs[::2]
         dense = np.random.default_rng(5).integers(-50, 50, 100_001)
         width = 100_001
-        out = shifted_copies(phi, np.flatnonzero(phi), dense, width)
+        out = copies_of(phi, dense, width)
         ref = np.zeros(width, dtype=np.int64)  # untiled; |ref| < 2^30
         for s in np.flatnonzero(phi).tolist():
             ref[s:] += phi[s] * dense[: width - s]
@@ -451,7 +486,7 @@ class TestShiftedCopies:
         a = np.array([2**62, 0, 1], dtype=np.int64)
         b = np.array([2, 1, 1], dtype=np.int64)
         with pytest.raises(CoefficientOverflowError, match="product bound"):
-            shifted_copies(a, np.flatnonzero(a), b, 5)
+            copies_of(a, b, 5)
 
 
 class TestNarrowAccumulator:
@@ -489,7 +524,7 @@ class TestNarrowAccumulator:
         width = data.draw(st.integers(1, a.size + b.size - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "_SHIFT_TILE", tile)
-            out = shifted_copies(a, np.flatnonzero(a), b, width)
+            out = copies_of(a, b, width)
         assert out.dtype.type is series_module._accumulator(bound)
         assert out.tolist() == exact_window(a, b, width)
 
@@ -503,7 +538,7 @@ class TestNarrowAccumulator:
         third = bound // top // 3
         a[[0, 5, 9]] = [third, third, bound // top - 2 * third]
         b = np.full(30, sign * top, dtype=np.int64)
-        out = shifted_copies(a, np.flatnonzero(a), b, 39)
+        out = copies_of(a, b, 39)
         assert out.dtype.type is series_module._accumulator(bound)
         assert int(out[9]) == sign * bound
         assert out.tolist() == exact_window(a, b, 39)
@@ -514,10 +549,10 @@ class TestNarrowAccumulator:
         a = np.array([0, 40_000, 0, -3], dtype=np.int64)
         zero = series_module._accumulator(0)
         for b in (np.zeros(9, dtype=np.int64), np.zeros(0, dtype=np.int64)):
-            out = shifted_copies(a, np.flatnonzero(a), b, 10)
+            out = copies_of(a, b, 10)
             assert out.dtype.type is zero and out.tolist() == [0] * 10
         nothing = np.zeros(5, dtype=np.int64)
-        out = shifted_copies(nothing, np.flatnonzero(nothing), a, 4)
+        out = copies_of(nothing, a, 4)
         assert out.dtype.type is zero and out.tolist() == [0] * 4
 
 

@@ -8,7 +8,10 @@ every int64 magnitude goes through ``series._max_abs``, the one place
 that reads it exactly.  Series arithmetic proves its 64-bit bounds or
 raises, and so do the theta term exponents, so no object
 (Python-integer) array appears anywhere.  ``np.bincount`` with weights
-returns float64, so every count is unweighted.
+returns float64, so no count is weighted: a weighted sum over pairs of
+exponents goes through ``np.add.at`` in the one pair kernel,
+``series.scatter_pairs``, and the only other ``np.add.at`` fills
+``repcount._membership``'s one-byte table.
 """
 
 import ast
@@ -155,3 +158,53 @@ def test_unweighted_bincount_passes():
     assert not list(weighted_bincount_sites(ast.parse(
         "c = np.bincount(i); d = np.bincount(i, minlength=n); e = counts(i, w)"
     )))
+
+
+# the one function per file that may call np.add.at
+ADD_AT_HOMES = {"series.py": "scatter_pairs", "repcount.py": "_membership"}
+
+
+def add_at_sites(tree, allowed_in=None):
+    """``np.add.at`` (or ``add.at``) references outside the def ``allowed_in``."""
+    exempt = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == allowed_in
+              for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "at"
+                and id(node) not in exempt):
+            continue
+        owner = node.value
+        if ((isinstance(owner, ast.Name) and owner.id == "add")
+                or (isinstance(owner, ast.Attribute) and owner.attr == "add"
+                    and isinstance(owner.value, ast.Name)
+                    and owner.value.id in ("np", "numpy"))):
+            yield node.lineno, "add.at"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_pair_kernel(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = list(add_at_sites(tree, ADD_AT_HOMES.get(path.name)))
+    assert sites == [], [f"{path.name}:{line}: {what}" for line, what in sites]
+
+
+def test_each_home_calls_add_at():
+    for name in ADD_AT_HOMES:
+        path = next(p for p in SOURCES if p.name == name)
+        assert list(add_at_sites(ast.parse(path.read_text()))), name
+
+
+@pytest.mark.parametrize("snippet", [
+    "np.add.at(out, i, w)", "numpy.add.at(out, i, w)", "f = np.add.at",
+    "from numpy import add\nadd.at(out, i, w)",
+    "def scatter_pairs(o, i, w):\n    pass\nnp.add.at(out, i, w)",
+])
+def test_each_add_at_form_is_caught(snippet):
+    assert list(add_at_sites(ast.parse(snippet), "scatter_pairs"))
+
+
+def test_add_at_in_its_home_passes():
+    assert not list(add_at_sites(ast.parse(
+        "def scatter_pairs(out, i, w):\n    np.add.at(out, i, w)\n"
+        "x = np.add(a, b); y = table.at; z = np.multiply.at"
+    ), "scatter_pairs"))

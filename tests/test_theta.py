@@ -225,6 +225,43 @@ class TestExpand:
         assert (got.lo, got.hi) == (hi, hi) and got.is_zero()
 
 
+class TestOnePairKernel:
+    """A theta expansion is one call of the pair kernel: its term
+    exponents, weighted eps^n, against the constant 1."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch, arg, hi):
+        calls = []
+        kernel = theta_module.scatter_pairs
+
+        def spy(out, lo, e1, w1, e2, w2):
+            calls.append([v.tolist() for v in (e1, w1, e2, w2)])
+            kernel(out, lo, e1, w1, e2, w2)
+
+        monkeypatch.setattr(theta_module, "scatter_pairs", spy)
+        got = theta_expand(arg, hi)
+        monkeypatch.undo()
+        assert dict(got.items()) == reference_expand(arg.eps, arg.a, arg.b, hi)
+        return calls
+
+    def test_psi_hands_over_its_term_exponents(self, monkeypatch):
+        # about 140 pairs through 20000 half-units, not one per column
+        psi = theta_special("psi")
+        (e1, w1, e2, w2), = self.kernel_calls(monkeypatch, psi, 20000)
+        assert e1 == theta_module.term_exponents(psi, 20000)[1].tolist()
+        assert e1 == [e for _, e in sorted(reference_terms(psi.a, psi.b, 20000))]
+        assert w1 == [1] * len(e1) and (e2, w2) == ([0], [1])
+
+    def test_signed_factor_is_one_pair_set(self, monkeypatch):
+        # one call with weights (-1)^n, not one pass per parity class
+        arg = ThetaArg(-1, 2, 4)
+        (e1, w1, e2, w2), = self.kernel_calls(monkeypatch, arg, 400)
+        terms = sorted(reference_terms(arg.a, arg.b, 400))
+        assert e1 == [e for _, e in terms]
+        assert w1 == [(-1) ** (n % 2) for n, _ in terms]
+        assert set(w1) == {-1, 1} and (e2, w2) == ([0], [1])
+
+
 class TestTripleProductOracle:
     def test_matches_on_grid(self):
         for eps in (1, -1):
