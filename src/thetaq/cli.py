@@ -44,7 +44,7 @@ from .relations import (
     load_scan_catalog,
     verify_relation,
 )
-from .repcount import MixedSumSpec, count_enumerate, count_series, nonrep_scan
+from .repcount import MixedSumSpec, count_enumerate, count_table, nonrep_scan
 from .series import CoefficientOverflowError, TruncationError
 from .theta import ExpansionError, ThetaArg, theta_expand, theta_special
 
@@ -118,15 +118,15 @@ def _cmd_count(args):
         ns = [args.n]
     payload: dict = {"values": []}
     status = "pass"
-    series = None
+    table = None
     if args.method in ("series", "both"):
-        series = count_series(spec, max(max(ns), 0))  # negative N count 0
+        table = count_table(spec, max(max(ns), 0))
     for n in ns:
         row: dict = {"n": n}
         if args.method in ("enumerate", "both"):
             row["enumerate"] = count_enumerate(spec, n)
-        if series is not None:
-            row["series"] = series.coeff(2 * n) if n >= 0 else 0
+        if table is not None:
+            row["series"] = int(table[n]) if n >= 0 else 0  # negative N count 0
         if args.method == "both" and row["enumerate"] != row["series"]:
             status = "fail"
         row["value"] = row.get("enumerate", row.get("series"))

@@ -46,37 +46,30 @@ class ThetaProduct:
 def expand_sum(terms: Sequence[ThetaProduct], hi: int) -> HalfPowerSeries:
     """Expand and add a list of theta products, exact through ``hi``.
 
-    Terms of one or two factors are added in one :func:`_pair_scatter`
-    of :mod:`thetaq.theta` through ``hi``.  Three-factor terms are grouped
-    by their first factor o and expanded by the distributive law,
-    sum_t o * x_t = o * sum_t x_t:
-    the two-factor remainders x_t (with each term's sign and shift) are
-    added in one :func:`_pair_scatter` through hi - m, where
-    m = o.min_exponent(), and o is expanded once, through max(hi - v, m),
-    where v is the valuation of that inner sum; the one product is then
-    valid through hi, because each side's bound plus the other side's
-    valuation (at least v, at least m) reaches hi.  A group of one term,
-    such as a left side, takes the same route.  A group whose o is
-    identically zero, or whose inner sum cancels, adds nothing.  Every
-    part is added in one :func:`sum_series`.
+    Terms are grouped, by first appearance, by their factors before the
+    last two, and each group is expanded by the distributive law,
+    sum_t o * x_t = o * sum_t x_t: the remainders x_t of one or two
+    factors (with each term's sign and shift) are added in one
+    :func:`_pair_scatter` of :mod:`thetaq.theta`.  The group with no
+    outer factor, the one- and two-factor terms, is that scatter through
+    ``hi``.  A three-factor group's scatter runs through hi - m, where
+    m = o.min_exponent() for its outer factor o, from lo, the least
+    exponent it could add (lo <= hi - m); o is expanded once, through
+    hi - lo >= m, and multiplied once.  The product is exact through hi,
+    because each factor's bound plus the other factor's least exponent
+    (at least m, at least lo) reaches hi.  A group whose o is identically
+    zero adds nothing.  Every part is added in one :func:`sum_series`.
     """
-    flat = []
-    groups: dict[ThetaArg, list[ThetaProduct]] = {}
-    for term in terms:
-        if len(term.factors) == 3:
-            groups.setdefault(term.factors[0], []).append(term)
-        else:
-            flat.append((term.sign, term.shift, term.factors))
-    parts = [_pair_scatter(flat, hi)] if flat else []
+    groups: dict[tuple[ThetaArg, ...], list] = {}
+    for t in terms:
+        groups.setdefault(t.factors[:-2], []).append((t.sign, t.shift, t.factors[-2:]))
+    parts = []
     for outer, group in groups.items():
-        if outer.is_zero_function():
-            continue
-        m = outer.min_exponent()
-        inner = _pair_scatter([(t.sign, t.shift, t.factors[1:]) for t in group], hi - m)
-        first = next(inner.items(), None)
-        if first is None:  # the group cancels exactly
-            continue
-        parts.append(theta_expand(outer, max(hi - first[0], m)) * inner)
+        if not outer:
+            parts.append(_pair_scatter(group, hi))
+        elif not outer[0].is_zero_function():
+            inner = _pair_scatter(group, hi - outer[0].min_exponent())
+            parts.append(theta_expand(outer[0], hi - inner.lo) * inner)
     return sum_series(parts, hi)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from thetaq import cli
+from thetaq import cli, repcount
 from thetaq.cli import main
 from thetaq.identity import load_identity_catalog
 from thetaq.relations import CLASSICAL_IDS, load_relation_catalog, load_scan_catalog
@@ -624,6 +624,22 @@ class TestCountRange:
         rec = json_records(out)[0]
         assert code == 0 and rec["params"]["range"] == "-3..-1"
         assert [row["value"] for row in rec["payload"]["values"]] == [0, 0, 0]
+
+    def test_series_method_reads_the_count_table(self, capsys, monkeypatch):
+        # the series column is the count-table builder's column, read at N;
+        # no count path builds the half-grid generating series
+        def refuse(*args):
+            raise AssertionError("count_series called")
+
+        monkeypatch.setattr(repcount, "count_series", refuse)
+        monkeypatch.setattr(cli, "count_series", refuse, raising=False)
+        code, out, _ = run(capsys, "--format", "json", "count", "--form", "rpg(3,4,1)",
+                           "--range", "-3..40", "--method", "both")
+        rec = json_records(out)[0]
+        assert code == 0 and rec["status"] == "pass"
+        spec = cli._parse_form("rpg(3,4,1)")
+        assert [(row["n"], row["series"]) for row in rec["payload"]["values"]] == [
+            (n, count_enumerate(spec, n)) for n in range(-3, 41)]
 
 
 def _bound(top=10**4):

@@ -654,35 +654,33 @@ def scatter_requests(terms, hi) -> list:
 
 
 def route_requests(terms, hi) -> list:
-    """Every request :func:`expand_sum` makes, in order: one scatter of
-    the one- and two-factor terms through hi, then per outer factor o,
-    by first appearance, one scatter of its group's remainders through
-    hi - m and, unless o vanishes or the remainders cancel, o's expansion
-    through max(hi - v, m), where m = o.min_exponent() and v is the
-    valuation of the summed remainders.  That expansion is the scatter's
-    one-factor case, so it asks for o's term exponents through the same
-    bound."""
-    out = scatter_requests([t for t in terms if len(t.factors) < 3], hi)
+    """Every request :func:`expand_sum` makes, in order: per group of
+    terms that share their factors before the last two, by first
+    appearance, one scatter of the remainders through hi - m, m the outer
+    factor o's least exponent (the group with no outer factor scatters
+    through hi), and, unless o vanishes, o's expansion through hi - lo,
+    where lo is the least exponent the scatter could add: hi - m, or a
+    remainder's shift plus its factors' least exponents if that is less.
+    That expansion is the scatter's one-factor case, so it asks for o's
+    term exponents through the same bound."""
     groups: dict = {}
     for t in terms:
-        if len(t.factors) == 3:
-            groups.setdefault(t.factors[0], []).append(t)
-    for f, group in groups.items():
+        groups.setdefault(t.factors[:-2], []).append(
+            ThetaProduct(t.sign, t.shift, t.factors[-2:]))
+    out = []
+    for outer, rest in groups.items():
+        if not outer:
+            out += scatter_requests(rest, hi)
+            continue
+        (f,) = outer
         if f.is_zero_function():
             continue
         m = f.min_exponent()
-        rest = [ThetaProduct(t.sign, t.shift, t.factors[1:]) for t in group]
         out += scatter_requests(rest, hi - m)
-        inner = product_oracle(rest, hi - m)
-        if not inner:
-            continue
-        bound = max(hi - min(inner), m)
-        # no further than in any one term expanded as it stands
-        assert bound <= max(
-            max(hi - t.shift - sum(g.min_exponent() for g in t.factors[1:]), m)
-            for t in group
-        )
-        out += [("theta", f, bound), ("terms", f, bound)]
+        lo = min([hi - m] + [t.shift + sum(g.min_exponent() for g in t.factors)
+                             for t in rest
+                             if not any(g.is_zero_function() for g in t.factors)])
+        out += [("theta", f, hi - lo), ("terms", f, hi - lo)]
     return out
 
 
@@ -775,7 +773,14 @@ class TestGroupedSum:
         [ThetaProduct(1, -2, (SGN, NEG, NEG)),
          ThetaProduct(1, 0, (PHI, NEG, SGN)),
          ThetaProduct(-1, 4, (PSI,))],
-    ], ids=["mixed", "zero-outer", "cancelling", "one-term", "one-term-groups"])
+        # phi*f(-q,-q^2) - phi^2 is 0 at its least exponent q^0, -3q above
+        [ThetaProduct(1, 2, (NEG, PHI, SGN)),
+         ThetaProduct(-1, 2, (NEG, PHI, PHI))],
+        [ThetaProduct(1, -1, (NEG, SGN, PSI)),
+         ThetaProduct(-1, -1, (NEG, PSI, SGN)),
+         ThetaProduct(1, 3, (PHI, NEG))],
+    ], ids=["mixed", "zero-outer", "cancelling", "one-term", "one-term-groups",
+            "zero-at-lo", "cancels-exactly"])
     def test_hand_built(self, monkeypatch, terms, hi):
         events = spy_requests(monkeypatch)
         got = expand_sum(terms, hi)
@@ -783,15 +788,20 @@ class TestGroupedSum:
         assert got.hi == hi
         assert dict(got.items()) == product_oracle(terms, hi)
         # each scatter factor is asked through its exact bound, each outer
-        # factor is expanded once, through its exact bound, and a
-        # vanishing or cancelled group's never
+        # factor is expanded once, through hi minus its scatter's lo, and a
+        # vanishing one's never
         assert events == route_requests(terms, hi)
 
-    def test_cancelling_group_adds_nothing(self):
+    def test_cancelling_group_adds_nothing(self, monkeypatch):
         terms = [ThetaProduct(1, 2, (PSI, PHI, SGN)), ThetaProduct(-1, 2, (PSI, SGN, PHI))]
         assert product_oracle(terms, 40) == {}
-        assert expand_sum(terms, 40).is_zero()
-        assert [kind for kind, _, _ in route_requests(terms, 40)] == ["terms"] * 4
+        events = spy_requests(monkeypatch)
+        got = expand_sum(terms, 40)
+        assert got.hi == 40 and got.is_zero()
+        # psi starts at q^0, so the scatter runs through 40 from lo = 2 (the
+        # shift) and psi is expanded once, through 40 - 2, to multiply zero
+        assert [kind for kind, _, _ in events] == ["terms"] * 4 + ["theta", "terms"]
+        assert events[4:] == [("theta", PSI, 38), ("terms", PSI, 38)]
 
 
 def scatter_bounds(terms, hi) -> tuple[int, int]:
