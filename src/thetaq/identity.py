@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .series import HalfPowerSeries, sum_series
-from .theta import ThetaArg, _pair_scatter, theta_expand
+from .theta import ThetaArg, _pair_scatter, _scatter_row
 
 
 @dataclass(frozen=True)
@@ -43,34 +43,56 @@ class ThetaProduct:
         return expand_sum((self,), hi)
 
 
-def expand_sum(terms: Sequence[ThetaProduct], hi: int) -> HalfPowerSeries:
-    """Expand and add a list of theta products, exact through ``hi``.
+def _side_rows(terms: Sequence[ThetaProduct], hi: int) -> tuple[list, list[int]]:
+    """The pair-scatter rows of one side through ``hi``, and the number
+    of rows (1 or 2) behind each of its parts.
 
     Terms are grouped, by first appearance, by their factors before the
     last two, and each group is expanded by the distributive law,
     sum_t o * x_t = o * sum_t x_t: the remainders x_t of one or two
-    factors (with each term's sign and shift) are added in one
-    :func:`_pair_scatter` of :mod:`thetaq.theta`.  The group with no
-    outer factor, the one- and two-factor terms, is that scatter through
-    ``hi``.  A three-factor group's scatter runs through hi - m, where
-    m = o.min_exponent() for its outer factor o, from lo, the least
-    exponent it could add (lo <= hi - m); o is expanded once, through
-    hi - lo >= m, and multiplied once.  The product is exact through hi,
-    because each factor's bound plus the other factor's least exponent
-    (at least m, at least lo) reaches hi.  A group whose o is identically
-    zero adds nothing.  Every part is added in one :func:`sum_series`.
+    factors (with each term's sign and shift) are one row.  The group
+    with no outer factor, the one- and two-factor terms, is a row
+    through ``hi`` and a part by itself.  A three-factor group's row
+    runs through hi - m, where m = o.min_exponent() for its outer factor
+    o, from lo, the least exponent it could add (lo <= hi - m); o is one
+    more row, a one-factor term through hi - lo >= m, and the part is
+    their product.  The product is exact through hi, because each
+    factor's bound plus the other factor's least exponent (at least m,
+    at least lo) reaches hi.  A group whose o is identically zero adds
+    nothing.
     """
     groups: dict[tuple[ThetaArg, ...], list] = {}
     for t in terms:
         groups.setdefault(t.factors[:-2], []).append((t.sign, t.shift, t.factors[-2:]))
-    parts = []
+    rows, sizes = [], []
     for outer, group in groups.items():
         if not outer:
-            parts.append(_pair_scatter(group, hi))
+            rows.append(_scatter_row(group, hi))
+            sizes.append(1)
         elif not outer[0].is_zero_function():
-            inner = _pair_scatter(group, hi - outer[0].min_exponent())
-            parts.append(theta_expand(outer[0], hi - inner.lo) * inner)
+            inner = _scatter_row(group, hi - outer[0].min_exponent())
+            rows += [inner, _scatter_row(((1, 0, outer),), hi - inner.lo)]
+            sizes.append(2)
+    return rows, sizes
+
+
+def _side_sum(series: Sequence[HalfPowerSeries], sizes: list[int], hi: int) -> HalfPowerSeries:
+    """A side from the series of its :func:`_side_rows`: each part is its
+    row, or the outer factor's row times the group's row, and every part
+    is added in one :func:`sum_series`."""
+    parts, at = [], 0
+    for size in sizes:
+        parts.append(series[at] if size == 1 else series[at + 1] * series[at])
+        at += size
     return sum_series(parts, hi)
+
+
+def expand_sum(terms: Sequence[ThetaProduct], hi: int) -> HalfPowerSeries:
+    """Expand and add a list of theta products, exact through ``hi``:
+    the rows of :func:`_side_rows`, formed in one :func:`_pair_scatter`
+    of :mod:`thetaq.theta`, then :func:`_side_sum`."""
+    rows, sizes = _side_rows(terms, hi)
+    return _side_sum(_pair_scatter(rows), sizes, hi)
 
 
 @dataclass(frozen=True)
@@ -101,8 +123,13 @@ def _verify_terms(
     rhs_terms: Sequence[ThetaProduct],
     through: int,
 ) -> IdentityReport:
-    lhs = expand_sum(lhs_terms, through)
-    rhs = expand_sum(rhs_terms, through)
+    """Both sides expanded through ``through`` and compared: the rows of
+    both sides are formed in one :func:`_pair_scatter`."""
+    lhs_rows, lhs_sizes = _side_rows(lhs_terms, through)
+    rhs_rows, rhs_sizes = _side_rows(rhs_terms, through)
+    series = _pair_scatter(lhs_rows + rhs_rows)
+    lhs = _side_sum(series[: len(lhs_rows)], lhs_sizes, through)
+    rhs = _side_sum(series[len(lhs_rows) :], rhs_sizes, through)
     cmp = lhs.compare(rhs, through)
     violation = _negative_violation("lhs", lhs) or _negative_violation("rhs", rhs)
     return IdentityReport(

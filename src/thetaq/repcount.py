@@ -259,14 +259,16 @@ def _count_columns(
     :class:`CoefficientOverflowError` before any column is built.
 
     A single class part, the whole table at M = 1, comes back in the
-    type ``shifted_copies`` proved for it, int16, int32 or int64.  The
+    type ``shifted_copies`` proved for it: int16, or, because every
+    count is nonnegative, uint16, uint32 or int64.  The
     term-count check proves a sum of several parts only in int64, so
     they are added in int64.
     """
     if limit < residue:
         return np.zeros(0, dtype=series._accumulator(0))
     width = (limit - residue) // modulus + 1
-    exps = [np.sort(term_exponents(_generating_arg(a, kind), limit)[1]) for a, kind in spec.terms]
+    _, e, stops = term_exponents([(_generating_arg(a, kind), limit) for a, kind in spec.terms])
+    exps = [np.sort(e[start:stop]) for start, stop in zip([0, *stops], stops)]
     terms = math.prod(e.size for e in exps)
     if terms > series.COEFF_LIMIT:
         raise CoefficientOverflowError(
@@ -295,7 +297,8 @@ def _count_columns(
             if pair is None:
                 pair = np.zeros(width, dtype=np.int64)
             nz_b, mult_b = right[r2]
-            scatter_pairs(pair, 0, nz_a, mult_a, nz_b + carry, mult_b)
+            scatter_pairs(pair, nz_a, mult_a, nz_b, mult_b,
+                          ((carry, width - 1 - carry, 0, nz_a.size, 0, nz_b.size),))
         if pair is None:
             continue
         part = shifted_copies(nz, mult, pair, width)

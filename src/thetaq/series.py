@@ -17,9 +17,10 @@ over the sparser factor's nonzeros by one of two routes, and every sum
 through one, :func:`sum_series`.  Every weighted sum over pairs of
 exponents goes through one pair kernel, :func:`scatter_pairs`: the
 pairwise route of :func:`convolve`, the pair scatter of
-:mod:`thetaq.theta`, which adds a product of two theta functions from
-their term exponents without forming either series, and the class
-products of :mod:`thetaq.repcount`'s count tables.
+:mod:`thetaq.theta`, which adds every product of two theta functions
+an identity check needs from their term exponents, as many pair sets
+in one call, without forming either series, and the class products of
+:mod:`thetaq.repcount`'s count tables.
 """
 
 from __future__ import annotations
@@ -274,6 +275,14 @@ def _max_abs(arr: np.ndarray) -> int:
 _SHIFT_OVERHEAD = 2000
 _PAIR_COST = 20
 _PAIR_BLOCK = 1 << 16  # pairs scatter_pairs forms at a time
+# A pair set of fewer pairs than this shares ragged blocks with the sets
+# beside it.  Measured with numpy 2.4 on x86-64, over the pair-kernel
+# calls of one identity-catalog pass: a small set's own broadcast costs
+# more than its share of a block's fixed index arithmetic, and past this
+# size each pair's rank division and four gathers cost more than the
+# broadcast (7.05 against 12.48 ms all broadcast at order 400; 53.2
+# against 53.3 ms at order 10000, where 4096 pairs took 83 ms).
+_RAGGED_PAIRS = 1024
 # Output columns the shifted copies fill at a time in int64: a tile is
 # 2^18 bytes, and a narrower accumulator fills 8 // itemsize times as many.
 _SHIFT_TILE = 1 << 15
@@ -288,11 +297,18 @@ def _proven_bound(vals: np.ndarray, other: np.ndarray) -> int:
     return bound
 
 
-def _accumulator(bound: int) -> type:
-    """Narrowest signed integer type that holds every value up to ``bound``."""
+def _accumulator(bound: int, unsigned: bool = False) -> type:
+    """Narrowest integer type that holds every value up to ``bound`` in
+    magnitude: int16 when it can, and otherwise, when ``unsigned`` (no
+    value is below 0), uint16 or uint32 before int32 or int64."""
     if bound <= 2**15 - 1:
         return np.int16
-    if bound <= 2**31 - 1:
+    if unsigned:
+        if bound <= 2**16 - 1:
+            return np.uint16
+        if bound <= 2**32 - 1:
+            return np.uint32
+    elif bound <= 2**31 - 1:
         return np.int32
     return np.int64
 
@@ -316,31 +332,63 @@ def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
     other = b[nz_b]
     _proven_bound(vals, other)
     out = np.zeros(width, dtype=np.int64)
-    scatter_pairs(out, 0, nz_a, vals, nz_b, other)
+    scatter_pairs(out, nz_a, vals, nz_b, other, ((0, width - 1, 0, nz_a.size, 0, nz_b.size),))
     return out
 
 
-def scatter_pairs(out: np.ndarray, lo: int, e1, w1, e2, w2) -> None:
-    """Add w1[i] * w2[j] to ``out`` at column e1[i] + e2[j] - lo, for every
-    pair whose column is at or below the last column of ``out``.
+def scatter_pairs(out: np.ndarray, e1, w1, e2, w2, sets) -> None:
+    """For each pair set (base, cut, i0, i1, j0, j1) of ``sets``, add
+    w1[i] * w2[j] to ``out`` at column base + e1[i] + e2[j], for every
+    i0 <= i < i1 and j0 <= j < j1 with e1[i] + e2[j] <= cut.
 
-    The pairs are formed ``_PAIR_BLOCK`` at a time and added by
-    ``np.add.at``, which adds repeated columns exactly.  The kernel
-    checks nothing: its callers prove that every exponent sum, every
-    product and every partial sum fits the type of ``out``, and that no
-    column lies below 0.
+    In a call of several sets, a set of fewer than ``_RAGGED_PAIRS``
+    pairs, and at most ``_PAIR_BLOCK``, shares ragged blocks of at most
+    ``_PAIR_BLOCK`` pairs with the sets beside it: each pair's indices
+    come from its rank within the block.  Every other set, and the one
+    set of a one-set call, is formed as outer products, ``_PAIR_BLOCK``
+    pairs at a time.  Each block is added by ``np.add.at``, which adds
+    repeated columns exactly.  The kernel checks nothing: its callers
+    prove that every exponent sum, every column, every product and
+    every partial sum fits the type of ``out``, and that no column lies
+    outside it.
     """
-    last = lo + out.size - 1
-    cols = min(e2.size, _PAIR_BLOCK)
-    if cols == 0:
-        return
-    rows = _PAIR_BLOCK // cols
-    for j in range(0, e2.size, cols):
-        for i in range(0, e1.size, rows):
-            at = (e1[i : i + rows, None] + e2[j : j + cols]).ravel()
-            keep = at <= last
-            prods = (w1[i : i + rows, None] * w2[j : j + cols]).ravel()
-            np.add.at(out, at[keep] - lo, prods[keep])
+    share = len(sets) > 1
+    blocks = []  # ragged blocks: (per set: base, cut, i0, j0, j1 - j0, first rank), sizes, pairs
+    params, sizes, filled = [], [], 0
+    for base, cut, i0, i1, j0, j1 in sets:
+        pairs = (i1 - i0) * (j1 - j0)
+        if pairs == 0:
+            continue
+        if share and pairs < _RAGGED_PAIRS and pairs <= _PAIR_BLOCK:
+            if filled + pairs > _PAIR_BLOCK:
+                blocks.append((params, sizes, filled))
+                params, sizes, filled = [], [], 0
+            params += (base, cut, i0, j0, j1 - j0, filled)
+            sizes.append(pairs)
+            filled += pairs
+            continue
+        a, wa, b, wb = e1[i0:i1], w1[i0:i1], e2[j0:j1], w2[j0:j1]
+        cols = min(b.size, _PAIR_BLOCK)
+        rows = _PAIR_BLOCK // cols
+        for j in range(0, b.size, cols):
+            for i in range(0, a.size, rows):
+                at = (a[i : i + rows, None] + b[j : j + cols]).ravel()
+                keep = at <= cut
+                prods = (wa[i : i + rows, None] * wb[j : j + cols]).ravel()
+                np.add.at(out, at[keep] + base, prods[keep])
+    if params:
+        blocks.append((params, sizes, filled))
+    for params, sizes, filled in blocks:
+        base, cut, i0, j0, n2, first = np.repeat(
+            np.array(params, dtype=np.int64).reshape(-1, 6).T, sizes, axis=1)
+        rank = np.arange(filled, dtype=np.int64) - first
+        i = rank // n2
+        j = rank - i * n2 + j0
+        i += i0
+        at = e1[i] + e2[j]
+        keep = at <= cut
+        at += base
+        np.add.at(out, at[keep], (w1[i] * w2[j])[keep])
 
 
 def shifted_copies(nz_a, vals, b, width: int) -> np.ndarray:
@@ -349,8 +397,10 @@ def shifted_copies(nz_a, vals, b, width: int) -> np.ndarray:
     shifted copy of ``b`` per nonzero of ``a``.
 
     B = sum|a| * max|b| bounds every partial sum, so the copies are added
-    in the narrowest of int16, int32 and int64 that holds B, and the
-    result is returned in that type; a caller that does arithmetic on it
+    in the narrowest type ``_accumulator`` gives for B: int16, or, when
+    both operands are nonnegative, uint16 or uint32, or else int32 or
+    int64.  The operands' signs are read only when int16 cannot hold B.
+    The result is returned in that type; a caller that does arithmetic on it
     past B widens it first.  The columns are filled one tile of
     ``_SHIFT_TILE`` int64 widths at a time, so a tile stays in cache while
     every copy lands on it.  Copies sharing a coefficient are summed into
@@ -361,7 +411,9 @@ def shifted_copies(nz_a, vals, b, width: int) -> np.ndarray:
     does not fit in 64 bits, before any column is written.
     """
     bound = _proven_bound(vals, b)
-    dtype = _accumulator(bound)
+    # the operands' sign is read only where int16 cannot hold B
+    unsigned = bound > 2**15 - 1 and int(vals.min()) >= 0 and int(b.min()) >= 0
+    dtype = _accumulator(bound, unsigned)
     if bound == 0:  # a coefficient beyond the narrow type must not be cast
         return np.zeros(width, dtype=dtype)
     b = b.astype(dtype, copy=False)

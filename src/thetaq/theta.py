@@ -16,10 +16,12 @@ pentagonal and generalized octagonal numbers respectively.
 The module provides two independent expansion routes (the bilateral sum
 and the Jacobi triple product), a normalization that clears a negative
 exponent, and the n-term dissection of a theta function into shifted
-theta terms.  The bilateral sum is the one-factor case of
-:func:`_pair_scatter`, which adds every product of two theta functions
-that :mod:`thetaq.identity` adds from the pairs of their term exponents,
-through the one pair kernel :func:`thetaq.series.scatter_pairs`.
+theta terms.  The bilateral sum is the one-row, one-factor case of
+:func:`_pair_scatter`, which forms every row an identity check of
+:mod:`thetaq.identity` needs, each a sum of products of one or two
+theta functions, from the pairs of their term exponents: one
+:func:`term_exponents` call and one call of the pair kernel
+:func:`thetaq.series.scatter_pairs` for all of them.
 """
 
 from __future__ import annotations
@@ -76,102 +78,159 @@ def _term_exponent(s: int, d: int, n):
     return (s * n + d) * n // 2
 
 
-def term_exponents(arg: ThetaArg, hi: int) -> tuple[int, np.ndarray]:
-    """``(n_lo, e)``: ``e[i]`` is the exponent of the bilateral sum's term
-    ``n = n_lo + i``, over the indices whose exponent is at most ``hi``.
+def term_exponents(requests) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``(n, e, stops)`` for a sequence of ``(arg, hi)`` requests: the
+    indices ``n`` and exponents ``e`` of the bilateral sums' terms whose
+    exponent is at most ``hi``, each request's terms ascending in n,
+    the requests one after another, request k ending at ``stops[k]``.
 
-    The exponents are int64; they fall and then rise with ``n``, and two
-    terms share an exponent only when ``a - b`` is a multiple of ``a + b``.
-    With s = a + b and d = a - b, every intermediate of the formula,
-    (s*n + d)*n = 2*e, is at most B = max(s, 2*max(hi, d^2 // 8s + 1) + |d|)
-    in magnitude for an index in range, because each exponent e lies
-    between -d^2 / 8s and ``hi``, and |s*n + d| <= |2*e| when n != 0.  B is
-    computed once; past 64 bits the expansion raises
-    :class:`CoefficientOverflowError` before it forms any exponent.
+    The arrays are int64; each request's exponents fall and then rise
+    with ``n``, and two terms share an exponent only when ``a - b`` is a
+    multiple of ``a + b``.  With s = a + b and d = a - b, every
+    intermediate of the formula, (s*n + d)*n = 2*e, is at most
+    B = max(s, 2*max(hi, d^2 // 8s + 1) + |d|) in magnitude for an index
+    in range, because each exponent e lies between -d^2 / 8s and ``hi``,
+    and |s*n + d| <= |2*e| when n != 0.  Every request's B is computed
+    first; past 64 bits the call raises :class:`CoefficientOverflowError`
+    before it forms any exponent.  Then every request is formed in one
+    vectorized pass.
     """
-    s, d, _ = _quadratic(arg)
-    bound = max(s, 2 * max(hi, d * d // (8 * s) + 1) + abs(d))
-    if bound > COEFF_LIMIT:
-        raise CoefficientOverflowError(
-            f"term exponents of {arg} through {hi} are bounded by {bound}, "
-            "past the 64-bit width"
-        )
-    # The exponent (s*n^2 + d*n)/2 is at most hi exactly when
-    # |2*s*n + d| <= isqrt(d^2 + 8*s*hi).
-    disc = d * d + 8 * s * hi
-    root = math.isqrt(disc) if disc >= 0 else -1
-    n_lo, n_hi = -((root + d) // (2 * s)), (root - d) // (2 * s)
-    return n_lo, _term_exponent(s, d, np.arange(n_lo, n_hi + 1, dtype=np.int64))
+    params, counts, stops = [], [], []
+    total = 0
+    for arg, hi in requests:
+        s, d, _ = _quadratic(arg)
+        bound = max(s, 2 * max(hi, d * d // (8 * s) + 1) + abs(d))
+        if bound > COEFF_LIMIT:
+            raise CoefficientOverflowError(
+                f"term exponents of {arg} through {hi} are bounded by {bound}, "
+                "past the 64-bit width"
+            )
+        # The exponent (s*n^2 + d*n)/2 is at most hi exactly when
+        # |2*s*n + d| <= isqrt(d^2 + 8*s*hi).
+        disc = d * d + 8 * s * hi
+        root = math.isqrt(disc) if disc >= 0 else -1
+        n_lo, n_hi = -((root + d) // (2 * s)), (root - d) // (2 * s)
+        count = max(n_hi - n_lo + 1, 0)
+        params += (n_lo - total, s, d)
+        counts.append(count)
+        total += count
+        stops.append(total)
+    offset, s, d = np.repeat(np.array(params, dtype=np.int64).reshape(-1, 3).T, counts, axis=1)
+    n = np.arange(total, dtype=np.int64)
+    n += offset
+    # 2e = (s*n + d)*n, in place; it is even, so the shift halves it exactly
+    e = s * n
+    e += d
+    e *= n
+    e >>= 1
+    return n, e, stops
 
 
 def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     """Bilateral-sum expansion, exact through ``hi`` half-units: the
-    one-factor case of :func:`_pair_scatter`.
+    one-row, one-term case of :func:`_pair_scatter`.
 
     The series runs from lo = min(hi, ``arg.min_exponent()``) to ``hi``.
     Through a bound below the least exponent, and for an identically
     zero function, it is the one coefficient 0 at ``hi``.
     """
-    return _pair_scatter(((1, 0, (arg,)),), hi)
+    return _pair_scatter((_scatter_row(((1, 0, (arg,)),), hi),))[0]
 
 
-# the one term of a constant 1: exponent 0, weight 1
-_NO_FACTOR = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+class _ScatterRow:
+    """One output series of :func:`_pair_scatter`: the sum over ``terms``
+    of sign * q^(shift/2) * f1 * f2 (f2 = 1 for a term of one factor),
+    exact through ``hi``, from ``lo``.  ``terms`` holds each term without
+    an identically-zero factor as (sign, shift, factors, least exponents),
+    and ``requests`` each such factor's (arg, bound), in order."""
+
+    __slots__ = ("lo", "hi", "terms", "requests")
+
+    def __init__(self, lo: int, hi: int, terms: list, requests: list) -> None:
+        self.lo, self.hi, self.terms, self.requests = lo, hi, terms, requests
 
 
-def _pair_scatter(terms, hi: int) -> HalfPowerSeries:
-    """The sum over ``terms`` of sign * q^(shift/2) * f1 * f2, exact
-    through ``hi``, from lo = min(hi, the least exponent of any term it
-    adds); a term of one factor carries the constant 1 as f2.
+def _scatter_row(terms, hi: int) -> _ScatterRow:
+    """The row of (sign, shift, factors) ``terms`` through ``hi``.
 
-    f1 * f2 is the sum over index pairs (n1, n2) of
-    eps1^n1 * eps2^n2 * q^((e1 + e2)/2), so each term is one call of
-    :func:`~thetaq.series.scatter_pairs` with the two factors' term
-    exponents, weighted eps^n; f1's weights carry the term's sign and
-    f2's exponents its shift.  Each factor's term exponents are taken
-    through exactly hi - shift - m_other, m_other the other factor's
-    least exponent, past which no pair reaches hi.  A term with an
-    identically-zero factor adds nothing.
-
-    Every coefficient and every partial sum is at most the number of
-    pairs P in magnitude, and every exponent sum formed is at most
-    R = max|e1| + max|e2| + |shift| in magnitude.  Both are checked
-    against ``COEFF_LIMIT`` before the output is allocated, and
-    :class:`CoefficientOverflowError` is raised past it.  The kernel
-    forms the pairs after the output exists.
+    Each factor's term exponents are asked for through exactly
+    hi - shift - m_other, m_other the other factor's least exponent,
+    past which no pair reaches hi.  A term with an identically-zero
+    factor adds nothing.  lo = min(hi, the least exponent of any term
+    the row adds), so a caller can bound another row by it before any
+    row is formed.
     """
-    lo, pairs, reach = hi, 0, 0
-    sets = []  # (shift, (e1, w1), (e2, w2)) per term
+    lo, planned, requests = hi, [], []
     for sign, shift, factors in terms:
         if any(f.is_zero_function() for f in factors):
             continue
         mins = [f.min_exponent() for f in factors]
         total = sum(mins)
         lo = min(lo, shift + total)
-        sides, term_pairs, term_reach = [], 1, abs(shift)
-        for f, m in zip(factors, mins):
-            n_lo, e = term_exponents(f, hi - shift - (total - m))
-            if e.size:  # the least exponent m sits between the two ends
-                term_reach += max(int(e[0]), int(e[-1]), -m)
-            term_pairs *= e.size
-            # weights eps^n, times the term's sign on the first factor
-            w = np.full(e.size, 1 if sides else sign, dtype=np.int64)
-            if f.eps == -1:
-                w[(n_lo + 1) % 2 :: 2] *= -1
-            sides.append((e, w))
-        if len(sides) == 1:
-            sides.append(_NO_FACTOR)
-        pairs += term_pairs
-        reach = max(reach, term_reach)
-        sets.append((shift, *sides))
-    if pairs > COEFF_LIMIT:
-        raise CoefficientOverflowError(f"pair count {pairs} exceeds the 64-bit width")
-    if reach > COEFF_LIMIT:
-        raise CoefficientOverflowError(f"exponent sum bound {reach} exceeds the 64-bit width")
-    out = np.zeros(hi - lo + 1, dtype=np.int64)
-    for shift, (e1, w1), (e2, w2) in sets:
-        scatter_pairs(out, lo, e1, w1, e2 + shift, w2)
-    return HalfPowerSeries(lo, hi, out)
+        planned.append((sign, shift, factors, mins))
+        requests += [(f, hi - shift - (total - m)) for f, m in zip(factors, mins)]
+    return _ScatterRow(lo, hi, planned, requests)
+
+
+def _pair_scatter(rows) -> list[HalfPowerSeries]:
+    """One series per :class:`_ScatterRow` of ``rows``, as views of one
+    int64 buffer, from one :func:`term_exponents` call over every row's
+    requests and one call of :func:`~thetaq.series.scatter_pairs`.
+
+    f1 * f2 is the sum over index pairs (n1, n2) of
+    eps1^n1 * eps2^n2 * q^((e1 + e2)/2), so each term is one pair set of
+    the two factors' term exponents, weighted eps^n, with f1's weights
+    carrying the term's sign; a one-factor term pairs its factor with
+    the one exponent 0 of weight 1.  The set adds at column
+    e1 + e2 + shift - lo of its row, for every pair with
+    e1 + e2 <= hi - shift.
+
+    In each row, every coefficient and every partial sum is at most the
+    row's number of pairs P in magnitude, and every exponent sum formed
+    is at most R = max|e1| + max|e2| + |shift| over its terms.  Every
+    row's P and R are checked against ``COEFF_LIMIT`` before the buffer
+    is allocated, and :class:`CoefficientOverflowError` is raised past
+    it.  The kernel forms the pairs after the buffer exists.
+    """
+    n, e, stops = term_exponents([req for row in rows for req in row.requests])
+    one = len(e)  # index of the constant term appended below
+    signs, negs, counts, sets, offsets = [], [], [], [], []
+    k = start = width = 0
+    for row in rows:
+        pairs = reach = 0
+        for sign, shift, factors, mins in row.terms:
+            span, term_pairs, term_reach = [], 1, abs(shift)
+            for f, m in zip(factors, mins):
+                stop = stops[k]
+                if stop > start:  # the least exponent m sits between the two ends
+                    term_reach += max(int(e[start]), int(e[stop - 1]), -m)
+                term_pairs *= stop - start
+                counts.append(stop - start)
+                signs.append(sign if not span else 1)
+                negs.append(f.eps == -1)
+                span += [start, stop]
+                k, start = k + 1, stop
+            if len(span) == 2:
+                span += [one, one + 1]
+            pairs += term_pairs
+            reach = max(reach, term_reach)
+            if term_pairs:
+                sets.append((width + shift - row.lo, row.hi - shift, *span))
+        if pairs > COEFF_LIMIT:
+            raise CoefficientOverflowError(f"pair count {pairs} exceeds the 64-bit width")
+        if reach > COEFF_LIMIT:
+            raise CoefficientOverflowError(f"exponent sum bound {reach} exceeds the 64-bit width")
+        offsets.append(width)
+        width += row.hi - row.lo + 1
+    out = np.zeros(width, dtype=np.int64)
+    # weights eps^n = 1 - 2*(n & 1) where eps = -1, times the term's sign
+    # on its first factor; the constant term last
+    sgn, neg = np.repeat(np.array([signs, negs], dtype=np.int64), counts, axis=1)
+    w = np.append(sgn * (1 - 2 * (n & neg)), 1)
+    e = np.append(e, 0)
+    scatter_pairs(out, e, w, e, w, sets)
+    return [HalfPowerSeries(row.lo, row.hi, out[at : at + row.hi - row.lo + 1])
+            for row, at in zip(rows, offsets)]
 
 
 def jacobi_triple_product(arg: ThetaArg, hi: int) -> HalfPowerSeries:

@@ -299,16 +299,11 @@ class TestSignedPairIdentities:
 
     @pytest.mark.parametrize("row", range(1, 9))
     def test_each_side_is_expanded_once(self, monkeypatch, row):
-        # on the printed grid, halved or not: never through 2 * through
-        calls = []
-
-        def counting(terms, hi):
-            calls.append(hi)
-            return expand_sum(terms, hi)
-
-        monkeypatch.setattr(identity, "expand_sum", counting)
+        # on the printed grid, halved or not: never through 2 * through;
+        # each two-factor side is one row of the check's one scatter
+        calls = spy_rows(monkeypatch)
         assert verify_corollary(f"clp2.{row}", m=2, through=100).ok
-        assert calls == [100, 100]
+        assert [[r.hi for r in rows] for rows in calls] == [[100, 100]]
 
     def test_printed_forms_row1(self):
         # phi(-q^m) phi(q) = sum q^{a^2} f(-q^{m(m+1+2a)}, -q^{m(m+1-2a)})
@@ -522,26 +517,21 @@ class TestCatalog:
 
 class TestExpansionBound:
     """Each scatter term's factors are asked for their term exponents
-    through exactly the bound the target needs, and each outer factor is
-    expanded once, through its exact bound, and no further."""
+    through exactly the bound the target needs, each outer factor is a
+    row through its exact bound, and no further, and each check makes
+    one term-exponent call for every row of both sides."""
 
     @pytest.mark.parametrize("through", [0, 7, 120])
     def test_factors_expanded_through_the_exact_bound(self, monkeypatch, through):
-        events = spy_requests(monkeypatch)
-        sides = []
-
-        def recording_sum(terms, hi):
-            sides.append((list(terms), hi))
-            return expand_sum(terms, hi)
-
-        monkeypatch.setattr(identity, "expand_sum", recording_sum)
+        calls = spy_requests(monkeypatch)
         entries = load_identity_catalog()
         for entry in entries:
             assert entry.verify(through).ok, entry.id
         monkeypatch.undo()
-        assert len(sides) == 2 * len(entries)
-        assert events == [req for terms, hi in sides for req in route_requests(terms, hi)]
-        assert {kind for kind, _, _ in events} == {"terms", "theta"}
+        assert len(calls) == len(entries)
+        for entry, call in zip(entries, calls):
+            lhs, rhs = entry_sides(entry)
+            assert call == route_requests(lhs, through) + route_requests(rhs, through), entry.id
 
     @pytest.mark.parametrize("eid", ["thm1.Athm1", "thm1.k4r1.1", "thm1.k6r1.1"])
     def test_each_shared_outer_factor_is_expanded_once(self, monkeypatch, eid):
@@ -554,62 +544,74 @@ class TestExpansionBound:
         terms = [triple_lhs(p)] + triple_rhs(p)
         assert not any(f.is_zero_function() for t in terms for f in t.factors)
         assert len({t.factors[0] for t in terms[1:]}) == 2
-        expansions, products = count_route(monkeypatch)
+        calls, products = count_route(monkeypatch)
         for term in terms:
             term.expand(120)
-        assert (len(expansions), len(products)) == (2 * p.k + 1, 2 * p.k + 1)
-        expansions.clear()
+        assert (len(expansions(calls)), len(products)) == (2 * p.k + 1, 2 * p.k + 1)
+        calls.clear()
         products.clear()
         assert verify_triple(p, 120).ok
-        assert (len(expansions), len(products)) == (3, 3)
+        assert len(calls) == 1
+        assert (len(expansions(calls)), len(products)) == (3, 3)
 
     def test_two_factor_sides_expand_no_theta(self, monkeypatch):
         # thm2 and the signed pairs carry two factors a term on both sides
         entries = [e for e in load_identity_catalog()
                    if e.kind == "thm2" or e.params.get("id", "").startswith("clp2")]
         assert len(entries) > 20
-        expansions, products = count_route(monkeypatch)
+        calls, products = count_route(monkeypatch)
         for entry in entries:
             assert entry.verify(120).ok, entry.id
-            assert (len(expansions), len(products)) == (0, 0), entry.id
+            assert (len(expansions(calls)), len(products)) == (0, 0), entry.id
+
+
+def spy_rows(monkeypatch) -> list:
+    """A list that collects the rows of each pair scatter the identity
+    layer makes."""
+    calls = []
+    scatter = identity._pair_scatter
+
+    def spy(rows):
+        calls.append(list(rows))
+        return scatter(rows)
+
+    monkeypatch.setattr(identity, "_pair_scatter", spy)
+    return calls
+
+
+def expansions(calls) -> list:
+    """The rows of one term with one factor, the outer factors, over
+    every scatter call."""
+    return [row for rows in calls for row in rows
+            if len(row.terms) == 1 and len(row.terms[0][2]) == 1]
 
 
 def count_route(monkeypatch):
-    """Lists that collect each theta expansion and each series product."""
-    expansions, products = [], []
+    """Lists that collect the rows of each pair scatter and each series
+    product."""
+    products = []
     mul = HalfPowerSeries.__mul__
-
-    def counting_expand(arg, hi):
-        expansions.append(arg)
-        return theta_expand(arg, hi)
 
     def counting_mul(a, b):
         products.append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(identity, "theta_expand", counting_expand)
+    calls = spy_rows(monkeypatch)
     monkeypatch.setattr(HalfPowerSeries, "__mul__", counting_mul)
-    return expansions, products
+    return calls, products
 
 
 def spy_requests(monkeypatch) -> list:
-    """A list that collects ("terms", f, bound) for each term-exponent
-    request of the pair scatter in :mod:`thetaq.theta` and
-    ("theta", f, bound) for each theta expansion :func:`expand_sum` asks
-    for, in order."""
-    events = []
+    """A list that collects, for each term-exponent call of the pair
+    scatter in :mod:`thetaq.theta`, its (f, bound) requests in order."""
+    calls = []
 
-    def terms_spy(arg, bound):
-        events.append(("terms", arg, bound))
-        return term_exponents(arg, bound)
-
-    def theta_spy(arg, bound):
-        events.append(("theta", arg, bound))
-        return theta_expand(arg, bound)
+    def terms_spy(requests):
+        calls.append(list(requests))
+        return term_exponents(requests)
 
     monkeypatch.setattr(theta_module, "term_exponents", terms_spy)
-    monkeypatch.setattr(identity, "theta_expand", theta_spy)
-    return events
+    return calls
 
 
 def product_oracle(terms, hi) -> dict:
@@ -641,7 +643,7 @@ def product_oracle(terms, hi) -> dict:
 
 
 def scatter_requests(terms, hi) -> list:
-    """Term-exponent requests of one pair scatter through ``hi``: each
+    """Term-exponent requests of one scatter row through ``hi``: each
     factor of a term without a vanishing factor, through exactly
     hi - shift - m_other, m_other the other factor's least exponent."""
     out = []
@@ -649,20 +651,20 @@ def scatter_requests(terms, hi) -> list:
         if any(f.is_zero_function() for f in t.factors):
             continue
         mins = [f.min_exponent() for f in t.factors]
-        out += [("terms", f, hi - t.shift - (sum(mins) - m)) for f, m in zip(t.factors, mins)]
+        out += [(f, hi - t.shift - (sum(mins) - m)) for f, m in zip(t.factors, mins)]
     return out
 
 
 def route_requests(terms, hi) -> list:
-    """Every request :func:`expand_sum` makes, in order: per group of
+    """Every request the rows of one side make, in order: per group of
     terms that share their factors before the last two, by first
-    appearance, one scatter of the remainders through hi - m, m the outer
-    factor o's least exponent (the group with no outer factor scatters
-    through hi), and, unless o vanishes, o's expansion through hi - lo,
-    where lo is the least exponent the scatter could add: hi - m, or a
+    appearance, one row of the remainders through hi - m, m the outer
+    factor o's least exponent (the group with no outer factor is a row
+    through hi), and, unless o vanishes, o's row through hi - lo, where
+    lo is the least exponent the group's row could add: hi - m, or a
     remainder's shift plus its factors' least exponents if that is less.
-    That expansion is the scatter's one-factor case, so it asks for o's
-    term exponents through the same bound."""
+    o's row is one term of one factor, so it asks for o's term exponents
+    through that bound."""
     groups: dict = {}
     for t in terms:
         groups.setdefault(t.factors[:-2], []).append(
@@ -680,7 +682,7 @@ def route_requests(terms, hi) -> list:
         lo = min([hi - m] + [t.shift + sum(g.min_exponent() for g in t.factors)
                              for t in rest
                              if not any(g.is_zero_function() for g in t.factors)])
-        out += [("theta", f, hi - lo), ("terms", f, hi - lo)]
+        out.append((f, hi - lo))
     return out
 
 
@@ -782,49 +784,68 @@ class TestGroupedSum:
     ], ids=["mixed", "zero-outer", "cancelling", "one-term", "one-term-groups",
             "zero-at-lo", "cancels-exactly"])
     def test_hand_built(self, monkeypatch, terms, hi):
-        events = spy_requests(monkeypatch)
+        calls = spy_requests(monkeypatch)
         got = expand_sum(terms, hi)
         monkeypatch.undo()
         assert got.hi == hi
         assert dict(got.items()) == product_oracle(terms, hi)
-        # each scatter factor is asked through its exact bound, each outer
-        # factor is expanded once, through hi minus its scatter's lo, and a
+        # one call: each scatter factor is asked through its exact bound,
+        # each outer factor once, through hi minus its group's lo, and a
         # vanishing one's never
-        assert events == route_requests(terms, hi)
+        assert calls == [route_requests(terms, hi)]
 
     def test_cancelling_group_adds_nothing(self, monkeypatch):
         terms = [ThetaProduct(1, 2, (PSI, PHI, SGN)), ThetaProduct(-1, 2, (PSI, SGN, PHI))]
         assert product_oracle(terms, 40) == {}
-        events = spy_requests(monkeypatch)
+        calls = spy_requests(monkeypatch)
         got = expand_sum(terms, 40)
         assert got.hi == 40 and got.is_zero()
-        # psi starts at q^0, so the scatter runs through 40 from lo = 2 (the
-        # shift) and psi is expanded once, through 40 - 2, to multiply zero
-        assert [kind for kind, _, _ in events] == ["terms"] * 4 + ["theta", "terms"]
-        assert events[4:] == [("theta", PSI, 38), ("terms", PSI, 38)]
+        # psi starts at q^0, so the group's row runs through 40 from lo = 2
+        # (the shift) and psi is one row, through 40 - 2, to multiply zero
+        (requests,) = calls
+        assert len(requests) == 5 and requests[4] == (PSI, 38)
 
 
-def scatter_bounds(terms, hi) -> tuple[int, int]:
-    """(P, R): the pair count of a scatter through ``hi`` and the largest
-    max|e1| + max|e2| + |shift| over its terms."""
-    pairs, reach = 0, 0
-    for sign, shift, factors in terms:
-        mins = [f.min_exponent() for f in factors]
-        exps = [term_exponents(f, hi - shift - (sum(mins) - m))[1].tolist()
-                for f, m in zip(factors, mins)]
-        pairs += math.prod(len(e) for e in exps)
-        reach = max(reach, abs(shift) + sum(max(map(abs, e), default=0) for e in exps))
-    return pairs, reach
+def scatter_bounds(rows) -> list[tuple[int, int]]:
+    """(P, R) of each (terms, hi) row of a scatter: its pair count and
+    the largest max|e1| + max|e2| + |shift| over its terms."""
+    out = []
+    for terms, hi in rows:
+        pairs, reach = 0, 0
+        for sign, shift, factors in terms:
+            mins = [f.min_exponent() for f in factors]
+            exps = [term_exponents([(f, hi - shift - (sum(mins) - m))])[1].tolist()
+                    for f, m in zip(factors, mins)]
+            pairs += math.prod(len(e) for e in exps)
+            reach = max(reach, abs(shift) + sum(max(map(abs, e), default=0) for e in exps))
+        out.append((pairs, reach))
+    return out
+
+
+@st.composite
+def scatter_rows(draw):
+    """One to four (terms, hi) rows, each of one to six terms of one or
+    two factors, signed, vanishing and negative-exponent ones among them."""
+    pool = draw(st.lists(st.one_of(st.sampled_from([PHI, NEG, SGN, PSI, ZERO, UNIT]),
+                                   theta_args()), min_size=1, max_size=4))
+    terms = st.lists(st.tuples(
+        st.sampled_from([1, -1]),
+        st.integers(-12, 12),
+        st.lists(st.sampled_from(pool), min_size=1, max_size=2).map(tuple),
+    ), min_size=1, max_size=6)
+    return draw(st.lists(st.tuples(terms, st.integers(-4, 150)), min_size=1, max_size=4))
 
 
 class TestPairScatter:
-    """Both bounds of the pair scatter are proven before its output is
-    allocated, and its pairs are formed in bounded blocks."""
+    """Every row's bounds are proven before the one buffer is allocated,
+    every row is its own series, and the pairs are formed in bounded
+    blocks."""
 
-    def scatter_at(self, monkeypatch, terms, hi, limit, events):
-        """Run the scatter under ``limit``, logging "output" for its
-        allocation and "pairs" for each call of the pair kernel.  The term
-        exponents keep their own bound under the true limit."""
+    def scatter_at(self, monkeypatch, rows, limit, events):
+        """Run the scatter of (terms, hi) ``rows`` under ``limit``, logging
+        "output" for its allocation and "pairs" for each call of the pair
+        kernel.  The term exponents keep their own bound under the true
+        limit."""
         zeros, scatter_pairs = np.zeros, theta_module.scatter_pairs
         term_exponents = theta_module.term_exponents
 
@@ -836,66 +857,103 @@ class TestPairScatter:
             events.append("pairs")
             return scatter_pairs(*args)
 
-        def exponents_at_the_true_limit(arg, bound):
+        def exponents_at_the_true_limit(requests):
             theta_module.COEFF_LIMIT = COEFF_LIMIT
             try:
-                return term_exponents(arg, bound)
+                return term_exponents(requests)
             finally:
                 theta_module.COEFF_LIMIT = limit
 
+        planned = [theta_module._scatter_row(terms, hi) for terms, hi in rows]
         monkeypatch.setattr(theta_module, "COEFF_LIMIT", limit)
         monkeypatch.setattr(np, "zeros", counting_zeros)
         monkeypatch.setattr(theta_module, "scatter_pairs", counting_scatter_pairs)
         monkeypatch.setattr(theta_module, "term_exponents", exponents_at_the_true_limit)
         try:
-            return theta_module._pair_scatter(terms, hi)
+            return theta_module._pair_scatter(planned)
         finally:
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("bound,terms,hi", [
-        ("pair count", [(1, 0, (UNIT, UNIT)), (-1, 2, (PHI, SGN))], 60),
-        ("exponent sum", [(1, -1000, (PHI,)), (1, 3, (NEG, PSI))], 10),
+    @pytest.mark.parametrize("bound,rows", [
+        ("pair count", [([(1, 0, (PSI,))], 30),
+                        ([(1, 0, (UNIT, UNIT)), (-1, 2, (PHI, SGN))], 60)]),
+        ("exponent sum", [([(1, 3, (NEG, PSI))], 10),
+                          ([(1, -1000, (PHI,)), (1, 3, (NEG, PSI))], 10),
+                          ([(-1, 0, (SGN, SGN))], 20)]),
         # every exponent taken lies below 0, so the least one is the largest
-        ("exponent sum", [(1, 0, (DEEP,)), (-1, 1, (PHI, PHI))], 0),
+        ("exponent sum", [([(-1, 1, (PHI, PHI))], 0),
+                          ([(1, 0, (DEEP,)), (-1, 1, (PHI, PHI))], 0)]),
     ])
-    def test_bound_at_the_edge(self, monkeypatch, bound, terms, hi):
-        # the binding bound equal to COEFF_LIMIT runs, allocating the
-        # output before any pair; one less raises before the output exists
-        pairs, reach = scatter_bounds(terms, hi)
+    def test_bound_at_the_edge(self, monkeypatch, bound, rows):
+        # the binding bound, in a row after the first, equal to COEFF_LIMIT
+        # runs, allocating the buffer before any pair; one less raises
+        # before the buffer exists
+        bounds = scatter_bounds(rows)
+        pairs, reach = (max(b) for b in zip(*bounds))
         limit = pairs if bound == "pair count" else reach
         assert limit > min(pairs, reach)
+        assert max(bounds[0]) < limit
         events = []
-        got = self.scatter_at(monkeypatch, terms, hi, limit, events)
-        assert events[0] == "output" and events.count("output") == 1 and "pairs" in events
-        assert dict(got.items()) == product_oracle([ThetaProduct(*t) for t in terms], hi)
+        got = self.scatter_at(monkeypatch, rows, limit, events)
+        assert events == ["output", "pairs"]
+        for series, (terms, hi) in zip(got, rows):
+            assert series.hi == hi
+            assert dict(series.items()) == product_oracle([ThetaProduct(*t) for t in terms], hi)
         events.clear()
         with pytest.raises(CoefficientOverflowError, match=bound):
-            self.scatter_at(monkeypatch, terms, hi, limit - 1, events)
+            self.scatter_at(monkeypatch, rows, limit - 1, events)
         assert events == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=scatter_rows())
+    def test_rows_against_the_oracle(self, rows):
+        # each row is its own series, from the least exponent it could add
+        got = theta_module._pair_scatter(
+            [theta_module._scatter_row(terms, hi) for terms, hi in rows])
+        assert len(got) == len(rows)
+        for series, (terms, hi) in zip(got, rows):
+            least = [shift + sum(f.min_exponent() for f in factors)
+                     for _, shift, factors in terms
+                     if not any(f.is_zero_function() for f in factors)]
+            assert (series.lo, series.hi) == (min([hi, *least]), hi)
+            assert dict(series.items()) == product_oracle([ThetaProduct(*t) for t in terms], hi)
 
     @pytest.mark.parametrize("block", [1, 5, 64])
     def test_pairs_are_counted_in_bounded_blocks(self, monkeypatch, block):
+        # at block 64 the two smallest sets share one ragged block and the
+        # two others are outer products; at 1 and 5 every set is
         terms = [ThetaProduct(1, -3, (NEG, SGN)), ThetaProduct(-1, 2, (UNIT, PSI)),
-                 ThetaProduct(1, 0, (SGN,))]
+                 ThetaProduct(-1, 50, (SGN, PSI)), ThetaProduct(1, 0, (SGN,))]
         want = product_oracle(terms, 90)
-        counted = []
-        add = np.add
+        set_pairs = [p for p, _ in scatter_bounds(
+            [([(t.sign, t.shift, t.factors)], 90) for t in terms])]
+        assert set_pairs == [143, 162, 42, 11]
 
-        class RecordingAdd:
-            """``np.add`` whose ``at`` records the size of each block."""
+        def blocks(ragged):
+            counted = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(series_module, "_PAIR_BLOCK", block)
+                mp.setattr(series_module, "_RAGGED_PAIRS", ragged)
+                mp.setattr(np, "add", RecordingAdd(counted))
+                got = expand_sum(terms, 90)
+            assert dict(got.items()) == want
+            assert counted and max(counted) <= block
+            assert sum(counted) <= sum(set_pairs)
+            return counted
 
-            def __call__(self, *args, **kwargs):
-                return add(*args, **kwargs)
+        shared, alone = blocks(series_module._RAGGED_PAIRS), blocks(1)
+        assert len(shared) == len(alone) - (block == 64)
 
-            def at(self, out, idx, vals):
-                counted.append(idx.size)
-                add.at(out, idx, vals)
 
-        monkeypatch.setattr(series_module, "_PAIR_BLOCK", block)
-        monkeypatch.setattr(np, "add", RecordingAdd())
-        got = expand_sum(terms, 90)
-        monkeypatch.undo()
-        assert dict(got.items()) == want
-        assert counted and max(counted) <= block
-        pairs, _ = scatter_bounds([(t.sign, t.shift, t.factors) for t in terms], 90)
-        assert sum(counted) <= pairs
+class RecordingAdd:
+    """``np.add`` whose ``at`` records the size of each block."""
+
+    def __init__(self, sizes: list):
+        self.sizes, self.add = sizes, np.add
+
+    def __call__(self, *args, **kwargs):
+        return self.add(*args, **kwargs)
+
+    def at(self, out, idx, vals):
+        self.sizes.append(idx.size)
+        self.add.at(out, idx, vals)

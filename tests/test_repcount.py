@@ -175,18 +175,20 @@ class TestRouteAgreement:
 
 
 class TestNarrowTables:
-    """Real tables whose shifted copies run in int16 and int32."""
+    """Real tables whose shifted copies run in int16, uint16 and uint32:
+    a count table's operands are never negative."""
 
     @pytest.mark.parametrize("name,coeffs,limit,dtype", [
         ("T", (2, 5, 5), 400019, np.int16),  # B = 7200
-        ("r", (1, 1, 1), 200000, np.int32),  # B = 85920
+        ("r", (1, 1, 1), 80000, np.uint16),  # B = 40680
+        ("r", (1, 1, 1), 200000, np.uint32),  # B = 85920
     ])
     def test_table_near_its_top(self, name, coeffs, limit, dtype, monkeypatch):
         chosen = []
         real = series_module._accumulator
 
-        def spy(bound):
-            chosen.append(real(bound))
+        def spy(bound, unsigned=False):
+            chosen.append(real(bound, unsigned))
             return chosen[-1]
 
         monkeypatch.setattr(series_module, "_accumulator", spy)
@@ -204,7 +206,7 @@ def term_product(spec: MixedSumSpec, limit: int) -> int:
     """Product of the generating thetas' term counts through ``limit``."""
     terms = 1
     for a, kind in spec.terms:
-        terms *= repcount.term_exponents(repcount._generating_arg(a, kind), limit)[1].size
+        terms *= repcount.term_exponents([(repcount._generating_arg(a, kind), limit)])[1].size
     return terms
 
 
@@ -285,8 +287,8 @@ class TestClassColumns:
         real = series_module._accumulator
         rungs = []
 
-        def with_int8(bound):
-            rungs.append(np.int8 if bound <= 127 else real(bound))
+        def with_int8(bound, unsigned=False):
+            rungs.append(np.int8 if bound <= 127 else real(bound, unsigned))
             return rungs[-1]
 
         monkeypatch.setattr(series_module, "_accumulator", with_int8)
@@ -350,10 +352,10 @@ class TestCacheStorage:
         monkeypatch.setattr(repcount, "_count_columns", spy)
         spec = MixedSumSpec.of("r", (1, 1, 1))
         assert repcount.TABLE_CACHE.get(spec, 1000).dtype == np.int16
-        table = repcount.TABLE_CACHE.get(spec, 200000)  # B = 85920: int32
+        table = repcount.TABLE_CACHE.get(spec, 200000)  # B = 85920: uint32
         # the stored table is the second build itself, with no int16 piece
         assert repcount.TABLE_CACHE._tables[spec.terms] is table is builds[1]
-        assert table.dtype == np.int32 and table.size == 200001
+        assert table.dtype == np.uint32 and table.size == 200001
         assert not table.flags.writeable
         fresh = count_table(spec, 200000)
         assert fresh.dtype == np.int64 and not fresh.flags.writeable

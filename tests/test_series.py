@@ -321,6 +321,19 @@ def exact_or_raises(run, x: np.ndarray, y: np.ndarray, ref: list[int]):
     return out
 
 
+def narrowest(a: np.ndarray, b: np.ndarray) -> type:
+    """The type ``shifted_copies`` of ``b`` at the nonzeros of ``a`` must
+    return: int16 up to 2^15 - 1, then, for operands with no negative
+    value, uint16 up to 2^16 - 1 and uint32 up to 2^32 - 1, else int32 up
+    to 2^31 - 1, and int64 past those."""
+    bound = product_bound(a, b)
+    if bound <= 2**15 - 1:
+        return np.int16
+    if min(a.tolist(), default=0) >= 0 and min(b.tolist(), default=0) >= 0:
+        return np.uint16 if bound <= 2**16 - 1 else np.uint32 if bound <= 2**32 - 1 else np.int64
+    return np.int32 if bound <= 2**31 - 1 else np.int64
+
+
 def copies_of(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
     """``shifted_copies`` of ``b`` at the nonzeros of the dense factor ``a``."""
     nz = np.flatnonzero(a)
@@ -417,6 +430,30 @@ class TestMulKernel:
             a * b
 
 
+class RecordingAdd:
+    """``np.add`` whose ``at`` records the size of each block it adds."""
+
+    def __init__(self, sizes: list):
+        self.sizes, self.add = sizes, np.add
+
+    def __call__(self, *args, **kwargs):
+        return self.add(*args, **kwargs)
+
+    def at(self, out, idx, vals):
+        self.sizes.append(idx.size)
+        self.add.at(out, idx, vals)
+
+
+def pair_loop(out: list, e1, w1, e2, w2, sets) -> list:
+    """``scatter_pairs`` as a Python-int double loop per set."""
+    for base, cut, i0, i1, j0, j1 in sets:
+        for x, a in zip(e1[i0:i1], w1[i0:i1]):
+            for y, b in zip(e2[j0:j1], w2[j0:j1]):
+                if x + y <= cut:
+                    out[base + x + y] += a * b
+    return out
+
+
 class TestScatterPairs:
     """The one pair kernel against a Python-int double loop."""
 
@@ -433,17 +470,77 @@ class TestScatterPairs:
         lo = min(sums, default=0) - data.draw(st.integers(0, 5))
         width = data.draw(st.integers(1, max(sums, default=lo) - lo + 4))
         start = data.draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width))
-        want = list(start)
-        for x, a in zip(e1, w1):
-            for y, b in zip(e2, w2):
-                if x + y - lo < width:
-                    want[x + y - lo] += a * b
+        one_set = ((-lo, lo + width - 1, 0, len(e1), 0, len(e2)),)
+        want = pair_loop(list(start), e1, w1, e2, w2, one_set)
         out = np.array(start, dtype=np.int64)
         arrays = [np.array(v, dtype=np.int64) for v in (e1, w1, e2, w2)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "_PAIR_BLOCK", block)
-            series_module.scatter_pairs(out, lo, *arrays)
+            series_module.scatter_pairs(out, *arrays, one_set)
         assert out.tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.lists(st.integers(-8, 30), min_size=1, max_size=40),
+           block=st.sampled_from([1, 5, 64, 1 << 16]),
+           ragged=st.sampled_from([1, 8, 1024]), data=st.data())
+    def test_sets_match_double_loop(self, e, block, ragged, data):
+        # sets of one flat pair of arrays, empty ones too, each with its
+        # own base and cut, in ragged and broadcast blocks alike
+        w = data.draw(st.lists(st.integers(-2, 2), min_size=len(e), max_size=len(e)))
+        slices = st.tuples(st.integers(0, len(e)), st.integers(0, len(e))).map(sorted)
+        sets = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            (i0, i1), (j0, j1) = data.draw(slices), data.draw(slices)
+            sums = [x + y for x in e[i0:i1] for y in e[j0:j1]] or [0]
+            cut = data.draw(st.integers(min(sums) - 1, max(sums) + 1))
+            base = data.draw(st.integers(0, 6)) - min(sums)
+            sets.append((base, cut, i0, i1, j0, j1))
+        width = max(base + cut for base, cut, *_ in sets) + 1 + data.draw(st.integers(0, 3))
+        start = data.draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width))
+        want = pair_loop(list(start), e, w, e, w, sets)
+        out = np.array(start, dtype=np.int64)
+        e_arr, w_arr = np.array(e, dtype=np.int64), np.array(w, dtype=np.int64)
+        sizes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_PAIR_BLOCK", block)
+            mp.setattr(series_module, "_RAGGED_PAIRS", ragged)
+            mp.setattr(np, "add", RecordingAdd(sizes))
+            series_module.scatter_pairs(out, e_arr, w_arr, e_arr, w_arr, sets)
+        assert out.tolist() == want
+        assert all(size <= block for size in sizes)
+
+    @pytest.mark.parametrize("block,broadcast,ragged", [
+        (5, [5] * 20, [4] * 4),  # 4 + 4 pairs would pass the block
+        (64, [60, 40], [16]),  # six rows of the 10 x 10 set at a time
+    ])
+    def test_small_sets_share_ragged_blocks(self, monkeypatch, block, broadcast, ragged):
+        # four sets of 4 pairs share blocks of at most ``block`` pairs; the
+        # set of 100 pairs is outer products, at most ``block`` at a time
+        e = np.arange(20, dtype=np.int64)
+        w = np.ones(20, dtype=np.int64)
+        small = [(0, 100, i, i + 2, 10, 12) for i in (0, 2, 4, 6)]
+        sets = [*small[:2], (0, 100, 0, 10, 10, 20), *small[2:]]
+        sizes = []
+        monkeypatch.setattr(series_module, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(np, "add", RecordingAdd(sizes))
+        out = np.zeros(40, dtype=np.int64)
+        series_module.scatter_pairs(out, e, w, e, w, sets)
+        monkeypatch.undo()
+        assert out.tolist() == pair_loop([0] * 40, e.tolist(), w.tolist(),
+                                         e.tolist(), w.tolist(), sets)
+        assert sorted(sizes) == sorted(broadcast + ragged)
+
+    def test_one_set_is_outer_products(self, monkeypatch):
+        # a one-set call forms outer products even below the ragged size,
+        # as convolve and the count tables' class products need
+        e = np.arange(6, dtype=np.int64)
+        sizes = []
+        monkeypatch.setattr(series_module, "_PAIR_BLOCK", 4)
+        monkeypatch.setattr(np, "add", RecordingAdd(sizes))
+        out = np.zeros(12, dtype=np.int64)
+        series_module.scatter_pairs(out, e, e, e, e, ((0, 11, 0, 3, 0, 3),))
+        monkeypatch.undo()
+        assert sizes == [3, 3, 3]  # one row of 3 pairs at a time, 4 // 3 rows a block
 
 
 class TestShiftedCopies:
@@ -465,7 +562,7 @@ class TestShiftedCopies:
                     copies_of(x, y, width)
                 return
             out = copies_of(x, y, width)
-        assert out.dtype.type is series_module._accumulator(product_bound(x, y))
+        assert out.dtype.type is narrowest(x, y)
         assert out.tolist() == ref
 
     def test_several_full_tiles(self):
@@ -490,12 +587,14 @@ class TestShiftedCopies:
 
 
 class TestNarrowAccumulator:
-    """The shifted copies in int16 and int32, at the edges of those types,
-    returned in the type that holds B."""
+    """The shifted copies in int16 and int32, and in uint16 and uint32
+    when no operand is negative, at the edges of those types, returned
+    in the type that holds B."""
 
-    EDGES = sorted({e + d for e in (2**15 - 1, 2**15, 2**31 - 1, 2**31) for d in (-1, 0, 1)})
+    EDGES = sorted({e + d for e in (2**15 - 1, 2**15, 2**16 - 1, 2**16, 2**31 - 1, 2**31,
+                                    2**32 - 1, 2**32) for d in (-1, 0, 1)})
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(bound=st.sampled_from(EDGES), tile=st.sampled_from([1, 7, 1 << 15]),
            data=st.data())
     def test_bound_at_type_edges(self, bound, tile, data):
@@ -525,7 +624,8 @@ class TestNarrowAccumulator:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "_SHIFT_TILE", tile)
             out = copies_of(a, b, width)
-        assert out.dtype.type is series_module._accumulator(bound)
+        # aligned positive operands are unsigned: every edge of both kinds
+        assert out.dtype.type is narrowest(a, b)
         assert out.tolist() == exact_window(a, b, width)
 
     @pytest.mark.parametrize("bound", EDGES)
@@ -539,7 +639,7 @@ class TestNarrowAccumulator:
         a[[0, 5, 9]] = [third, third, bound // top - 2 * third]
         b = np.full(30, sign * top, dtype=np.int64)
         out = copies_of(a, b, 39)
-        assert out.dtype.type is series_module._accumulator(bound)
+        assert out.dtype.type is narrowest(a, b)
         assert int(out[9]) == sign * bound
         assert out.tolist() == exact_window(a, b, 39)
 

@@ -225,6 +225,47 @@ class TestExpand:
         assert (got.lo, got.hi) == (hi, hi) and got.is_zero()
 
 
+@st.composite
+def arguments(draw):
+    """A convergent ThetaArg, one exponent possibly negative or huge."""
+    s = draw(st.integers(1, 40) | st.integers(2**40, 2**62))
+    d = draw(st.integers(-80, 80))
+    if (s + d) % 2:
+        d += 1
+    return ThetaArg(draw(st.sampled_from((1, -1))), (s + d) // 2, (s - d) // 2)
+
+
+class TestTermExponents:
+    """One call forms every request's term exponents in one pass, after
+    every request's bound is proven."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(arguments(), st.integers(-20, 400)), max_size=5))
+    def test_requests_one_after_another(self, requests):
+        n, e, stops = theta_module.term_exponents(requests)
+        assert n.dtype == e.dtype == "int64" and len(stops) == len(requests)
+        start = 0
+        for (arg, hi), stop in zip(requests, stops):
+            want = sorted(reference_terms(arg.a, arg.b, hi))
+            assert list(zip(n[start:stop].tolist(), e[start:stop].tolist())) == want
+            start = stop
+        assert n.size == e.size == start
+
+    def test_every_bound_before_any_exponent(self, monkeypatch):
+        # the second request's bound is past 64 bits: nothing is formed
+        formed = []
+        arange = theta_module.np.arange
+
+        def counting_arange(*args, **kwargs):
+            formed.append(args)
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module.np, "arange", counting_arange)
+        with pytest.raises(CoefficientOverflowError, match="64-bit width"):
+            theta_module.term_exponents([(ThetaArg(1, 2, 6), 100), (ThetaArg(1, 2**62, 2**62), 10)])
+        assert formed == []
+
+
 class TestOnePairKernel:
     """A theta expansion is one call of the pair kernel: its term
     exponents, weighted eps^n, against the constant 1."""
@@ -234,9 +275,12 @@ class TestOnePairKernel:
         calls = []
         kernel = theta_module.scatter_pairs
 
-        def spy(out, lo, e1, w1, e2, w2):
-            calls.append([v.tolist() for v in (e1, w1, e2, w2)])
-            kernel(out, lo, e1, w1, e2, w2)
+        def spy(out, e1, w1, e2, w2, sets):
+            # the call's one pair set: (e1, w1) against (e2, w2)
+            (_, _, i0, i1, j0, j1), = sets
+            calls.append([e1[i0:i1].tolist(), w1[i0:i1].tolist(),
+                          e2[j0:j1].tolist(), w2[j0:j1].tolist()])
+            kernel(out, e1, w1, e2, w2, sets)
 
         monkeypatch.setattr(theta_module, "scatter_pairs", spy)
         got = theta_expand(arg, hi)
@@ -248,7 +292,7 @@ class TestOnePairKernel:
         # about 140 pairs through 20000 half-units, not one per column
         psi = theta_special("psi")
         (e1, w1, e2, w2), = self.kernel_calls(monkeypatch, psi, 20000)
-        assert e1 == theta_module.term_exponents(psi, 20000)[1].tolist()
+        assert e1 == theta_module.term_exponents([(psi, 20000)])[1].tolist()
         assert e1 == [e for _, e in sorted(reference_terms(psi.a, psi.b, 20000))]
         assert w1 == [1] * len(e1) and (e2, w2) == ([0], [1])
 

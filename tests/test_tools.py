@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from thetaq import load_relation_catalog
+from thetaq import load_identity_catalog, load_relation_catalog
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +31,29 @@ def test_table_traffic_reports_every_signature_then_totals():
     # one bound per signature, alpha and beta // alpha
     assert builds + rebuilds <= len({(ref.spec.terms, ref.alpha, ref.beta // ref.alpha)
                                   for ref in sides})
+
+
+def test_identity_traffic_counts_one_scatter_per_entry():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "identity_traffic.py"), "--order", "150"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    header, *lines = run.stdout.splitlines()
+    columns = header.split()
+    assert columns == ["kind", "entries", "scatters", "kernel_calls", "pair_sets",
+                       "pairs_formed", "pairs_kept", "exp_calls", "exp_requests", "products"]
+    *rows, total = [line.split() for line in lines]
+    assert [row[0] for row in rows] == ["thm1", "thm2", "corollary"] and total[0] == "total"
+    counts = [[int(x) for x in row[1:]] for row in rows]
+    got = dict(zip(columns[1:], map(int, total[1:])))
+    assert list(got.values()) == [sum(col) for col in zip(*counts)]
+    entries = load_identity_catalog()
+    assert got["entries"] == len(entries) == 148
+    # the counts that do not depend on the kernel's block layout: one
+    # scatter and one term-exponent call per entry, every request and
+    # every product as in a term-by-term pass
+    assert got["scatters"] == got["exp_calls"] == 148
+    assert got["kernel_calls"] <= 148
+    assert got["exp_requests"] == 2200 and got["products"] == 206
+    assert got["pairs_kept"] <= got["pairs_formed"]
