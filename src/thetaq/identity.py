@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .series import HalfPowerSeries, sum_series
-from .theta import ThetaArg, _pair_scatter, _scatter_row
+from .theta import ThetaArg, _pair_scatter, _scatter_row, theta_expand
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,10 @@ class ThetaProduct:
         return expand_sum((self,), hi)
 
 
-def _side_rows(terms: Sequence[ThetaProduct], hi: int) -> tuple[list, list[int]]:
-    """The pair-scatter rows of one side through ``hi``, and the number
-    of rows (1 or 2) behind each of its parts.
+def _side_rows(terms: Sequence[ThetaProduct], hi: int) -> tuple[list, list]:
+    """The pair-scatter rows of one side through ``hi``, and, for each of
+    its parts, the number of rows (1 or 2) behind it and the outer factor
+    :func:`_side_sum` expands for it, if any.
 
     Terms are grouped, by first appearance, by their factors before the
     last two, and each group is expanded by the distributive law,
@@ -54,45 +55,60 @@ def _side_rows(terms: Sequence[ThetaProduct], hi: int) -> tuple[list, list[int]]
     with no outer factor, the one- and two-factor terms, is a row
     through ``hi`` and a part by itself.  A three-factor group's row
     runs through hi - m, where m = o.min_exponent() for its outer factor
-    o, from lo, the least exponent it could add (lo <= hi - m); o is one
-    more row, a one-factor term through hi - lo >= m, and the part is
-    their product.  The product is exact through hi, because each
-    factor's bound plus the other factor's least exponent (at least m,
-    at least lo) reaches hi.  A group whose o is identically zero adds
-    nothing.
+    o, from lo, the least exponent it could add (lo <= hi - m); o is
+    expanded through hi - lo >= m, and the part is their product.  The
+    product is exact through hi, because each factor's bound plus the
+    other factor's least exponent (at least m, at least lo) reaches hi.
+    A group whose o is identically zero adds nothing.
+
+    The o of a group of several terms is one more row, a one-factor term
+    through hi - lo.  The o of a one-term group, the left side of
+    Theorem 1 and of cor1-cor4, is left to :func:`theta_expand`, the
+    public one-theta expansion, so every such check still passes through
+    it: the layer tracer of ``perfbench`` times the theta layer by that
+    function.  It costs one more term-exponent and pair-kernel call.
     """
     groups: dict[tuple[ThetaArg, ...], list] = {}
     for t in terms:
         groups.setdefault(t.factors[:-2], []).append((t.sign, t.shift, t.factors[-2:]))
-    rows, sizes = [], []
+    rows, parts = [], []
     for outer, group in groups.items():
         if not outer:
             rows.append(_scatter_row(group, hi))
-            sizes.append(1)
+            parts.append((1, None))
         elif not outer[0].is_zero_function():
             inner = _scatter_row(group, hi - outer[0].min_exponent())
-            rows += [inner, _scatter_row(((1, 0, outer),), hi - inner.lo)]
-            sizes.append(2)
-    return rows, sizes
+            rows.append(inner)
+            if len(group) == 1:
+                parts.append((1, outer[0]))
+            else:
+                rows.append(_scatter_row(((1, 0, outer),), hi - inner.lo))
+                parts.append((2, None))
+    return rows, parts
 
 
-def _side_sum(series: Sequence[HalfPowerSeries], sizes: list[int], hi: int) -> HalfPowerSeries:
+def _side_sum(series: Sequence[HalfPowerSeries], parts: list, hi: int) -> HalfPowerSeries:
     """A side from the series of its :func:`_side_rows`: each part is its
-    row, or the outer factor's row times the group's row, and every part
-    is added in one :func:`sum_series`."""
-    parts, at = [], 0
-    for size in sizes:
-        parts.append(series[at] if size == 1 else series[at + 1] * series[at])
+    row, or the outer factor's row or :func:`theta_expand` times the
+    group's row, and every part is added in one :func:`sum_series`."""
+    out, at = [], 0
+    for size, outer in parts:
+        row = series[at]
+        if outer is not None:
+            row = theta_expand(outer, hi - row.lo) * row
+        elif size == 2:
+            row = series[at + 1] * row
+        out.append(row)
         at += size
-    return sum_series(parts, hi)
+    return sum_series(out, hi)
 
 
 def expand_sum(terms: Sequence[ThetaProduct], hi: int) -> HalfPowerSeries:
     """Expand and add a list of theta products, exact through ``hi``:
     the rows of :func:`_side_rows`, formed in one :func:`_pair_scatter`
     of :mod:`thetaq.theta`, then :func:`_side_sum`."""
-    rows, sizes = _side_rows(terms, hi)
-    return _side_sum(_pair_scatter(rows), sizes, hi)
+    rows, parts = _side_rows(terms, hi)
+    return _side_sum(_pair_scatter(rows), parts, hi)
 
 
 @dataclass(frozen=True)
@@ -125,11 +141,11 @@ def _verify_terms(
 ) -> IdentityReport:
     """Both sides expanded through ``through`` and compared: the rows of
     both sides are formed in one :func:`_pair_scatter`."""
-    lhs_rows, lhs_sizes = _side_rows(lhs_terms, through)
-    rhs_rows, rhs_sizes = _side_rows(rhs_terms, through)
+    lhs_rows, lhs_parts = _side_rows(lhs_terms, through)
+    rhs_rows, rhs_parts = _side_rows(rhs_terms, through)
     series = _pair_scatter(lhs_rows + rhs_rows)
-    lhs = _side_sum(series[: len(lhs_rows)], lhs_sizes, through)
-    rhs = _side_sum(series[len(lhs_rows) :], rhs_sizes, through)
+    lhs = _side_sum(series[: len(lhs_rows)], lhs_parts, through)
+    rhs = _side_sum(series[len(lhs_rows) :], rhs_parts, through)
     cmp = lhs.compare(rhs, through)
     violation = _negative_violation("lhs", lhs) or _negative_violation("rhs", rhs)
     return IdentityReport(

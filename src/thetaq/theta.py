@@ -60,22 +60,15 @@ class ThetaArg:
 
     def min_exponent(self) -> int:
         """Least exponent of a term of the bilateral sum (always <= 0, and 0
-        for an identically zero function)."""
-        s, d, n0 = _quadratic(self)
-        return min(_term_exponent(s, d, n0), _term_exponent(s, d, n0 + 1))
+        for an identically zero function).
 
-
-def _quadratic(arg: ThetaArg) -> tuple[int, int, int]:
-    """(s, d, n0): the n-th term's exponent is (s*n + d)*n / 2, with
-    s = a + b and d = a - b, and n0 = floor(-d / 2s) and n0 + 1 are the
-    integers either side of its vertex."""
-    s, d = arg.a + arg.b, arg.a - arg.b
-    return s, d, -d // (2 * s)
-
-
-def _term_exponent(s: int, d: int, n):
-    """Exponent of the n-th term; ``n`` may be an int or an integer array."""
-    return (s * n + d) * n // 2
+        The n-th term's exponent is (s*n + d)*n / 2, with s = a + b and
+        d = a - b; n = floor(-d / 2s) and n + 1 are the integers either
+        side of its vertex, and (s*n + d)*n is even for every n.
+        """
+        s, d = self.a + self.b, self.a - self.b
+        n = -d // (2 * s)
+        return min((s * n + d) * n, (s * n + s + d) * (n + 1)) // 2
 
 
 def term_exponents(requests) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -98,7 +91,7 @@ def term_exponents(requests) -> tuple[np.ndarray, np.ndarray, list[int]]:
     params, counts, stops = [], [], []
     total = 0
     for arg, hi in requests:
-        s, d, _ = _quadratic(arg)
+        s, d = arg.a + arg.b, arg.a - arg.b
         bound = max(s, 2 * max(hi, d * d // (8 * s) + 1) + abs(d))
         if bound > COEFF_LIMIT:
             raise CoefficientOverflowError(
@@ -126,15 +119,30 @@ def term_exponents(requests) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return n, e, stops
 
 
+# the one term of the constant 1: exponent 0, weight 1
+_CONSTANT = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+
+
 def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     """Bilateral-sum expansion, exact through ``hi`` half-units: the
-    one-row, one-term case of :func:`_pair_scatter`.
+    one-row, one-term case of :func:`_pair_scatter`, formed directly as
+    one pair set of the term exponents, weighted eps^n, against the
+    constant 1, without a batch's row planning.
 
     The series runs from lo = min(hi, ``arg.min_exponent()``) to ``hi``.
     Through a bound below the least exponent, and for an identically
-    zero function, it is the one coefficient 0 at ``hi``.
+    zero function, it is the one coefficient 0 at ``hi``.  The set's
+    pair count is its number of terms and its exponent sums are the
+    term exponents, both inside the bound :func:`term_exponents` proves.
     """
-    return _pair_scatter((_scatter_row(((1, 0, (arg,)),), hi),))[0]
+    if arg.is_zero_function():
+        return HalfPowerSeries.zero(hi, hi)
+    lo = min(hi, arg.min_exponent())
+    n, e, _ = term_exponents(((arg, hi),))
+    w = 1 - 2 * (n & 1) if arg.eps == -1 else np.ones(e.size, dtype=np.int64)
+    out = np.zeros(hi - lo + 1, dtype=np.int64)
+    scatter_pairs(out, e, w, *_CONSTANT, ((-lo, hi, 0, e.size, 0, 1),))
+    return HalfPowerSeries(lo, hi, out)
 
 
 class _ScatterRow:
@@ -225,10 +233,13 @@ def _pair_scatter(rows) -> list[HalfPowerSeries]:
     out = np.zeros(width, dtype=np.int64)
     # weights eps^n = 1 - 2*(n & 1) where eps = -1, times the term's sign
     # on its first factor; the constant term last
-    sgn, neg = np.repeat(np.array([signs, negs], dtype=np.int64), counts, axis=1)
-    w = np.append(sgn * (1 - 2 * (n & neg)), 1)
-    e = np.append(e, 0)
-    scatter_pairs(out, e, w, e, w, sets)
+    w, exps = np.empty(one + 1, dtype=np.int64), np.empty(one + 1, dtype=np.int64)
+    w[:one] = np.repeat(np.array(signs, dtype=np.int64), counts)
+    if any(negs):
+        w[:one] *= 1 - 2 * (n & np.repeat(np.array(negs, dtype=np.int64), counts))
+    exps[:one] = e
+    w[one], exps[one] = 1, 0
+    scatter_pairs(out, exps, w, exps, w, sets)
     return [HalfPowerSeries(row.lo, row.hi, out[at : at + row.hi - row.lo + 1])
             for row, at in zip(rows, offsets)]
 

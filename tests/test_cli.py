@@ -485,12 +485,14 @@ class TestOverflow:
 
     def test_identity_past_memory_is_usage_error(self, capsys):
         # through 2 * 10^11 half-units the one pair scatter of both sides
-        # asks for an 8.73 TiB buffer; it must ask before it forms a pair
+        # (all but the left side's outer factor, which theta_expand forms
+        # after it) asks for a 7.28 TiB buffer; it must ask before it
+        # forms a pair
         code, out, err = run(capsys, "verify", "thm1", "--k", "2", "--r", "1", "--g", "1",
                              "--h", "0", "--u", "1", "--v", "0", "--i", "1", "--j", "1",
                              "--order", "100000000000")
         assert code == 2 and out == "" and "Traceback" not in err
-        assert err.startswith("error: not enough memory: Unable to allocate 8.73 TiB")
+        assert err.startswith("error: not enough memory: Unable to allocate 7.28 TiB")
 
     def test_records_stream_and_an_error_stops_the_stream(self, capsys, monkeypatch):
         # Athm1 has two relations: the first record prints before the second

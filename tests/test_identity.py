@@ -518,8 +518,9 @@ class TestCatalog:
 class TestExpansionBound:
     """Each scatter term's factors are asked for their term exponents
     through exactly the bound the target needs, each outer factor is a
-    row through its exact bound, and no further, and each check makes
-    one term-exponent call for every row of both sides."""
+    row or a theta expansion through its exact bound, and no further;
+    each check makes one term-exponent call for every row of both sides,
+    and one more for each outer factor of a one-term group."""
 
     @pytest.mark.parametrize("through", [0, 7, 120])
     def test_factors_expanded_through_the_exact_bound(self, monkeypatch, through):
@@ -528,41 +529,49 @@ class TestExpansionBound:
         for entry in entries:
             assert entry.verify(through).ok, entry.id
         monkeypatch.undo()
-        assert len(calls) == len(entries)
-        for entry, call in zip(entries, calls):
+        want = []
+        for entry in entries:
             lhs, rhs = entry_sides(entry)
-            assert call == route_requests(lhs, through) + route_requests(rhs, through), entry.id
+            want.append(route_requests(lhs, through) + route_requests(rhs, through))
+            want += [[r] for r in outer_requests(lhs, through) + outer_requests(rhs, through)]
+        assert len(calls) == len(want) > len(entries)
+        assert calls == want
 
     @pytest.mark.parametrize("eid", ["thm1.Athm1", "thm1.k4r1.1", "thm1.k6r1.1"])
     def test_each_shared_outer_factor_is_expanded_once(self, monkeypatch, eid):
         # Every two-factor remainder is a pair scatter: no theta expansion
         # and no product.  Term by term, each of the left side and the 2k
-        # right-side terms expands its outer factor once and multiplies
-        # once, 2k+1 of each; grouped, the left side and the two outer
-        # factors, block 1's and the one blocks 2 and 3 share, cost 3 and 3.
+        # right-side terms expands its outer factor once, by theta_expand,
+        # and multiplies once, 2k+1 of each; grouped, the left side's outer
+        # factor (by theta_expand) and the two outer factors of the right
+        # side (rows of the one scatter), block 1's and the one blocks 2
+        # and 3 share, cost 3 and 3.
         p = TripleParams(**{e.id: e for e in load_identity_catalog()}[eid].params)
         terms = [triple_lhs(p)] + triple_rhs(p)
         assert not any(f.is_zero_function() for t in terms for f in t.factors)
         assert len({t.factors[0] for t in terms[1:]}) == 2
-        calls, products = count_route(monkeypatch)
+        calls, thetas, products = count_route(monkeypatch)
         for term in terms:
             term.expand(120)
-        assert (len(expansions(calls)), len(products)) == (2 * p.k + 1, 2 * p.k + 1)
+        assert (len(expansions(calls)), len(thetas)) == (0, 2 * p.k + 1)
+        assert len(products) == 2 * p.k + 1
         calls.clear()
+        thetas.clear()
         products.clear()
         assert verify_triple(p, 120).ok
         assert len(calls) == 1
-        assert (len(expansions(calls)), len(products)) == (3, 3)
+        assert thetas == outer_requests([triple_lhs(p)], 120)
+        assert (len(expansions(calls)) + len(thetas), len(products)) == (3, 3)
 
     def test_two_factor_sides_expand_no_theta(self, monkeypatch):
         # thm2 and the signed pairs carry two factors a term on both sides
         entries = [e for e in load_identity_catalog()
                    if e.kind == "thm2" or e.params.get("id", "").startswith("clp2")]
         assert len(entries) > 20
-        calls, products = count_route(monkeypatch)
+        calls, thetas, products = count_route(monkeypatch)
         for entry in entries:
             assert entry.verify(120).ok, entry.id
-            assert (len(expansions(calls)), len(products)) == (0, 0), entry.id
+            assert (len(expansions(calls)), len(thetas), len(products)) == (0, 0, 0), entry.id
 
 
 def spy_rows(monkeypatch) -> list:
@@ -587,18 +596,24 @@ def expansions(calls) -> list:
 
 
 def count_route(monkeypatch):
-    """Lists that collect the rows of each pair scatter and each series
+    """Lists that collect the rows of each pair scatter, the (arg, hi) of
+    each theta expansion the identity layer makes, and each series
     product."""
-    products = []
-    mul = HalfPowerSeries.__mul__
+    thetas, products = [], []
+    mul, expand = HalfPowerSeries.__mul__, identity.theta_expand
 
     def counting_mul(a, b):
         products.append((a, b))
         return mul(a, b)
 
+    def counting_expand(arg, hi):
+        thetas.append((arg, hi))
+        return expand(arg, hi)
+
     calls = spy_rows(monkeypatch)
     monkeypatch.setattr(HalfPowerSeries, "__mul__", counting_mul)
-    return calls, products
+    monkeypatch.setattr(identity, "theta_expand", counting_expand)
+    return calls, thetas, products
 
 
 def spy_requests(monkeypatch) -> list:
@@ -655,16 +670,12 @@ def scatter_requests(terms, hi) -> list:
     return out
 
 
-def route_requests(terms, hi) -> list:
-    """Every request the rows of one side make, in order: per group of
-    terms that share their factors before the last two, by first
-    appearance, one row of the remainders through hi - m, m the outer
-    factor o's least exponent (the group with no outer factor is a row
-    through hi), and, unless o vanishes, o's row through hi - lo, where
-    lo is the least exponent the group's row could add: hi - m, or a
-    remainder's shift plus its factors' least exponents if that is less.
-    o's row is one term of one factor, so it asks for o's term exponents
-    through that bound."""
+def outer_groups(terms, hi) -> list:
+    """(o, bound, group) for each group of terms that share their factors
+    before the last two, by first appearance, o their outer factor (None
+    for the group with none) and bound the least the group's row runs
+    through: hi - m, m o's least exponent.  Each group is the terms'
+    remainders; a group whose o vanishes is left out."""
     groups: dict = {}
     for t in terms:
         groups.setdefault(t.factors[:-2], []).append(
@@ -672,18 +683,42 @@ def route_requests(terms, hi) -> list:
     out = []
     for outer, rest in groups.items():
         if not outer:
-            out += scatter_requests(rest, hi)
-            continue
-        (f,) = outer
-        if f.is_zero_function():
-            continue
-        m = f.min_exponent()
-        out += scatter_requests(rest, hi - m)
-        lo = min([hi - m] + [t.shift + sum(g.min_exponent() for g in t.factors)
-                             for t in rest
-                             if not any(g.is_zero_function() for g in t.factors)])
-        out.append((f, hi - lo))
+            out.append((None, hi, rest))
+        elif not outer[0].is_zero_function():
+            out.append((outer[0], hi - outer[0].min_exponent(), rest))
     return out
+
+
+def outer_bound(hi, bound, rest) -> int:
+    """hi - lo, lo the least exponent a group's row could add: its bound,
+    or a remainder's shift plus its factors' least exponents if that is
+    less."""
+    return hi - min([bound] + [t.shift + sum(g.min_exponent() for g in t.factors)
+                               for t in rest
+                               if not any(g.is_zero_function() for g in t.factors)])
+
+
+def route_requests(terms, hi) -> list:
+    """Every request the rows of one side make, in order: per group of
+    :func:`outer_groups`, one row of the remainders through its bound,
+    and, for a group of several terms, o's row through hi - lo
+    (:func:`outer_bound`).  o's row is one term of one factor, so it
+    asks for o's term exponents through that bound."""
+    out = []
+    for f, bound, rest in outer_groups(terms, hi):
+        out += scatter_requests(rest, bound)
+        if f is not None and len(rest) > 1:
+            out.append((f, outer_bound(hi, bound, rest)))
+    return out
+
+
+def outer_requests(terms, hi) -> list:
+    """The (o, hi - lo) of each one-term group of :func:`outer_groups`, in
+    order: the expansions :func:`theta_expand` makes for one side, each
+    one term-exponent call of that one request."""
+    return [(f, outer_bound(hi, bound, rest))
+            for f, bound, rest in outer_groups(terms, hi)
+            if f is not None and len(rest) == 1]
 
 
 def entry_sides(entry):
@@ -789,10 +824,12 @@ class TestGroupedSum:
         monkeypatch.undo()
         assert got.hi == hi
         assert dict(got.items()) == product_oracle(terms, hi)
-        # one call: each scatter factor is asked through its exact bound,
+        # one call for the scatter, then one per one-term group's outer
+        # factor: each scatter factor is asked through its exact bound,
         # each outer factor once, through hi minus its group's lo, and a
         # vanishing one's never
-        assert calls == [route_requests(terms, hi)]
+        want = [route_requests(terms, hi)] + [[r] for r in outer_requests(terms, hi)]
+        assert calls == want
 
     def test_cancelling_group_adds_nothing(self, monkeypatch):
         terms = [ThetaProduct(1, 2, (PSI, PHI, SGN)), ThetaProduct(-1, 2, (PSI, SGN, PHI))]
@@ -874,25 +911,23 @@ class TestPairScatter:
         finally:
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("bound,rows", [
-        ("pair count", [([(1, 0, (PSI,))], 30),
-                        ([(1, 0, (UNIT, UNIT)), (-1, 2, (PHI, SGN))], 60)]),
-        ("exponent sum", [([(1, 3, (NEG, PSI))], 10),
-                          ([(1, -1000, (PHI,)), (1, 3, (NEG, PSI))], 10),
-                          ([(-1, 0, (SGN, SGN))], 20)]),
+    @pytest.mark.parametrize("bound,terms,hi", [
+        ("pair count", [(1, 0, (UNIT, UNIT)), (-1, 2, (PHI, SGN))], 60),
+        ("exponent sum", [(1, -1000, (PHI,)), (1, 3, (NEG, PSI))], 10),
         # every exponent taken lies below 0, so the least one is the largest
-        ("exponent sum", [([(-1, 1, (PHI, PHI))], 0),
-                          ([(1, 0, (DEEP,)), (-1, 1, (PHI, PHI))], 0)]),
+        ("exponent sum", [(1, 0, (DEEP,)), (-1, 1, (PHI, PHI))], 0),
     ])
-    def test_bound_at_the_edge(self, monkeypatch, bound, rows):
-        # the binding bound, in a row after the first, equal to COEFF_LIMIT
-        # runs, allocating the buffer before any pair; one less raises
-        # before the buffer exists
+    def test_bound_at_the_edge(self, monkeypatch, bound, terms, hi):
+        # the binding row (terms, hi) sits between its own last term and
+        # a small row of its own: its bound equal to COEFF_LIMIT runs,
+        # allocating the buffer before any pair; one less raises before
+        # the buffer exists
+        rows = [(terms[-1:], hi), (terms, hi), ([(-1, 0, (SGN, SGN))], 20)]
         bounds = scatter_bounds(rows)
-        pairs, reach = (max(b) for b in zip(*bounds))
+        pairs, reach = bounds[1]
         limit = pairs if bound == "pair count" else reach
         assert limit > min(pairs, reach)
-        assert max(bounds[0]) < limit
+        assert max(*bounds[0], *bounds[2]) < limit
         events = []
         got = self.scatter_at(monkeypatch, rows, limit, events)
         assert events == ["output", "pairs"]

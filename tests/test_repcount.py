@@ -180,8 +180,8 @@ class TestNarrowTables:
 
     @pytest.mark.parametrize("name,coeffs,limit,dtype", [
         ("T", (2, 5, 5), 400019, np.int16),  # B = 7200
-        ("r", (1, 1, 1), 80000, np.uint16),  # B = 40680
         ("r", (1, 1, 1), 200000, np.uint32),  # B = 85920
+        ("r", (1, 1, 1), 80000, np.uint16),  # B = 40680
     ])
     def test_table_near_its_top(self, name, coeffs, limit, dtype, monkeypatch):
         chosen = []

@@ -5,11 +5,13 @@
 Verifies every identity of the embedded catalog through 2N half-units
 (``thetaq verify all --order N``), in catalog order.  For each kind
 (thm1, thm2, corollary) and in total it prints the entries, the pair
-scatters the identity layer makes, the pair-kernel calls those scatters
-make, the pair sets they hand over, the pairs those sets form and the
-pairs they keep (at or below their cut), the term-exponent calls and the
-requests in them, and the series products.  Products that ``convolve``
-scatters pairwise are counted as products, not as pair-kernel calls.
+scatters the identity layer makes, the one-theta expansions
+(``theta_expand``) it makes, the pair-kernel calls those scatters and
+expansions make, the pair sets they hand over, the pairs those sets form
+and the pairs they keep (at or below their cut), the term-exponent calls
+and the requests in them, and the series products.  Products that
+``convolve`` scatters pairwise are counted as products, not as
+pair-kernel calls.
 The package is imported from the ``src`` directory beside this one.
 """
 
@@ -27,8 +29,8 @@ from thetaq import identity, load_identity_catalog, theta  # noqa: E402
 from thetaq.series import HalfPowerSeries  # noqa: E402
 
 KINDS = ("thm1", "thm2", "corollary")
-COLUMNS = ("entries", "scatters", "kernel_calls", "pair_sets", "pairs_formed",
-           "pairs_kept", "exp_calls", "exp_requests", "products")
+COLUMNS = ("entries", "scatters", "expansions", "kernel_calls", "pair_sets",
+           "pairs_formed", "pairs_kept", "exp_calls", "exp_requests", "products")
 
 
 def traffic(entries, order: int) -> dict[str, dict[str, int]]:
@@ -36,11 +38,15 @@ def traffic(entries, order: int) -> dict[str, dict[str, int]]:
     rows = {kind: dict.fromkeys(COLUMNS, 0) for kind in KINDS}
     row = {}
     scatter, kernel, exponents = identity._pair_scatter, theta.scatter_pairs, theta.term_exponents
-    mul = HalfPowerSeries.__mul__
+    expand, mul = identity.theta_expand, HalfPowerSeries.__mul__
 
     def counted_scatter(rows):
         row["scatters"] += 1
         return scatter(rows)
+
+    def counted_expand(arg, hi):
+        row["expansions"] += 1
+        return expand(arg, hi)
 
     def counted_kernel(out, e1, w1, e2, w2, sets):
         row["kernel_calls"] += 1
@@ -62,6 +68,7 @@ def traffic(entries, order: int) -> dict[str, dict[str, int]]:
         return mul(a, b)
 
     identity._pair_scatter, theta.scatter_pairs = counted_scatter, counted_kernel
+    identity.theta_expand = counted_expand
     theta.term_exponents, HalfPowerSeries.__mul__ = counted_exponents, counted_mul
     try:
         for entry in entries:
@@ -71,6 +78,7 @@ def traffic(entries, order: int) -> dict[str, dict[str, int]]:
                 raise SystemExit(f"identity {entry.id} does not verify through order {order}")
     finally:
         identity._pair_scatter, theta.scatter_pairs = scatter, kernel
+        identity.theta_expand = expand
         theta.term_exponents, HalfPowerSeries.__mul__ = exponents, mul
     return rows
 
