@@ -17,7 +17,11 @@ rebuilds it at the new limit.  The builder returns its counts in the
 narrowest integer type their proven bound allows, and the cache stores
 them in that type; ``count_table`` widens them to int64.
 ``count_enumerate`` reads each kind's values and their multiplicities
-off a prefix of one grow-only membership table per figurate kind.
+off a prefix of one grow-only membership table per figurate kind, and
+walks the value pairs of its two sparsest slots in numpy blocks of at
+most ``_BLOCK_PAIRS`` pairs.  It calls nothing of :mod:`thetaq.series`
+or :mod:`thetaq.theta`, and the series route never reads the
+membership tables, so neither route can hide the other's fault.
 
 Index domains follow the classical conventions: squares, generalized
 pentagonal and generalized octagonal indices run over all integers,
@@ -162,31 +166,44 @@ def registry_lookup(name: str) -> tuple[FigurateKind, FigurateKind, FigurateKind
         raise KeyError(f"unknown count function {name!r}") from None
 
 
+# most (x, y) pairs that count_enumerate forms at once
+_BLOCK_PAIRS = 1 << 16
+
+
 def count_enumerate(spec: MixedSumSpec, n: int) -> int:
     """Number of ordered index tuples with a1*F1 + a2*F2 + a3*F3 = n.
 
-    Loops over the two slots with the fewest attainable values and
-    resolves the third through its multiplicity table.
+    Enumerates the grid of values (x, y) of the two slots with the
+    fewest attainable values and resolves the third through its
+    multiplicity table.  The grid is walked in blocks of at most
+    ``_BLOCK_PAIRS`` pairs, whole rows of x while a row fits in a block
+    and pieces of one row past that, so the memory a query takes beyond
+    the membership tables is bounded by the block, not by n.  Each block
+    forms rem = n - a1*x - a2*y, keeps the pairs with rem >= 0 and
+    rem = 0 mod a3, and adds m1[x]*m2[y]*mult3[rem // a3] in int64.
+
+    Nothing wraps: x <= n // a1 and y <= n // a2, so |rem| <= n, and
+    each product of three multiplicities is at most 2*2*2 = 8.  Since
+    rem >= -n, rem // a3 >= -(n // a3 + 1), so every gather of mult3 is
+    in range; what it reads for a pair that is not kept is set to 0.
     """
     if n < 0:
         return 0
     slots = []
     for a, kind in spec.terms:
         mult = _membership(kind, n // a)
-        slots.append((a, mult, np.flatnonzero(mult)))
+        slots.append((a, mult, mult.nonzero()[0]))
     (a1, m1, v1), (a2, m2, v2), (a3, table, _) = sorted(slots, key=lambda s: s[2].size)
-    inner = list(zip(v2.tolist(), m2[v2].tolist()))
+    rest, cost = n - a1 * v1, a2 * v2
+    c1, c2 = m1[v1], m2[v2].astype(np.int64)
+    rows, cols = max(1, _BLOCK_PAIRS // v2.size), min(v2.size, _BLOCK_PAIRS)
     total = 0
-    for x, cx in zip(v1.tolist(), m1[v1].tolist()):
-        rest = n - a1 * x
-        if rest < 0:
-            break
-        for y, cy in inner:
-            rem = rest - a2 * y
-            if rem < 0:
-                break
-            if rem % a3 == 0:
-                total += cx * cy * int(table[rem // a3])
+    for i in range(0, v1.size, rows):
+        for j in range(0, v2.size, cols):
+            q, r = np.divmod(rest[i : i + rows, None] - cost[j : j + cols], a3)
+            hits = table[q]
+            hits[(r != 0) | (q < 0)] = 0
+            total += int(c1[i : i + rows].dot(hits.dot(c2[j : j + cols])))
     return total
 
 

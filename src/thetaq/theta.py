@@ -193,18 +193,25 @@ def _pair_scatter(rows) -> list[HalfPowerSeries]:
     e1 + e2 + shift - lo of its row, for every pair with
     e1 + e2 <= hi - shift.
 
-    In each row, every coefficient and every partial sum is at most the
-    row's number of pairs P in magnitude, and every exponent sum formed
-    is at most R = max|e1| + max|e2| + |shift| over its terms.  Every
-    row's P and R are checked against ``COEFF_LIMIT`` before the buffer
-    is allocated, and :class:`CoefficientOverflowError` is raised past
-    it.  The kernel forms the pairs after the buffer exists.
+    The buffer's width is the sum of the rows' widths hi - lo + 1, known
+    from the rows alone, so it is allocated first: a request too wide for
+    memory fails there, before any term exponent is formed.  In each row,
+    every coefficient and every partial sum is at most the row's number
+    of pairs P in magnitude, and every exponent sum formed is at most
+    R = max|e1| + max|e2| + |shift| over its terms.  Every row's P and R
+    are checked against ``COEFF_LIMIT`` once the exponents exist, and
+    :class:`CoefficientOverflowError` is raised past it, before the
+    kernel forms any pair.
     """
+    offsets = [0]
+    for row in rows:
+        offsets.append(offsets[-1] + row.hi - row.lo + 1)
+    out = np.zeros(offsets.pop(), dtype=np.int64)
     n, e, stops = term_exponents([req for row in rows for req in row.requests])
     one = len(e)  # index of the constant term appended below
-    signs, negs, counts, sets, offsets = [], [], [], [], []
-    k = start = width = 0
-    for row in rows:
+    signs, negs, counts, sets = [], [], [], []
+    k = start = 0
+    for row, at in zip(rows, offsets):
         pairs = reach = 0
         for sign, shift, factors, mins in row.terms:
             span, term_pairs, term_reach = [], 1, abs(shift)
@@ -223,14 +230,11 @@ def _pair_scatter(rows) -> list[HalfPowerSeries]:
             pairs += term_pairs
             reach = max(reach, term_reach)
             if term_pairs:
-                sets.append((width + shift - row.lo, row.hi - shift, *span))
+                sets.append((at + shift - row.lo, row.hi - shift, *span))
         if pairs > COEFF_LIMIT:
             raise CoefficientOverflowError(f"pair count {pairs} exceeds the 64-bit width")
         if reach > COEFF_LIMIT:
             raise CoefficientOverflowError(f"exponent sum bound {reach} exceeds the 64-bit width")
-        offsets.append(width)
-        width += row.hi - row.lo + 1
-    out = np.zeros(width, dtype=np.int64)
     # weights eps^n = 1 - 2*(n & 1) where eps = -1, times the term's sign
     # on its first factor; the constant term last
     w, exps = np.empty(one + 1, dtype=np.int64), np.empty(one + 1, dtype=np.int64)

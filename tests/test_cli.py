@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thetaq import cli, repcount
+from thetaq import theta as theta_module
 from thetaq.cli import main
 from thetaq.identity import load_identity_catalog
 from thetaq.relations import CLASSICAL_IDS, load_relation_catalog, load_scan_catalog
@@ -493,6 +494,23 @@ class TestOverflow:
                              "--order", "100000000000")
         assert code == 2 and out == "" and "Traceback" not in err
         assert err.startswith("error: not enough memory: Unable to allocate 7.28 TiB")
+
+    def test_identity_past_memory_forms_no_exponent(self, capsys, monkeypatch):
+        # the scatter sizes its buffer from the rows' widths, so the request
+        # fails before one term exponent is formed (the 13 requests would
+        # form about 7.3 M)
+        formed = []
+
+        def refuse(requests):
+            formed.append(requests)
+            raise CoefficientOverflowError("term exponents were formed")
+
+        monkeypatch.setattr(theta_module, "term_exponents", refuse)
+        code, out, err = run(capsys, "verify", "thm1", "--k", "2", "--r", "1", "--g", "1",
+                             "--h", "0", "--u", "1", "--v", "0", "--i", "1", "--j", "1",
+                             "--order", "100000000000")
+        assert code == 2 and out == "" and formed == []
+        assert err.startswith("error: not enough memory:")
 
     def test_records_stream_and_an_error_stops_the_stream(self, capsys, monkeypatch):
         # Athm1 has two relations: the first record prints before the second

@@ -920,8 +920,9 @@ class TestPairScatter:
     def test_bound_at_the_edge(self, monkeypatch, bound, terms, hi):
         # the binding row (terms, hi) sits between its own last term and
         # a small row of its own: its bound equal to COEFF_LIMIT runs,
-        # allocating the buffer before any pair; one less raises before
-        # the buffer exists
+        # allocating the buffer before any pair; one less raises after the
+        # buffer, which the rows' widths size before any exponent, and
+        # before any pair
         rows = [(terms[-1:], hi), (terms, hi), ([(-1, 0, (SGN, SGN))], 20)]
         bounds = scatter_bounds(rows)
         pairs, reach = bounds[1]
@@ -937,7 +938,7 @@ class TestPairScatter:
         events.clear()
         with pytest.raises(CoefficientOverflowError, match=bound):
             self.scatter_at(monkeypatch, rows, limit - 1, events)
-        assert events == []
+        assert events == ["output"]
 
     @settings(max_examples=150, deadline=None)
     @given(rows=scatter_rows())

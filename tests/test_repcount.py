@@ -1,5 +1,9 @@
 """Counting routes against brute-force index enumeration."""
 
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +176,124 @@ class TestRouteAgreement:
         # triangular indices are one-sided, squares two-sided: T vs r
         assert count_enumerate(MixedSumSpec.of("T", (1, 1, 1)), 2) == 3
         assert count_enumerate(MixedSumSpec.of("r", (1, 1, 1)), 2) == 12
+
+
+class TestBlockedEnumeration:
+    """``count_enumerate`` walks its (x, y) grid in blocks of at most
+    ``_BLOCK_PAIRS`` pairs; the count is the same at every block size."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @settings(max_examples=5, deadline=None)
+    @given(coeffs=st.tuples(*[st.integers(1, 8)] * 3), small=st.integers(0, 60),
+           large=st.integers(61, 5000))
+    def test_any_block_size(self, name, coeffs, small, large):
+        # one pair per block, and blocks of 7 and 64 that end mid-row
+        spec = MixedSumSpec.of(name, coeffs)
+        expected = brute_count(spec, small), int(count_table(spec, large)[large])
+        for block in (1, 7, 64):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(repcount, "_BLOCK_PAIRS", block)
+                got = count_enumerate(spec, small), count_enumerate(spec, large)
+            assert got == expected, (spec, block)
+
+    @pytest.mark.parametrize("block,shapes", [
+        # r(1,1,1) at 61: 8 distinct squares per slot, an 8 x 8 grid
+        (7, [(1, 7), (1, 1)] * 8),
+        (20, [(2, 8)] * 4),
+        (1 << 16, [(8, 8)]),
+    ])
+    def test_blocks_hold_at_most_the_bound(self, monkeypatch, block, shapes):
+        seen = []
+        divmod_ = np.divmod
+
+        def spy(rem, a):
+            seen.append(rem.shape)
+            return divmod_(rem, a)
+
+        monkeypatch.setattr(repcount, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(np, "divmod", spy)
+        spec = MixedSumSpec.of("r", (1, 1, 1))
+        assert count_enumerate(spec, 61) == brute_count(spec, 61)
+        assert seen == shapes
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 1001 x 1001 pairs in 16 blocks; one unblocked grid of rem and its
+        # quotient and remainder alone would take 24 MB
+        spec = MixedSumSpec.of("r", (1, 1, 1))
+        n = 10**6
+        expected = int(count_table(spec, n, modulus=n, residue=0)[-1])
+        assert count_enumerate(spec, n) == expected  # warms the membership table
+        tracemalloc.start()
+        try:
+            assert count_enumerate(spec, n) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+
+def _reads(tree: ast.Module, root: str) -> set[str]:
+    """Every name that function ``root`` reads, and that every function of
+    the module it reaches by name reads in turn."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names, walked, todo = {root}, set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in walked:
+            continue
+        walked.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                if node.id in functions:
+                    todo.append(node.id)
+    return names
+
+
+def _imported_from(tree: ast.Module, modules: set[str]) -> set[str]:
+    """Names that ``tree`` binds from the sibling ``modules``, by
+    ``from .m import name`` or ``from . import m``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module in modules or (node.module is None and alias.name in modules):
+                    names.add(alias.asname or alias.name)
+    return names
+
+
+SERIES_ROUTE = {"series", "theta"}
+ENUMERATION_ONLY = {"_membership", "_MEMBERSHIP", "figurate_values", "figurate_value"}
+
+
+class TestRouteIndependence:
+    """Enumeration and the generating series check one another only while
+    neither reaches the other's code."""
+
+    TREE = ast.parse(Path(repcount.__file__).read_text())
+
+    def test_enumeration_reaches_no_series_code(self):
+        reached = _reads(self.TREE, "count_enumerate")
+        assert "_membership" in reached  # the walk follows module calls
+        assert reached & _imported_from(self.TREE, SERIES_ROUTE) == set()
+
+    def test_series_reads_no_value_lists(self):
+        reached = _reads(self.TREE, "_count_columns")
+        assert "_split" in reached and "term_exponents" in reached
+        assert reached & ENUMERATION_ONLY == set()
+
+    @pytest.mark.parametrize("source,root,forbidden", [
+        ("from .series import convolve\ndef count_enumerate(s, n):\n    return convolve(s)\n",
+         "count_enumerate", None),
+        ("from . import theta\ndef _helper(n):\n    return theta.term_exponents(n)\n"
+         "def count_enumerate(s, n):\n    return _helper(n)\n", "count_enumerate", None),
+        ("def _membership(k, n):\n    pass\ndef _count_columns(s, n):\n"
+         "    return _membership(s, n)\n", "_count_columns", ENUMERATION_ONLY),
+    ])
+    def test_each_crossing_is_caught(self, source, root, forbidden):
+        tree = ast.parse(source)
+        forbidden = forbidden or _imported_from(tree, SERIES_ROUTE)
+        assert _reads(tree, root) & forbidden
 
 
 class TestNarrowTables:
