@@ -11,16 +11,17 @@ above ``hi`` are unknown.  Coefficients are exact signed int64 integers.
 Every operation computes one bound on every partial sum it forms; when
 that bound fits in 64 bits it runs in int64, and otherwise it raises
 :class:`CoefficientOverflowError` before it writes any output.  No
-operation wraps, and none falls back to Python integers.  Every product
-of two series goes through one kernel, :func:`convolve`, which iterates
-over the sparser factor's nonzeros by one of two routes, and every sum
-through one, :func:`sum_series`.  Every weighted sum over pairs of
-exponents goes through one pair kernel, :func:`scatter_pairs`: the
-pairwise route of :func:`convolve`, the pair scatter of
-:mod:`thetaq.theta`, which adds every product of two theta functions
-an identity check needs from their term exponents, as many pair sets
-in one call, without forming either series, and the class products of
-:mod:`thetaq.repcount`'s count tables.
+operation wraps, and none falls back to Python integers.  Every sum goes
+through one kernel, :func:`sum_series`.  Every product with a series
+goes through one kernel, :func:`shifted_copies`: one shifted copy of a
+series per nonzero of the other factor, in :meth:`HalfPowerSeries.__mul__`
+and in the class products of :mod:`thetaq.repcount`'s count tables.
+Every weighted sum over a set of pairs of term exponents goes through
+one pair kernel, :func:`scatter_pairs`: the pair scatter of
+:mod:`thetaq.theta`, which adds every product of two theta functions an
+identity check needs from their term exponents, as many pair sets in
+one call, without forming either series; ``theta_expand``; and the
+pair products of the count tables' classes.
 """
 
 from __future__ import annotations
@@ -140,6 +141,16 @@ class HalfPowerSeries:
         return HalfPowerSeries(self.lo + d, self.hi + d, self.coeffs)
 
     def __mul__(self, other: "HalfPowerSeries") -> "HalfPowerSeries":
+        """The product, exact from ``self.lo + other.lo`` through the least
+        exponent either factor's unknown tail can reach.
+
+        Both factors are cut to the output width, and the product is
+        :func:`shifted_copies` of one factor at the nonzeros of the other,
+        the one with fewer of them.  B = sum|a| * max|b|, over the factor
+        ``a`` whose nonzeros are iterated, bounds every partial sum; it is
+        proven to fit in 64 bits before any column is written, and
+        :class:`CoefficientOverflowError` is raised when it does not.
+        """
         if not isinstance(other, HalfPowerSeries):
             return NotImplemented
         nz_a, nz_b = np.flatnonzero(self.coeffs), np.flatnonzero(other.coeffs)
@@ -151,13 +162,16 @@ class HalfPowerSeries:
         lo = self.lo + other.lo
         width = hi - lo + 1
         # Output column k only sees factor columns 0..k, so both factors
-        # are cut to the output width before the route is chosen.
+        # are cut to the output width before the nonzeros are counted.
         a, b = self.coeffs[:width], other.coeffs[:width]
         nz_a = nz_a[: np.searchsorted(nz_a, width)]
         nz_b = nz_b[: np.searchsorted(nz_b, width)]
         if nz_a.size == 0 or nz_b.size == 0:
             return HalfPowerSeries.zero(hi, min(lo, hi))
-        return HalfPowerSeries(lo, hi, convolve(a, nz_a, b, nz_b, width))
+        if nz_a.size > nz_b.size:
+            a, nz_a, b = b, nz_b, a
+        out = shifted_copies(nz_a, a[nz_a], b, width)
+        return HalfPowerSeries(lo, hi, out.astype(np.int64, copy=False))
 
     # ------------------------------------------------------------------
     # grid operations
@@ -268,12 +282,6 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).view(np.uint64).max())
 
 
-# Costs of the two routes in units of one dense multiply-add, measured
-# with numpy 2.4 on x86-64: one shifted slice add carries about two
-# thousand of call overhead, and one pairwise product scattered by
-# np.add.at costs about twenty.
-_SHIFT_OVERHEAD = 2000
-_PAIR_COST = 20
 _PAIR_BLOCK = 1 << 16  # pairs scatter_pairs forms at a time
 # A pair set of fewer pairs than this shares ragged blocks with the sets
 # beside it.  Measured with numpy 2.4 on x86-64, over the pair-kernel
@@ -286,15 +294,6 @@ _RAGGED_PAIRS = 1024
 # Output columns the shifted copies fill at a time in int64: a tile is
 # 2^18 bytes, and a narrower accumulator fills 8 // itemsize times as many.
 _SHIFT_TILE = 1 << 15
-
-
-def _proven_bound(vals: np.ndarray, other: np.ndarray) -> int:
-    """B = sum|vals| * max|other|, which bounds every partial sum of the
-    product on every route; raises when B does not fit in 64 bits."""
-    bound = sum(map(abs, vals.tolist())) * _max_abs(other)
-    if bound > COEFF_LIMIT:
-        raise CoefficientOverflowError(f"product bound {bound} exceeds the 64-bit width")
-    return bound
 
 
 def _accumulator(bound: int, unsigned: bool = False) -> type:
@@ -311,29 +310,6 @@ def _accumulator(bound: int, unsigned: bool = False) -> type:
     elif bound <= 2**31 - 1:
         return np.int32
     return np.int64
-
-
-def convolve(a, nz_a, b, nz_b, width: int) -> np.ndarray:
-    """First ``width`` columns of a * b, given the ascending nonzero
-    positions of both factors, from the nonzeros of the sparser factor:
-    one shifted copy of the other factor per nonzero, or its pairwise
-    products with the other factor's nonzeros, by :func:`scatter_pairs`,
-    where those cost less.  Either route proves its bound
-    sum|a| * max|b| (over the factor it iterates) before it writes a
-    column, and raises :class:`CoefficientOverflowError` when that bound
-    does not fit.  Both routes return int64."""
-    shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
-    if shifts > nz_b.size * (a.size + _SHIFT_OVERHEAD):
-        a, nz_a, b, nz_b = b, nz_b, a, nz_a  # iterate over the sparser factor
-        shifts = nz_a.size * (b.size + _SHIFT_OVERHEAD)
-    vals = a[nz_a]
-    if _PAIR_COST * nz_a.size * nz_b.size >= shifts:
-        return shifted_copies(nz_a, vals, b, width).astype(np.int64, copy=False)
-    other = b[nz_b]
-    _proven_bound(vals, other)
-    out = np.zeros(width, dtype=np.int64)
-    scatter_pairs(out, nz_a, vals, nz_b, other, ((0, width - 1, 0, nz_a.size, 0, nz_b.size),))
-    return out
 
 
 def scatter_pairs(out: np.ndarray, e1, w1, e2, w2, sets) -> None:
@@ -410,7 +386,9 @@ def shifted_copies(nz_a, vals, b, width: int) -> np.ndarray:
     add is in place.  Raises :class:`CoefficientOverflowError` when B
     does not fit in 64 bits, before any column is written.
     """
-    bound = _proven_bound(vals, b)
+    bound = sum(map(abs, vals.tolist())) * _max_abs(b)
+    if bound > COEFF_LIMIT:
+        raise CoefficientOverflowError(f"product bound {bound} exceeds the 64-bit width")
     # the operands' sign is read only where int16 cannot hold B
     unsigned = bound > 2**15 - 1 and int(vals.min()) >= 0 and int(b.min()) >= 0
     dtype = _accumulator(bound, unsigned)

@@ -283,7 +283,7 @@ class TestRouteIndependence:
         assert reached & ENUMERATION_ONLY == set()
 
     @pytest.mark.parametrize("source,root,forbidden", [
-        ("from .series import convolve\ndef count_enumerate(s, n):\n    return convolve(s)\n",
+        ("from .series import shifted_copies\ndef count_enumerate(s, n):\n    return shifted_copies(s)\n",
          "count_enumerate", None),
         ("from . import theta\ndef _helper(n):\n    return theta.term_exponents(n)\n"
          "def count_enumerate(s, n):\n    return _helper(n)\n", "count_enumerate", None),

@@ -11,7 +11,6 @@ from thetaq.series import (
     EqualityReport,
     HalfPowerSeries,
     TruncationError,
-    convolve,
     shifted_copies,
     sum_series,
 )
@@ -19,8 +18,8 @@ from thetaq import series as series_module
 from thetaq.theta import theta_expand, theta_special
 
 
-def brute_convolve(a: dict, b: dict) -> dict:
-    """Independent reference convolution over exponent dicts."""
+def brute_product(a: dict, b: dict) -> dict:
+    """Independent reference product over exponent dicts."""
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -145,7 +144,7 @@ class TestMul:
             d2 = {int(e): int(c) for e, c in zip(rng.integers(-4, 15, 5), rng.integers(-9, 9, 5)) if c}
             s1, s2 = series_of(d1, 30), series_of(d2, 30)
             prod = s1 * s2
-            ref = brute_convolve(d1, d2)
+            ref = brute_product(d1, d2)
             for e in range(prod.lo, prod.hi + 1):
                 assert prod.coeff(e) == ref.get(e, 0)
 
@@ -264,8 +263,7 @@ class TestBoundOrRaise:
 @st.composite
 def mul_factor(draw, density: float):
     """A factor for the multiply kernel with about ``density`` nonzeros."""
-    # long factors reach the shifted-copy route, whose call overhead
-    # keeps it off short ones
+    # long factors span many shifted copies of many columns
     size = draw(st.integers(1, 60) | st.integers(200, 700))
     lo = draw(st.integers(-12, 6))
     magnitude = draw(st.sampled_from([3, 2**20, 2**61]))
@@ -282,7 +280,7 @@ factor_pairs = st.sampled_from(
 ).flatmap(lambda d: st.tuples(mul_factor(d[0]), mul_factor(d[1])))
 
 
-def exact_convolve(a: list[int], b: list[int]) -> list[int]:
+def exact_product(a: list[int], b: list[int]) -> list[int]:
     """Reference product in Python integers, which never wrap."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -297,25 +295,30 @@ def exact_convolve(a: list[int], b: list[int]) -> list[int]:
 def exact_window(a: np.ndarray, b: np.ndarray, width: int) -> list[int]:
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a  # the reference loops over the nonzeros of its first factor
-    return exact_convolve(a.tolist(), b.tolist())[:width]
+    return exact_product(a.tolist(), b.tolist())[:width]
 
 
 def product_bound(x: np.ndarray, y: np.ndarray) -> int:
-    """sum|x| * max|y|, the bound a route iterating over ``x`` proves."""
+    """sum|x| * max|y|, the bound shifted copies of ``y`` at the nonzeros
+    of ``x`` prove."""
     return sum(abs(v) for v in x.tolist()) * max((abs(v) for v in y.tolist()), default=0)
 
 
 def exact_or_raises(run, x: np.ndarray, y: np.ndarray, ref: list[int]):
-    """The one overflow rule for a product: the exact value when the bound
-    fits whichever factor a route iterates over, a raise when the exact
-    value does not fit, and never a wrapped value.  Returns the output,
-    or ``None`` after a raise."""
-    fits = max(product_bound(x, y), product_bound(y, x)) <= COEFF_LIMIT
+    """The one overflow rule for a product of the factors ``x`` and ``y``,
+    already cut to the output width: the exact value when the bound over
+    the factor with fewer nonzeros (``x`` on a tie) fits, and otherwise a
+    raise, never a wrapped value.  Returns the output, or ``None`` after
+    a raise."""
+    if np.count_nonzero(x) > np.count_nonzero(y):
+        x, y = y, x
+    fits = product_bound(x, y) <= COEFF_LIMIT
     try:
         out = run()
     except CoefficientOverflowError:
         assert not fits
         return None
+    assert fits
     assert all(abs(v) <= COEFF_LIMIT for v in ref)
     assert out.dtype == np.int64 and out.tolist() == ref
     return out
@@ -340,22 +343,14 @@ def copies_of(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
     return shifted_copies(nz, a[nz], b, width)
 
 
-def route_of(monkeypatch, a: np.ndarray, b: np.ndarray, width: int):
-    """The route ``convolve`` takes for the first ``width`` columns of
-    a * b, "shifted" or "pairwise", and its output."""
-    taken = []
-
-    def spy(*args):
-        taken.append("shifted")
-        return shifted_copies(*args)
-
-    monkeypatch.setattr(series_module, "shifted_copies", spy)
-    out = convolve(a, np.flatnonzero(a), b, np.flatnonzero(b), width)
-    return (taken[0] if taken else "pairwise"), out
+def from_zero(coeffs: np.ndarray) -> HalfPowerSeries:
+    """The series with a copy of these coefficients from q^0 on (the
+    series freezes the array it holds)."""
+    return HalfPowerSeries(0, coeffs.size - 1, coeffs.copy())
 
 
 class TestMulKernel:
-    """The one multiply kernel against the exact Python-int convolution."""
+    """The one product route against the exact Python-int product."""
 
     @settings(max_examples=150, deadline=None)
     @given(factor_pairs)
@@ -371,57 +366,75 @@ class TestMulKernel:
     @settings(max_examples=150, deadline=None)
     @given(factor_pairs, st.integers(1, 1400))
     def test_routes_at_any_width(self, pair, width):
+        # both factors cut to ``width`` columns from q^0: the product's
+        # width follows from the cut and the valuations, and __mul__
+        # cuts both factors again to it
         a, b = pair
-        # __mul__'s validity bound keeps every shifted segment full; a
-        # wider window reaches the guard for a segment shorter than
-        # width - s, and a narrower one cuts the product
-        x, y = a.coeffs[:width], b.coeffs[:width]
-        assume(x.any() and y.any())  # __mul__ returns zero before the routes
-        width = min(width, x.size + y.size - 1)
-        ref = exact_window(x, y, width)
-        exact_or_raises(
-            lambda: convolve(x, np.flatnonzero(x), y, np.flatnonzero(y), width), x, y, ref
-        )
+        x, y = from_zero(a.coeffs[:width]), from_zero(b.coeffs[:width])
+        out_width = min(x.hi + valuation(y), y.hi + valuation(x)) + 1
+        cx, cy = x.coeffs[:out_width], y.coeffs[:out_width]
+        ref = exact_window(cx, cy, out_width)
+        exact_or_raises(lambda: (x * y).coeffs, cx, cy, ref)
 
-    def test_route_choice(self, monkeypatch):
-        # pairwise products while both factors are sparse, else shifted
-        # copies of the denser factor, dense factors included: there is
-        # no third route
-        phi = theta_expand(theta_special("phi"), 4000)
-        psi = theta_expand(theta_special("psi"), 4000)
-        noise = np.random.default_rng(3).integers(1, 100, 600)
-        for a, b, want in ((phi.coeffs, psi.coeffs, "pairwise"),
-                           ((phi * psi).coeffs, psi.coeffs, "shifted"),
-                           (noise, noise, "shifted")):
-            route, out = route_of(monkeypatch, a, b, a.size)
-            assert route == want
-            assert out.dtype == np.int64  # the shifted copies' narrow type is widened
-            assert out.tolist() == exact_window(a, b, a.size)
+    def test_iterates_the_factor_with_fewer_nonzeros(self, monkeypatch):
+        # shifted copies of the denser factor at the sparser one's
+        # nonzeros, in either argument order; nonzeros past the output
+        # width do not count
+        phi = theta_expand(theta_special("phi"), 400)
+        psi = theta_expand(theta_special("psi"), 400)
+        # 10 nonzeros through 400 and 20 more past the product's width
+        tail = np.zeros(2001, dtype=np.int64)
+        tail[[*range(0, 400, 40), *range(1000, 1020)]] = 3
+        tail = from_zero(tail)
+        calls = []
+
+        def spy(nz, vals, b, width):
+            calls.append((nz.tolist(), vals.tolist(), b.tolist(), width))
+            return shifted_copies(nz, vals, b, width)
+
+        monkeypatch.setattr(series_module, "shifted_copies", spy)
+        for sparse, dense in ((phi, psi), (psi, phi * psi), (tail, phi)):
+            for x, y in ((sparse, dense), (dense, sparse)):
+                calls.clear()
+                prod = x * y
+                width = prod.hi - prod.lo + 1
+                s, d = sparse.coeffs[:width], dense.coeffs[:width]
+                nz = np.flatnonzero(s)
+                assert calls == [(nz.tolist(), s[nz].tolist(), d.tolist(), width)]
+                assert prod.coeffs.dtype == np.int64
+                assert prod.coeffs.tolist() == exact_window(s, d, width)
 
     def test_unproven_bound_raises(self):
         # 2^62 (1 - q^100) fits, but sum|a| * max|b| = 2^63 does not, on
-        # any route: no operation falls back to Python integers
+        # either factor: no operation falls back to Python integers
         a = series_of({0: 2**62, 100: 2**62}, 300)
         b = series_of({0: 1, 100: -1}, 300)
         with pytest.raises(CoefficientOverflowError, match="product bound"):
             a * b
 
-    @pytest.mark.parametrize("route", ["pairwise", "shifted"])
-    def test_bound_at_the_edge(self, monkeypatch, route):
-        # sum|a| * max|b| == COEFF_LIMIT runs in int64; one more raises
+    @pytest.mark.parametrize("shape", ["shifted", "sparse"])
+    def test_bound_at_the_edge(self, shape):
+        # sum|a| * max|b| == COEFF_LIMIT over the factor a with fewer
+        # nonzeros runs in int64; one more raises
         a = np.zeros(400, dtype=np.int64)
-        a[[0, 399]] = [COEFF_LIMIT - 1, 1]
-        if route == "pairwise":
-            b = np.zeros(400, dtype=np.int64)
-            b[[0, 200]] = [1, -1]
-        else:  # every column of b nonzero
+        if shape == "shifted":  # every column of b nonzero
+            a[[0, 399]] = [COEFF_LIMIT - 1, 1]
             b = np.resize(np.array([1, -1], dtype=np.int64), 400)
-        taken, out = route_of(monkeypatch, a, b, 400)
-        assert taken == route
-        assert out.tolist() == exact_window(a, b, 400)
+        else:  # phi- and psi-shaped: 20 squares against 28 triangular numbers
+            a[[k * k for k in range(20)]] = 1
+            a[0] = COEFF_LIMIT // 7 - 19
+            b = np.zeros(400, dtype=np.int64)
+            b[[k * (k + 1) // 2 for k in range(28)]] = [(-1) ** k for k in range(28)]
+            b[10] = 7
+        assert 7 * (COEFF_LIMIT // 7) == COEFF_LIMIT
+        assert product_bound(a, b) == COEFF_LIMIT
+        assert np.count_nonzero(a) < np.count_nonzero(b)
+        for x, y in ((a, b), (b, a)):
+            out = (from_zero(x) * from_zero(y)).coeffs
+            assert out.dtype == np.int64 and out.tolist() == exact_window(a, b, 400)
         a[0] += 1
         with pytest.raises(CoefficientOverflowError, match="product bound"):
-            route_of(monkeypatch, a, b, 400)
+            from_zero(b) * from_zero(a)
 
     def test_true_overflow_raises(self):
         a = series_of({0: 2**62, 100: 2**62}, 300)
@@ -532,7 +545,7 @@ class TestScatterPairs:
 
     def test_one_set_is_outer_products(self, monkeypatch):
         # a one-set call forms outer products even below the ragged size,
-        # as convolve and the count tables' class products need
+        # as the count tables' class products need
         e = np.arange(6, dtype=np.int64)
         sizes = []
         monkeypatch.setattr(series_module, "_PAIR_BLOCK", 4)

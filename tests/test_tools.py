@@ -72,3 +72,17 @@ def test_identity_traffic_counts_one_scatter_per_entry():
     assert got["kernel_calls"] <= got["exp_calls"]
     assert got["exp_requests"] == 2200 and got["products"] == 206
     assert got["pairs_kept"] <= got["pairs_formed"]
+
+
+def test_pin_payloads_rewrites_the_pinned_files_unchanged(tmp_path):
+    # a fresh process, so no cache an earlier test filled can hide a change
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pin_payloads.py"), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    pinned = sorted(p.name for p in (ROOT / "tests" / "data").glob("*.jsonl"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == pinned
+    assert len(run.stdout.splitlines()) == len(pinned)
+    for name in pinned:
+        assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "data" / name).read_bytes(), name

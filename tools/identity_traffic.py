@@ -9,9 +9,7 @@ scatters the identity layer makes, the one-theta expansions
 (``theta_expand``) it makes, the pair-kernel calls those scatters and
 expansions make, the pair sets they hand over, the pairs those sets form
 and the pairs they keep (at or below their cut), the term-exponent calls
-and the requests in them, and the series products.  Products that
-``convolve`` scatters pairwise are counted as products, not as
-pair-kernel calls.
+and the requests in them, and the series products.
 The package is imported from the ``src`` directory beside this one.
 """
 
