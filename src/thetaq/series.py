@@ -14,14 +14,15 @@ that bound fits in 64 bits it runs in int64, and otherwise it raises
 operation wraps, and none falls back to Python integers.  Every sum goes
 through one kernel, :func:`sum_series`.  Every product with a series
 goes through one kernel, :func:`shifted_copies`: one shifted copy of a
-series per nonzero of the other factor, in :meth:`HalfPowerSeries.__mul__`
-and in the class products of :mod:`thetaq.repcount`'s count tables.
-Every weighted sum over a set of pairs of term exponents goes through
-one pair kernel, :func:`scatter_pairs`: the pair scatter of
-:mod:`thetaq.theta`, which adds every product of two theta functions an
-identity check needs from their term exponents, as many pair sets in
-one call, without forming either series; ``theta_expand``; and the
-pair products of the count tables' classes.
+series, scaled by the coefficient, per nonzero of the other factor, in
+:meth:`HalfPowerSeries.__mul__` and in the class products of
+:mod:`thetaq.repcount`'s count tables.  Every weighted sum over a set of
+pairs of term exponents goes through one pair kernel,
+:func:`scatter_pairs`: the pair scatter of :mod:`thetaq.theta`, which
+adds every product of one or two theta functions an identity check or
+``theta_expand`` needs from their term exponents, as many pair sets in
+one call, without forming any series; and the pair products of the
+count tables' classes.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class HalfPowerSeries:
     def __init__(self, lo: int, hi: int, coeffs) -> None:
         if lo > hi:
             raise ValueError(f"lo={lo} must not exceed hi={hi}")
-        arr = np.asarray(coeffs, dtype=np.int64)
+        arr = np.array(coeffs, dtype=np.int64)  # a copy: the caller's stays writable
         if arr.shape != (hi - lo + 1,):
             raise ValueError(
                 f"need {hi - lo + 1} coefficients for [{lo}, {hi}], got {arr.shape}"
@@ -377,13 +378,11 @@ def shifted_copies(nz_a, vals, b, width: int) -> np.ndarray:
     both operands are nonnegative, uint16 or uint32, or else int32 or
     int64.  The operands' signs are read only when int16 cannot hold B.
     The result is returned in that type; a caller that does arithmetic on it
-    past B widens it first.  The columns are filled one tile of
-    ``_SHIFT_TILE`` int64 widths at a time, so a tile stays in cache while
-    every copy lands on it.  Copies sharing a coefficient are summed into
-    one buffer and scaled once per tile (a theta factor has one or two
-    distinct coefficients); both that sum and its scaled value are at most
-    B.  Copies with coefficient 1 are added straight into the tile.  Every
-    add is in place.  Raises :class:`CoefficientOverflowError` when B
+    past B widens it first.  ``b`` is scaled once per distinct coefficient
+    c of ``a``, in that type, since |c| * max|b| <= B.  The columns are
+    filled one tile of ``_SHIFT_TILE`` int64 widths at a time, one in-place
+    add of a scaled copy per nonzero, so a tile stays in cache while every
+    copy lands on it.  Raises :class:`CoefficientOverflowError` when B
     does not fit in 64 bits, before any column is written.
     """
     bound = sum(map(abs, vals.tolist())) * _max_abs(b)
@@ -394,31 +393,17 @@ def shifted_copies(nz_a, vals, b, width: int) -> np.ndarray:
     dtype = _accumulator(bound, unsigned)
     if bound == 0:  # a coefficient beyond the narrow type must not be cast
         return np.zeros(width, dtype=dtype)
-    b = b.astype(dtype, copy=False)
+    b = b[:width].astype(dtype, copy=False)
+    scaled = {c: b * dtype(c) for c in set(vals.tolist())}
+    copies = [(s, scaled[c]) for s, c in zip(nz_a.tolist(), vals.tolist())]
     step = _SHIFT_TILE * (8 // b.itemsize)
-    groups: dict[int, list[int]] = {}
-    for s, c in zip(nz_a.tolist(), vals.tolist()):
-        groups.setdefault(c, []).append(s)
     out = np.zeros(width, dtype=dtype)
-    scratch = np.empty(min(step, width), dtype=dtype)
     for lo in range(0, width, step):
         hi = min(lo + step, width)
-        tile = out[lo:hi]
-        for c, shifts in groups.items():
-            if c == 1:
-                acc = tile
-            else:
-                acc = scratch[: tile.size]
-                acc[:] = 0
-            for s in shifts:
-                if s >= hi:
-                    break
-                # b may end before hi - s
-                src_lo, src_hi = max(lo - s, 0), min(hi - s, b.size)
-                if src_lo < src_hi:
-                    acc[src_lo + s - lo : src_hi + s - lo] += b[src_lo:src_hi]
-            if c != 1:
-                np.multiply(acc, c, out=acc)
-                tile += acc
+        for s, copy in copies:
+            if s >= hi:
+                break
+            # b may end before hi - s; past its end both slices are empty
+            src_lo, src_hi = max(lo - s, 0), min(hi - s, b.size)
+            out[src_lo + s : src_hi + s] += copy[src_lo:src_hi]
     return out
-

@@ -16,8 +16,8 @@ pentagonal and generalized octagonal numbers respectively.
 The module provides two independent expansion routes (the bilateral sum
 and the Jacobi triple product), a normalization that clears a negative
 exponent, and the n-term dissection of a theta function into shifted
-theta terms.  The bilateral sum is the one-row, one-factor case of
-:func:`_pair_scatter`, which forms every row an identity check of
+theta terms.  The bilateral sum, :func:`theta_expand`, is the one-row,
+one-term case of :func:`_pair_scatter`, which forms every row an identity check of
 :mod:`thetaq.identity` needs, each a sum of products of one or two
 theta functions, from the pairs of their term exponents: one
 :func:`term_exponents` call and one call of the pair kernel
@@ -119,30 +119,15 @@ def term_exponents(requests) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return n, e, stops
 
 
-# the one term of the constant 1: exponent 0, weight 1
-_CONSTANT = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
-
-
 def theta_expand(arg: ThetaArg, hi: int) -> HalfPowerSeries:
     """Bilateral-sum expansion, exact through ``hi`` half-units: the
-    one-row, one-term case of :func:`_pair_scatter`, formed directly as
-    one pair set of the term exponents, weighted eps^n, against the
-    constant 1, without a batch's row planning.
+    one-row, one-term case of :func:`_pair_scatter`.
 
     The series runs from lo = min(hi, ``arg.min_exponent()``) to ``hi``.
     Through a bound below the least exponent, and for an identically
-    zero function, it is the one coefficient 0 at ``hi``.  The set's
-    pair count is its number of terms and its exponent sums are the
-    term exponents, both inside the bound :func:`term_exponents` proves.
+    zero function, it is the one coefficient 0 at ``hi``.
     """
-    if arg.is_zero_function():
-        return HalfPowerSeries.zero(hi, hi)
-    lo = min(hi, arg.min_exponent())
-    n, e, _ = term_exponents(((arg, hi),))
-    w = 1 - 2 * (n & 1) if arg.eps == -1 else np.ones(e.size, dtype=np.int64)
-    out = np.zeros(hi - lo + 1, dtype=np.int64)
-    scatter_pairs(out, e, w, *_CONSTANT, ((-lo, hi, 0, e.size, 0, 1),))
-    return HalfPowerSeries(lo, hi, out)
+    return _pair_scatter([_scatter_row(((1, 0, (arg,)),), hi)])[0]
 
 
 class _ScatterRow:

@@ -512,6 +512,20 @@ class TestOverflow:
         assert code == 2 and out == "" and formed == []
         assert err.startswith("error: not enough memory:")
 
+    def test_expand_past_memory_forms_no_exponent(self, capsys, monkeypatch):
+        # theta_expand is one pair-scatter row: its 1.46 TiB buffer is asked
+        # for before any term exponent is formed
+        formed = []
+
+        def refuse(requests):
+            formed.append(requests)
+            raise CoefficientOverflowError("term exponents were formed")
+
+        monkeypatch.setattr(theta_module, "term_exponents", refuse)
+        code, out, err = run(capsys, "expand", "--name", "phi", "--order", "100000000000")
+        assert code == 2 and out == "" and formed == []
+        assert err.startswith("error: not enough memory:")
+
     def test_records_stream_and_an_error_stops_the_stream(self, capsys, monkeypatch):
         # Athm1 has two relations: the first record prints before the second
         # one's check raises, so a buffered loop would print none

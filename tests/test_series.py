@@ -783,6 +783,15 @@ class TestCompare:
         assert s.compare(series_of({1: 4}, 8), 1) == EqualityReport(False, 1, (1, 0, 4))
 
 
+class TestFrozen:
+    def test_caller_array_stays_writable(self):
+        # the series keeps its own frozen copy of an int64 argument
+        a = np.zeros(4, dtype=np.int64)
+        s = HalfPowerSeries(0, 3, a)
+        a[0] += 1
+        assert s.is_zero() and not s.coeffs.flags.writeable
+
+
 class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     @given(small_series, small_series)
