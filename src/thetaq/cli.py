@@ -45,8 +45,8 @@ from .relations import (
     verify_relation,
 )
 from .repcount import MixedSumSpec, count_enumerate, count_table, nonrep_scan
-from .series import CoefficientOverflowError, TruncationError
-from .theta import ExpansionError, ThetaArg, theta_expand, theta_special
+from .series import CoefficientOverflowError
+from .theta import ThetaArg, theta_expand, theta_special
 
 _USAGE_ERROR = 2
 
@@ -399,9 +399,7 @@ def main(argv=None) -> int:
             failed |= status not in ("pass", "info")
             _print_record(args.format, cmd, params, status, payload, elapsed_ms)
             started = time.perf_counter()
-    except (
-        ValueError, KeyError, ExpansionError, TruncationError, CoefficientOverflowError
-    ) as exc:
+    except (ValueError, KeyError, CoefficientOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except MemoryError as exc:

@@ -6,6 +6,15 @@ parameter constraints of :func:`validate_triple`, into an explicit sum
 of 2k products of three theta functions.  A companion result does the
 same for a product of two theta functions (k terms of two factors).
 
+Every term of both results comes from one term rule, :func:`_terms`: a
+spec (outer, parity, base, y, x, c) is the term
+(-1)^parity * q^shift * outer * f(mid) * f(last), with d = D1 + D2,
+mid = (r(S3(k+y)+D3)+d, r(S3(k-y)-D3)-d),
+last = ((k-r)(S3(k-x)-D3)+d, (k-r)(S3(k+x)+D3)-d) and
+shift = base + S3*c^2/4 + D3*c/2.  The three blocks of the first result
+differ only in their specs (:func:`triple_rhs`), and the second result's
+terms are the first block with no outer factor and d = s - t.
+
 Everything is verified coefficientwise: both sides are expanded as
 :class:`~thetaq.series.HalfPowerSeries` to a requested order and
 compared exactly, with truncation bounds tracked rather than assumed.
@@ -265,41 +274,42 @@ def triple_lhs(p: TripleParams) -> ThetaProduct:
     )
 
 
-def _first_block(
-    k: int, r: int, s3: int, d3: int, d: int, dl3: int,
-    eps_mid: int, eps_last: int, outer: tuple[ThetaArg, ...],
+def _terms(
+    k: int, r: int, s3: int, d3: int, d: int, eps_mid: int, eps_last: int,
+    specs: Sequence[tuple],
 ) -> list[ThetaProduct]:
-    """The k terms of Theorem 1's first block, alpha from floor((2-k)/2).
-
-    ``d`` stands for D1 + D2 and ``outer`` for the block's outer factor,
-    distributed into every term.  Theorem 2's terms are this block with
-    d = D = s - t and no outer factor.
-    """
-    terms = []
-    for alpha in range((2 - k) // 2, k // 2 + 1):
-        mid = ThetaArg(
-            eps_mid,
-            r * (s3 * (k + 2 * alpha) + d3) + d,
-            r * (s3 * (k - 2 * alpha) - d3) - d,
-        )
-        last = ThetaArg(
-            eps_last,
-            (k - r) * (s3 * (k - 2 * alpha) - d3) + d,
-            (k - r) * (s3 * (k + 2 * alpha) + d3) - d,
-        )
+    """One term per spec (outer, parity, base, y, x, c), by the one term
+    rule of the module docstring, in half-units.  ``d`` stands for
+    D1 + D2 (D in Theorem 2) and ``outer`` for the block's outer factor,
+    if any."""
+    terms, kr = [], k - r
+    for outer, parity, base, y, x, c in specs:
+        mid = ThetaArg(eps_mid, r * (s3 * (k + y) + d3) + d, r * (s3 * (k - y) - d3) - d)
+        last = ThetaArg(eps_last, kr * (s3 * (k - x) - d3) + d, kr * (s3 * (k + x) + d3) - d)
         terms.append(ThetaProduct(
-            _sgn(alpha * dl3), alpha * (alpha * s3 + d3), outer + (mid, last)
+            _sgn(parity), base + s3 * c * c // 4 + d3 * c // 2, outer + (mid, last)
         ))
     return terms
+
+
+def _first_block(k: int, dl3: int, outer: tuple[ThetaArg, ...]) -> list[tuple]:
+    """The specs of Theorem 1's first block: y = x = c = 2*alpha, base 0,
+    parity alpha*delta3, alpha from floor((2-k)/2) to floor(k/2)."""
+    return [(outer, a * dl3, 0, 2 * a, 2 * a, 2 * a) for a in range((2 - k) // 2, k // 2 + 1)]
 
 
 def triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     """The 2k decomposition terms, first-block terms first.
 
-    Each term is one alpha instance of one of the three blocks; the
+    Each term is one alpha instance of one of the three blocks, built by
+    :func:`_terms`; the blocks differ only in their specs.  With
+    b = delta3(k-r+1)/2, block 2 takes y = 2alpha-1, x = y-k,
+    c = y-(k-r), base S1+D1 and parity alpha*delta3 + delta1 + b for
+    alpha from 1 to floor((k+1)/2); block 3 is block 2 mirrored
+    (y, x and c negated, base S2-D2, delta2 for delta1), alpha from 1 to
+    floor(k/2).  The c of blocks 2 and 3 is even, since k-r is odd.  The
     block's outer theta factor is distributed into every term so each
     entry is a full product of three factors with an explicit monomial.
-    All exponents below are in half-units (= the whole-q formulas).
     """
     _require_valid(validate_triple(p))
     k, r = p.k, p.r
@@ -311,47 +321,16 @@ def triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     eps_mid = _sgn(dl1 + dl2 + r * dl3)
     eps_last = _sgn(dl1 + dl2 + dl3)  # k-r odd keeps the parity honest
 
-    outer1 = ThetaArg(eps_outer, w * s3 + d1 - d2, w * s3 - d1 + d2)
-    terms = _first_block(k, r, s3, d3, d1 + d2, dl3, eps_mid, eps_last, (outer1,))
-
+    specs = _first_block(k, dl3, (ThetaArg(eps_outer, w * s3 + d1 - d2, w * s3 - d1 + d2),))
     # blocks 2 and 3 share this outer factor and global sign
-    outer23 = ThetaArg(eps_outer, 2 * w * s3 + d1 - d2, -d1 + d2)
-    block_sign = dl3 * (k - r + 1) // 2
-
-    # block 2: alpha from 1 to floor((k+1)/2)
-    for alpha in range(1, (k + 1) // 2 + 1):
-        c = -k + r + 2 * alpha - 1  # even since k-r is odd
-        sign = _sgn(alpha * dl3 + dl1 + block_sign)
-        shift = s1 + d1 + s3 * c * c // 4 + d3 * c // 2
-        mid = ThetaArg(
-            eps_mid,
-            r * (s3 * (k + 2 * alpha - 1) + d3) + d1 + d2,
-            r * (s3 * (k - 2 * alpha + 1) - d3) - d1 - d2,
-        )
-        last = ThetaArg(
-            eps_last,
-            (k - r) * (s3 * (2 * k - 2 * alpha + 1) - d3) + d1 + d2,
-            (k - r) * (s3 * (2 * alpha - 1) + d3) - d1 - d2,
-        )
-        terms.append(ThetaProduct(sign, shift, (outer23, mid, last)))
-
-    # block 3: alpha from 1 to floor(k/2)
-    for alpha in range(1, k // 2 + 1):
-        c = k - r - 2 * alpha + 1  # even since k-r is odd
-        sign = _sgn(alpha * dl3 + dl2 + block_sign)
-        shift = s2 - d2 + s3 * c * c // 4 + d3 * c // 2
-        mid = ThetaArg(
-            eps_mid,
-            r * (s3 * (k - 2 * alpha + 1) + d3) + d1 + d2,
-            r * (s3 * (k + 2 * alpha - 1) - d3) - d1 - d2,
-        )
-        last = ThetaArg(
-            eps_last,
-            (k - r) * (s3 * (2 * alpha - 1) - d3) + d1 + d2,
-            (k - r) * (s3 * (2 * k - 2 * alpha + 1) + d3) - d1 - d2,
-        )
-        terms.append(ThetaProduct(sign, shift, (outer23, mid, last)))
-
+    outer23 = (ThetaArg(eps_outer, 2 * w * s3 + d1 - d2, -d1 + d2),)
+    b = dl3 * (k - r + 1) // 2
+    # block 2 (m = 1), then block 3, its mirror image (m = -1)
+    for m, base, dl, top in ((1, s1 + d1, dl1, (k + 1) // 2), (-1, s2 - d2, dl2, k // 2)):
+        for alpha in range(1, top + 1):
+            y = m * (2 * alpha - 1)
+            specs.append((outer23, alpha * dl3 + dl + b, base, y, y - m * k, y - m * (k - r)))
+    terms = _terms(k, r, s3, d3, d1 + d2, eps_mid, eps_last, specs)
     assert len(terms) == 2 * k
     return terms
 
@@ -406,12 +385,14 @@ def pair_lhs(p: PairParams) -> ThetaProduct:
 
 
 def pair_rhs(p: PairParams) -> list[ThetaProduct]:
-    """The k decomposition terms of the two-theta product."""
+    """The k decomposition terms of the two-theta product: the first
+    block of :func:`triple_rhs` with no outer factor, d = D = s - t,
+    S3 = i + j, D3 = i - j and delta3 = delta, built by :func:`_terms`."""
     _require_valid(validate_pair(p))
     delta = (1 - p.eps) // 2
-    return _first_block(
-        p.k, p.r, p.i + p.j, p.i - p.j, p.s - p.t, delta,
-        _sgn(p.r * delta), _sgn(delta), (),
+    return _terms(
+        p.k, p.r, p.i + p.j, p.i - p.j, p.s - p.t, _sgn(p.r * delta), _sgn(delta),
+        _first_block(p.k, delta, ()),
     )
 
 

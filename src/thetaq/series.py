@@ -172,7 +172,7 @@ class HalfPowerSeries:
         if nz_a.size > nz_b.size:
             a, nz_a, b = b, nz_b, a
         out = shifted_copies(nz_a, a[nz_a], b, width)
-        return HalfPowerSeries(lo, hi, out.astype(np.int64, copy=False))
+        return HalfPowerSeries(lo, hi, out)
 
     # ------------------------------------------------------------------
     # grid operations

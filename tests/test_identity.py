@@ -1,5 +1,6 @@
 """Product decompositions: validation, term counts, display cross-checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -111,6 +112,22 @@ class TestNamedSettings:
         report = verify_triple(params, T)
         assert report.ok, (name, report)
         assert report.rhs_term_count == 2 * params.k
+
+
+class TestSignPatterns:
+    """Theorem 1 under each of the eight sign patterns (e1, e2, e3), one
+    setting per admissible (k, r) with k <= 6: S3 = 4, D3 = 2, and first
+    factors (S1 - 1, 1) and (S1/2, S1/2), so no factor is the zero
+    function and no exponent is negative."""
+
+    @pytest.mark.parametrize("eps", list(itertools.product((1, -1), repeat=3)), ids=str)
+    @pytest.mark.parametrize("k,r", [(2, 1), (3, 2), (4, 1), (4, 3), (5, 2), (5, 4), (6, 1), (6, 5)])
+    def test_verifies(self, k, r, eps):
+        w = r * (k - r)  # S1 = 2w
+        p = TripleParams(k, r, 2 * w - 1, 1, w, w, 3, 1, *eps)
+        report = verify_triple(p, 80)
+        assert report.ok, (p, report)
+        assert report.rhs_term_count == 2 * k
 
 
 class TestDisplayIdentities:
