@@ -312,6 +312,10 @@ def triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     entry is a full product of three factors with an explicit monomial.
     """
     _require_valid(validate_triple(p))
+    return _triple_rhs(p)
+
+
+def _triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     k, r = p.k, p.r
     s1, d1, s2, d2, s3, d3 = p.s1, p.d1, p.s2, p.d2, p.s3, p.d3
     dl1, dl2, dl3 = p.deltas
@@ -335,9 +339,15 @@ def triple_rhs(p: TripleParams) -> list[ThetaProduct]:
     return terms
 
 
+def _triple_sides(p: TripleParams) -> tuple[list[ThetaProduct], list[ThetaProduct]]:
+    """Both sides of Theorem 1 at ``p``, validated once, by
+    :func:`triple_lhs`."""
+    return [triple_lhs(p)], _triple_rhs(p)
+
+
 def verify_triple(p: TripleParams, through: int) -> IdentityReport:
     """Expand both sides through ``through`` half-units and compare."""
-    return _verify_terms([triple_lhs(p)], triple_rhs(p), through)
+    return _verify_terms(*_triple_sides(p), through)
 
 
 # ----------------------------------------------------------------------
@@ -511,8 +521,7 @@ def instantiate_corollary(
             raise ValueError(f"{cid} needs k and r")
         if m is not None:
             raise ValueError(f"{cid} takes no m")
-        p = corollary_params(cid, k, r)
-        return [triple_lhs(p)], triple_rhs(p)
+        return _triple_sides(corollary_params(cid, k, r))
     if cid in _SIGNED_PAIR_ROWS:
         if m is None:
             raise ValueError(f"{cid} needs m")

@@ -6,8 +6,14 @@ one another: ``count_enumerate`` counts ordered index tuples representing
 N one query at a time, and the generating series, the product of the
 three kinds' theta expansions, gives every count through a bound at
 once.  One column builder reads the series: it takes each generating
-theta as its bilateral sum's term exponents, splits them by residue
-mod M, and computes only the counts at N = R mod M, every N when M = 1.
+theta as the distinct exponents of its bilateral sum's terms and their
+multiplicities, splits them by residue mod M, and computes only the
+counts at N = R mod M, every N when M = 1.  It reads each factor a*F
+off one grow-only table per figurate kind, the unit theta's distinct
+exponents and multiplicities through the largest reach asked for so
+far, as a times a prefix.  The tables hold O(sqrt(L)) entries, L the
+largest limit requested: 1 415 to 2 309 a kind, 16 bytes each,
+through 2*10^6.
 ``count_series`` returns the full product as a series, ``count_table``
 returns the counts of one residue class (by default all of them), and
 ``nonrep_scan`` builds the class it checks and nothing else.
@@ -20,8 +26,9 @@ them in that type; ``count_table`` widens them to int64.
 off a prefix of one grow-only membership table per figurate kind, and
 walks the value pairs of its two sparsest slots in numpy blocks of at
 most ``_BLOCK_PAIRS`` pairs.  It calls nothing of :mod:`thetaq.series`
-or :mod:`thetaq.theta`, and the series route never reads the
-membership tables, so neither route can hide the other's fault.
+or :mod:`thetaq.theta` and never reads the factor tables, and the
+series route never reads the membership tables, so neither route can
+hide the other's fault.
 
 Index domains follow the classical conventions: squares, generalized
 pentagonal and generalized octagonal indices run over all integers,
@@ -38,7 +45,7 @@ import numpy as np
 
 from . import series
 from .series import CoefficientOverflowError, HalfPowerSeries, scatter_pairs, shifted_copies
-from .theta import ThetaArg, term_exponents, theta_special
+from .theta import ThetaArg, term_exponents, term_range, theta_special
 
 
 class FigurateKind(enum.Enum):
@@ -248,6 +255,50 @@ def _split(exps, mult, modulus: int, offset: int) -> dict:
     return out
 
 
+# One grow-only table per kind for the series route: (reach, distinct
+# exponents, multiplicities) of the unit generating theta through reach.
+_FACTORS: dict[FigurateKind, tuple[int, np.ndarray, np.ndarray]] = {}
+
+
+def _factors(spec: MixedSumSpec, limit: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each slot's generating theta through ``limit`` as its distinct
+    exponents and their multiplicities.
+
+    The theta of a*F has the unit theta's terms with every exponent
+    multiplied by a, so it is a times the prefix through limit // a of
+    its kind's table.  Before any table grows, each scaled theta's
+    exponent width is proven by :func:`~thetaq.theta.term_range`, as
+    :func:`~thetaq.theta.term_exponents` would prove it, and the product
+    of the three term counts is checked: every partial sum of a count
+    table is at most that product, so past 64 bits the request is
+    refused with :class:`CoefficientOverflowError` and every table stays
+    as it was.  A kind's table then grows, by one exponent request, only
+    to the largest limit // a its slots ask for.
+    """
+    terms = math.prod(term_range(_generating_arg(a, kind), limit)[1] for a, kind in spec.terms)
+    if terms > series.COEFF_LIMIT:
+        raise CoefficientOverflowError(
+            f"counts through N = {limit} are not proven to fit in 64 bits: the "
+            f"generating thetas' term counts multiply to {terms}, past the "
+            f"bound {series.COEFF_LIMIT}"
+        )
+    reach: dict[FigurateKind, int] = {}
+    for a, kind in spec.terms:
+        reach[kind] = max(reach.get(kind, 0), limit // a)
+    for kind, top in reach.items():
+        if kind not in _FACTORS or _FACTORS[kind][0] < top:
+            exps, mult = _runs(np.sort(term_exponents([(_generating_arg(1, kind), top)])[1]))
+            exps.setflags(write=False)
+            mult.setflags(write=False)
+            _FACTORS[kind] = top, exps, mult
+    factors = []
+    for a, kind in spec.terms:
+        _, exps, mult = _FACTORS[kind]
+        stop = exps.searchsorted(limit // a, side="right")
+        factors.append((a * exps[:stop], mult[:stop]))
+    return factors
+
+
 def _count_columns(
     spec: MixedSumSpec, limit: int, modulus: int = 1, residue: int = 0
 ) -> np.ndarray:
@@ -258,7 +309,8 @@ def _count_columns(
     is the number of terms at its exponent, and no pass over a dense
     expansion is needed to find the nonzeros.  Each factor is taken as
     its distinct exponents and their multiplicities, the run lengths of
-    its sorted exponents, split by exponent mod M.  Each class c of the
+    its sorted exponents, read by :func:`_factors` off its kind's
+    factor table, and split by exponent mod M.  Each class c of the
     two densest factors' product that the sparsest factor's terms reach
     is the sum of the class products x_r1 * y_r2 with r1 + r2 = c mod M,
     each scattered straight into the class's pair array by
@@ -271,8 +323,9 @@ def _count_columns(
 
     Every partial sum formed here, the class-pair sums, each
     ``shifted_copies`` bound and the counts, is at most the product of
-    the three factors' term counts, so one check of that product proves
-    every kernel; past 64 bits the table is refused with
+    the three factors' term counts, so one check of that product, made
+    by :func:`_factors` before any factor table grows, proves every
+    kernel; past 64 bits the table is refused with
     :class:`CoefficientOverflowError` before any column is built.
 
     A single class part, the whole table at M = 1, comes back in the
@@ -284,16 +337,7 @@ def _count_columns(
     if limit < residue:
         return np.zeros(0, dtype=series._accumulator(0))
     width = (limit - residue) // modulus + 1
-    _, e, stops = term_exponents([(_generating_arg(a, kind), limit) for a, kind in spec.terms])
-    exps = [np.sort(e[start:stop]) for start, stop in zip([0, *stops], stops)]
-    terms = math.prod(e.size for e in exps)
-    if terms > series.COEFF_LIMIT:
-        raise CoefficientOverflowError(
-            f"counts through N = {limit} are not proven to fit in 64 bits: the "
-            f"generating thetas' term counts multiply to {terms}, past the "
-            f"bound {series.COEFF_LIMIT}"
-        )
-    factors = sorted(map(_runs, exps), key=lambda factor: factor[0].size)
+    factors = sorted(_factors(spec, limit), key=lambda factor: factor[0].size)
     # A sparsest term at e meets the product's class c = residue - e mod M,
     # ceil((e - residue) / M) positions up: offset M - 1 - residue puts it
     # at that position, in class M - 1 - c.

@@ -71,6 +71,33 @@ class ThetaArg:
         return min((s * n + d) * n, (s * n + s + d) * (n + 1)) // 2
 
 
+def term_range(arg: ThetaArg, hi: int) -> tuple[int, int]:
+    """``(n_lo, count)``: the terms of ``arg``'s bilateral sum whose
+    exponent is at most ``hi`` are those of index n_lo to
+    n_lo + count - 1, once every intermediate of the exponent formula is
+    proven to fit in 64 bits.
+
+    With s = a + b and d = a - b, every intermediate of the formula,
+    (s*n + d)*n = 2*e, is at most B = max(s, 2*max(hi, d^2 // 8s + 1) + |d|)
+    in magnitude for an index in range, because each exponent e lies
+    between -d^2 / 8s and ``hi``, and |s*n + d| <= |2*e| when n != 0.
+    Past 64 bits it raises :class:`CoefficientOverflowError`.
+    """
+    s, d = arg.a + arg.b, arg.a - arg.b
+    bound = max(s, 2 * max(hi, d * d // (8 * s) + 1) + abs(d))
+    if bound > COEFF_LIMIT:
+        raise CoefficientOverflowError(
+            f"term exponents of {arg} through {hi} are bounded by {bound}, "
+            "past the 64-bit width"
+        )
+    # The exponent (s*n^2 + d*n)/2 is at most hi exactly when
+    # |2*s*n + d| <= isqrt(d^2 + 8*s*hi).
+    disc = d * d + 8 * s * hi
+    root = math.isqrt(disc) if disc >= 0 else -1
+    n_lo, n_hi = -((root + d) // (2 * s)), (root - d) // (2 * s)
+    return n_lo, max(n_hi - n_lo + 1, 0)
+
+
 def term_exponents(requests) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """``(n, e, stops)`` for a sequence of ``(arg, hi)`` requests: the
     indices ``n`` and exponents ``e`` of the bilateral sums' terms whose
@@ -79,32 +106,16 @@ def term_exponents(requests) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
     The arrays are int64; each request's exponents fall and then rise
     with ``n``, and two terms share an exponent only when ``a - b`` is a
-    multiple of ``a + b``.  With s = a + b and d = a - b, every
-    intermediate of the formula, (s*n + d)*n = 2*e, is at most
-    B = max(s, 2*max(hi, d^2 // 8s + 1) + |d|) in magnitude for an index
-    in range, because each exponent e lies between -d^2 / 8s and ``hi``,
-    and |s*n + d| <= |2*e| when n != 0.  Every request's B is computed
-    first; past 64 bits the call raises :class:`CoefficientOverflowError`
-    before it forms any exponent.  Then every request is formed in one
-    vectorized pass.
+    multiple of ``a + b``.  Every request's range and bound is taken from
+    :func:`term_range` first, so past 64 bits the call raises
+    :class:`CoefficientOverflowError` before it forms any exponent.  Then
+    every request is formed in one vectorized pass.
     """
     params, counts, stops = [], [], []
     total = 0
     for arg, hi in requests:
-        s, d = arg.a + arg.b, arg.a - arg.b
-        bound = max(s, 2 * max(hi, d * d // (8 * s) + 1) + abs(d))
-        if bound > COEFF_LIMIT:
-            raise CoefficientOverflowError(
-                f"term exponents of {arg} through {hi} are bounded by {bound}, "
-                "past the 64-bit width"
-            )
-        # The exponent (s*n^2 + d*n)/2 is at most hi exactly when
-        # |2*s*n + d| <= isqrt(d^2 + 8*s*hi).
-        disc = d * d + 8 * s * hi
-        root = math.isqrt(disc) if disc >= 0 else -1
-        n_lo, n_hi = -((root + d) // (2 * s)), (root - d) // (2 * s)
-        count = max(n_hi - n_lo + 1, 0)
-        params += (n_lo - total, s, d)
+        n_lo, count = term_range(arg, hi)
+        params += (n_lo - total, arg.a + arg.b, arg.a - arg.b)
         counts.append(count)
         total += count
         stops.append(total)

@@ -76,6 +76,25 @@ class TestValidation:
                     valid.append((k, r))
         assert valid == [(2, 1), (3, 2), (4, 1), (4, 3), (5, 2), (5, 4), (6, 1), (6, 5)]
 
+    @pytest.mark.parametrize("check", [
+        lambda: verify_triple(TripleParams(2, 1, 1, 0, 1, 0, 1, 1), 40),
+        lambda: verify_corollary("cor1", k=3, r=2, through=40),
+    ], ids=["thm1", "cor1"])
+    def test_one_validation_per_check(self, monkeypatch, check):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return validate_triple(p)
+
+        monkeypatch.setattr(identity, "validate_triple", counting)
+        assert check().ok
+        assert len(calls) == 1
+
+    def test_invalid_setting_is_refused_once_checked(self):
+        with pytest.raises(ValueError, match="S1 = S2"):
+            verify_triple(TripleParams(2, 1, 1, 0, 2, 0, 1, 1), 40)
+
 
 class TestTermCounts:
     @pytest.mark.parametrize("k,r", [(2, 1), (3, 2), (4, 1), (4, 3), (5, 2), (5, 4), (6, 1), (6, 5)])

@@ -264,6 +264,7 @@ def _imported_from(tree: ast.Module, modules: set[str]) -> set[str]:
 
 SERIES_ROUTE = {"series", "theta"}
 ENUMERATION_ONLY = {"_membership", "_MEMBERSHIP", "figurate_values", "figurate_value"}
+SERIES_ONLY = {"_factors", "_FACTORS"}
 
 
 class TestRouteIndependence:
@@ -277,6 +278,10 @@ class TestRouteIndependence:
         assert "_membership" in reached  # the walk follows module calls
         assert reached & _imported_from(self.TREE, SERIES_ROUTE) == set()
 
+    def test_enumeration_reads_no_factor_tables(self):
+        assert SERIES_ONLY <= _reads(self.TREE, "_count_columns")
+        assert _reads(self.TREE, "count_enumerate") & SERIES_ONLY == set()
+
     def test_series_reads_no_value_lists(self):
         reached = _reads(self.TREE, "_count_columns")
         assert "_split" in reached and "term_exponents" in reached
@@ -289,6 +294,8 @@ class TestRouteIndependence:
          "def count_enumerate(s, n):\n    return _helper(n)\n", "count_enumerate", None),
         ("def _membership(k, n):\n    pass\ndef _count_columns(s, n):\n"
          "    return _membership(s, n)\n", "_count_columns", ENUMERATION_ONLY),
+        ("_FACTORS = {}\ndef count_enumerate(s, n):\n    return _FACTORS[s]\n",
+         "count_enumerate", SERIES_ONLY),
     ])
     def test_each_crossing_is_caught(self, source, root, forbidden):
         tree = ast.parse(source)
@@ -512,6 +519,101 @@ class TestValueLists:
         assert stored.dtype == np.uint8 and stored.nbytes == 10**5 + 1
         assert int(mult.max()) == (2 if kind is FigurateKind.SQUARE else 1)
         assert int(mult.sum()) == len(figurate_values(kind, 10**5))
+
+
+class TestFactorTables:
+    """One grow-only table per kind of the unit generating theta's
+    distinct exponents and multiplicities; the factor a*F through L is a
+    times its prefix through L // a."""
+
+    SQ, TR, PE, OC = FigurateKind
+
+    @pytest.fixture
+    def requests(self, monkeypatch):
+        """Every (arg, hi) request the series route forms exponents for,
+        starting from cleared tables."""
+        monkeypatch.setattr(repcount, "_FACTORS", {})
+        formed = []
+        exponents = repcount.term_exponents
+
+        def spy(reqs):
+            formed.extend(reqs)
+            return exponents(reqs)
+
+        monkeypatch.setattr(repcount, "term_exponents", spy)
+        return formed
+
+    def test_grows_only_past_its_reach(self, requests):
+        unit = {kind: repcount._generating_arg(1, kind) for kind in FigurateKind}
+        count_table(MixedSumSpec.of("r", (1, 2, 3)), 1000)
+        assert requests == [(unit[self.SQ], 1000)]  # one request for the widest slot
+        assert repcount._FACTORS[self.SQ][1].size == 32  # 0, 1, 4, ..., 31^2
+        count_table(MixedSumSpec.of("r", (1, 1, 2)), 1000)
+        count_table(MixedSumSpec.of("r", (4, 4, 4)), 4000, 4, 1)
+        assert len(requests) == 1  # at the reach: read by prefix
+        count_table(MixedSumSpec.of("rT", (1, 2, 2)), 900)
+        assert requests[1:] == [(unit[self.TR], 450)]  # squares within reach
+        count_table(MixedSumSpec.of("rT", (1, 1, 1)), 451)
+        assert requests[2:] == [(unit[self.TR], 451)]
+        nonrep_scan(MixedSumSpec.of("tpg", (1, 1, 1)), 4, 3, 300)
+        assert requests[3:] == [(unit[self.PE], 300), (unit[self.OC], 300)]
+
+    @pytest.mark.parametrize("kind", list(FigurateKind), ids=lambda k: k.value)
+    def test_prefix_is_the_scaled_theta(self, monkeypatch, kind):
+        monkeypatch.setattr(repcount, "_FACTORS", {})
+        # limits on, beside and between the scaled exponents, each read
+        # after the table reached 400 and from a table that grows to it
+        values = [v for _, v in figurate_values(kind, 400)]
+        for a in range(1, 9):
+            limits = sorted({max(0, a * v + off) for v in values[:12] for off in (-1, 0, 1)})
+            for limit in limits + [400]:
+                spec = MixedSumSpec(((a, kind), (1, kind), (8, kind)))
+                want = repcount._runs(np.sort(repcount.term_exponents(
+                    [(repcount._generating_arg(a, kind), limit)])[1]))
+                exps, mult = repcount._factors(spec, limit)[0]
+                assert exps.tolist() == want[0].tolist(), (a, limit)
+                assert mult.tolist() == want[1].tolist(), (a, limit)
+
+    def test_shuffled_stream_against_enumeration_and_fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(repcount, "_FACTORS", {})
+        rng = np.random.default_rng(30)
+        names = sorted(REGISTRY) * 3
+        rng.shuffle(names)
+        classes = [(1, 0), (4, 1), (8, 7)]
+        for name in names:
+            spec = MixedSumSpec.of(name, tuple(rng.integers(1, 9, 3).tolist()))
+            limit = int(rng.integers(0, 3001))
+            modulus, residue = classes[rng.integers(3)]
+            table = count_table(spec, limit, modulus, residue)
+            grown = repcount._FACTORS
+            with monkeypatch.context() as m:
+                m.setattr(repcount, "_FACTORS", {})
+                assert np.array_equal(table, count_table(spec, limit, modulus, residue))
+            assert repcount._FACTORS is grown
+            if table.size:
+                for j in [*rng.integers(0, table.size, 2).tolist(), table.size - 1]:
+                    n = residue + modulus * j
+                    assert int(table[j]) == count_enumerate(spec, n), (spec, n)
+
+    def _refused_leaves_tables(self, requests, build, match):
+        count_table(MixedSumSpec.of("rtp", (1, 1, 1)), 500)
+        before = dict(repcount._FACTORS)
+        formed = len(requests)
+        with pytest.raises(CoefficientOverflowError, match=match):
+            build()
+        assert len(requests) == formed  # no exponent formed
+        assert repcount._FACTORS.keys() == before.keys()
+        assert all(repcount._FACTORS[kind] is table for kind, table in before.items())
+
+    def test_width_refusal_leaves_every_table(self, requests):
+        self._refused_leaves_tables(
+            requests, lambda: count_table(MixedSumSpec.of("r", (2**62, 1, 1)), 3),
+            "past the 64-bit width")
+
+    def test_term_bound_refusal_leaves_every_table(self, requests):
+        self._refused_leaves_tables(
+            requests, lambda: nonrep_scan(MixedSumSpec.of("r", (1, 1, 1)), 10**11, 3, 11 * 10**11),
+            "not proven to fit in 64 bits")
 
 
 class TestScan:
