@@ -9,11 +9,11 @@ once.  One column builder reads the series: it takes each generating
 theta as the distinct exponents of its bilateral sum's terms and their
 multiplicities, splits them by residue mod M, and computes only the
 counts at N = R mod M, every N when M = 1.  It reads each factor a*F
-off one grow-only table per figurate kind, the unit theta's distinct
-exponents and multiplicities through the largest reach asked for so
-far, as a times a prefix.  The tables hold O(sqrt(L)) entries, L the
-largest limit requested: 1 415 to 2 309 a kind, 16 bytes each,
-through 2*10^6.
+off one grow-only table per figurate kind, the distinct exponents and
+multiplicities of the kind's unit theta in ``_UNIT``, built once at
+import, through the largest reach asked for so far, as a times a
+prefix.  The tables hold O(sqrt(L)) entries, L the largest limit
+requested: 1 415 to 2 309 a kind, 16 bytes each, through 2*10^6.
 ``count_series`` returns the full product as a series, ``count_table``
 returns the counts of one residue class (by default all of them), and
 ``nonrep_scan`` builds the class it checks and nothing else.
@@ -23,12 +23,14 @@ rebuilds it at the new limit.  The builder returns its counts in the
 narrowest integer type their proven bound allows, and the cache stores
 them in that type; ``count_table`` widens them to int64.
 ``count_enumerate`` reads each kind's values and their multiplicities
-off a prefix of one grow-only membership table per figurate kind, and
-walks the value pairs of its two sparsest slots in numpy blocks of at
-most ``_BLOCK_PAIRS`` pairs.  It calls nothing of :mod:`thetaq.series`
-or :mod:`thetaq.theta` and never reads the factor tables, and the
-series route never reads the membership tables, so neither route can
-hide the other's fault.
+off a prefix of one grow-only membership table per figurate kind,
+scattered from ``_domain``: ``figurate_value`` on |n| <= isqrt(2L) + 1,
+the closed-form range of every index of value at most L.  It walks the
+value pairs of its two sparsest slots in numpy blocks of at most
+``_BLOCK_PAIRS`` pairs.  It calls nothing of :mod:`thetaq.series` or
+:mod:`thetaq.theta`, whose overflow error is all it shares, and never
+reads the factor tables, and the series route never reads the
+membership tables, so neither route can hide the other's fault.
 
 Index domains follow the classical conventions: squares, generalized
 pentagonal and generalized octagonal indices run over all integers,
@@ -55,14 +57,6 @@ class FigurateKind(enum.Enum):
     GEN_OCTAGONAL = "gen_octagonal"
 
 
-_GENERATING = {
-    FigurateKind.SQUARE: "phi",
-    FigurateKind.TRIANGULAR: "psi",
-    FigurateKind.GEN_PENTAGONAL: "X",
-    FigurateKind.GEN_OCTAGONAL: "Y",
-}
-
-
 def figurate_value(kind: FigurateKind, n: int) -> int:
     if kind is FigurateKind.SQUARE:
         return n * n
@@ -73,29 +67,38 @@ def figurate_value(kind: FigurateKind, n: int) -> int:
     return n * (3 * n + 2)
 
 
+def _domain(kind: FigurateKind, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, values) as int64 arrays: every domain index whose
+    figurate value is at most ``limit``, ascending, and that value.
+
+    Every kind's value is at least n^2 / 2 on its domain, so such an
+    index has |n| <= isqrt(2*limit) < top.  Every intermediate of
+    ``figurate_value`` at |n| <= top is at most 3*top^2 + 2*top, proven
+    to fit in 64 bits before any value is formed, or the call raises
+    :class:`CoefficientOverflowError`.
+    """
+    top = math.isqrt(2 * max(limit, 0)) + 1
+    if 3 * top * top + 2 * top > 2**63 - 1:
+        raise CoefficientOverflowError(
+            f"{kind.value} values through {limit} need indices up to {top}, "
+            "past the 64-bit width"
+        )
+    n = np.arange(0 if kind is FigurateKind.TRIANGULAR else -top, top + 1, dtype=np.int64)
+    values = figurate_value(kind, n)
+    keep = values <= limit
+    return n[keep], values[keep]
+
+
 def figurate_values(kind: FigurateKind, limit: int) -> list[tuple[int, int]]:
-    """All (index, value) pairs with value <= limit, ascending by value.
+    """All (index, value) pairs with value <= limit, ascending by value,
+    then by index.
 
     Generalized kinds include both signs of the index; triangular
     indices stay nonnegative.
     """
-    if limit < 0:
-        return []
-    pairs = []
-    n = 0
-    while True:
-        if kind is FigurateKind.TRIANGULAR or n == 0:
-            candidates = [n]
-        else:
-            candidates = [-n, n]
-        vals = [(m, figurate_value(kind, m)) for m in candidates]
-        pairs.extend((m, v) for m, v in vals if v <= limit)
-        # per-sign values grow monotonically, so one all-over step ends it
-        if n > 0 and all(v > limit for _, v in vals):
-            break
-        n += 1
-    pairs.sort(key=lambda p: (p[1], p[0]))
-    return pairs
+    n, values = _domain(kind, limit)
+    order = values.argsort(kind="stable")  # ties keep their ascending indices
+    return list(zip(n[order].tolist(), values[order].tolist()))
 
 
 # One grow-only table per kind; a query at a smaller limit reads a prefix.
@@ -111,8 +114,7 @@ def _membership(kind: FigurateKind, limit: int) -> np.ndarray:
     table = _MEMBERSHIP.get(kind)
     if table is None or table.size <= limit:
         table = np.zeros(limit + 1, dtype=np.uint8)
-        values = np.array([v for _, v in figurate_values(kind, limit)], dtype=np.intp)
-        np.add.at(table, values, np.uint8(1))
+        np.add.at(table, _domain(kind, limit)[1], np.uint8(1))
         table.setflags(write=False)
         _MEMBERSHIP[kind] = table
     return table[: limit + 1]
@@ -214,16 +216,6 @@ def count_enumerate(spec: MixedSumSpec, n: int) -> int:
     return total
 
 
-def _generating_arg(a: int, kind: FigurateKind) -> ThetaArg:
-    """The generating theta of a*F on the whole-q grid.
-
-    Every generating theta has only even half-unit exponents, so halving
-    its ``ThetaArg`` exponents moves it exactly onto the whole-q grid.
-    """
-    arg = theta_special(_GENERATING[kind], a)
-    return ThetaArg(arg.eps, arg.a // 2, arg.b // 2)
-
-
 def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct values, multiplicities) of a nonempty ascending array:
     the multiplicities are the run lengths."""
@@ -255,6 +247,12 @@ def _split(exps, mult, modulus: int, offset: int) -> dict:
     return out
 
 
+# Each kind's unit generating theta on the whole-q grid: phi, psi, X and
+# Y have only even half-unit exponents, so halving them is exact.
+_UNIT = {kind: ThetaArg(1, arg.a // 2, arg.b // 2) for kind, arg in (
+    (_SQ, theta_special("phi")), (_TR, theta_special("psi")),
+    (_PE, theta_special("X")), (_OC, theta_special("Y")))}
+
 # One grow-only table per kind for the series route: (reach, distinct
 # exponents, multiplicities) of the unit generating theta through reach.
 _FACTORS: dict[FigurateKind, tuple[int, np.ndarray, np.ndarray]] = {}
@@ -264,10 +262,10 @@ def _factors(spec: MixedSumSpec, limit: int) -> list[tuple[np.ndarray, np.ndarra
     """Each slot's generating theta through ``limit`` as its distinct
     exponents and their multiplicities.
 
-    The theta of a*F has the unit theta's terms with every exponent
-    multiplied by a, so it is a times the prefix through limit // a of
-    its kind's table.  Before any table grows, each scaled theta's
-    exponent width is proven by :func:`~thetaq.theta.term_range`, as
+    The theta of a*F, ``ThetaArg(1, a*u.a, a*u.b)`` for its kind's unit
+    theta u in ``_UNIT``, is a times the prefix through limit // a of u's
+    table.  Before any table grows, each scaled theta's exponent width
+    is proven by :func:`~thetaq.theta.term_range`, as
     :func:`~thetaq.theta.term_exponents` would prove it, and the product
     of the three term counts is checked: every partial sum of a count
     table is at most that product, so past 64 bits the request is
@@ -275,7 +273,8 @@ def _factors(spec: MixedSumSpec, limit: int) -> list[tuple[np.ndarray, np.ndarra
     as it was.  A kind's table then grows, by one exponent request, only
     to the largest limit // a its slots ask for.
     """
-    terms = math.prod(term_range(_generating_arg(a, kind), limit)[1] for a, kind in spec.terms)
+    terms = math.prod(term_range(ThetaArg(1, a * _UNIT[kind].a, a * _UNIT[kind].b), limit)[1]
+                      for a, kind in spec.terms)
     if terms > series.COEFF_LIMIT:
         raise CoefficientOverflowError(
             f"counts through N = {limit} are not proven to fit in 64 bits: the "
@@ -287,7 +286,7 @@ def _factors(spec: MixedSumSpec, limit: int) -> list[tuple[np.ndarray, np.ndarra
         reach[kind] = max(reach.get(kind, 0), limit // a)
     for kind, top in reach.items():
         if kind not in _FACTORS or _FACTORS[kind][0] < top:
-            exps, mult = _runs(np.sort(term_exponents([(_generating_arg(1, kind), top)])[1]))
+            exps, mult = _runs(np.sort(term_exponents([(_UNIT[kind], top)])[1]))
             exps.setflags(write=False)
             mult.setflags(write=False)
             _FACTORS[kind] = top, exps, mult

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -854,3 +857,27 @@ class TestCatalogRows:
             assert tuple(record["payload"]["counterexample"][k]
                          for k in ("n", "lhs", "rhs")) == first
         assert code == (1 if first is not None and rel.status == "pinned" else 0)
+
+
+def test_commands_leave_numpy_ma_unimported():
+    """The first ``np.unique`` call imports ``numpy.ma`` (numpy 2.x), which
+    every fresh process would pay for in start-up time and memory, so
+    ``repcount._runs`` finds runs without it.  Both commands run in one
+    fresh process."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from thetaq import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify', 'all', '--order', '10', '--nmax', '10',\n"
+        "                       '--scan-nmax', '10']),\n"
+        "             cli.main(['count', '--form', 'rT(1,2,3)', '--n', '40',\n"
+        "                       '--method', 'both'])]\n"
+        "print(*codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0", "False"]

@@ -1,6 +1,8 @@
 """Counting routes against brute-force index enumeration."""
 
 import ast
+import bisect
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from thetaq.repcount import (
     nonrep_scan,
     registry_lookup,
 )
+from thetaq.theta import ThetaArg, theta_special
 
 
 def brute_count(spec: MixedSumSpec, n: int) -> int:
@@ -92,6 +95,71 @@ class TestFigurateValues:
 
     def test_empty_below_zero(self):
         assert figurate_values(FigurateKind.SQUARE, -1) == []
+
+
+def oracle_pairs(kind: FigurateKind, limit: int) -> list[tuple[int, int]]:
+    """Every (index, value) with value <= limit over the domain indices
+    |n| <= limit + 1, in ``figurate_values``' order.  A value is at least
+    |n| on each kind's domain, so no index past the range qualifies."""
+    span = range(0 if kind is FigurateKind.TRIANGULAR else -(limit + 1), limit + 2)
+    return sorted(((n, figurate_value(kind, n)) for n in span if figurate_value(kind, n) <= limit),
+                  key=lambda p: (p[1], p[0]))
+
+
+def extreme_limits(kind: FigurateKind, index: int = 100) -> list[int]:
+    """F(n) - 1, F(n) and F(n) + 1 at the domain's extreme indices +-index."""
+    ends = [index] if kind is FigurateKind.TRIANGULAR else [-index, index]
+    return [figurate_value(kind, n) + off for n in ends for off in (-1, 0, 1)]
+
+
+class TestDomain:
+    """``_domain`` takes every index of a value at most L from the closed
+    form |n| <= isqrt(2L) + 1; brute force over |n| <= L + 1 agrees."""
+
+    @pytest.mark.parametrize("kind", list(FigurateKind), ids=lambda k: k.value)
+    def test_values_against_brute_force(self, kind):
+        # one oracle run through 3000, cut at each limit: the pairs with
+        # value <= L all have |n| <= L + 1, so its prefix is L's oracle
+        full = oracle_pairs(kind, 3000)
+        cuts = [v for _, v in full]
+        for limit in range(-3, 3001):
+            want = [p for p in full[: bisect.bisect_right(cuts, limit)] if abs(p[0]) <= limit + 1]
+            assert figurate_values(kind, limit) == want, limit
+        for limit in extreme_limits(kind):
+            assert figurate_values(kind, limit) == oracle_pairs(kind, limit), limit
+
+    @pytest.mark.parametrize("kind", list(FigurateKind), ids=lambda k: k.value)
+    def test_membership_is_the_bincount(self, monkeypatch, kind):
+        for limit in [*range(0, 301), 1000, 3000, *extreme_limits(kind)]:
+            monkeypatch.setattr(repcount, "_MEMBERSHIP", {})
+            values = np.array([v for _, v in oracle_pairs(kind, limit)], dtype=np.int64)
+            want = np.bincount(values, minlength=limit + 1)
+            assert np.array_equal(_membership(kind, limit), want), limit
+
+    @pytest.mark.parametrize("kind", list(FigurateKind), ids=lambda k: k.value)
+    def test_overflow_is_refused_before_any_value(self, kind):
+        # an index loop would take about 3*10^9 steps to get here
+        with pytest.raises(CoefficientOverflowError, match="past the 64-bit width"):
+            figurate_values(kind, 2**62)
+
+    def test_overflow_bound_is_exact(self, monkeypatch):
+        # the largest top with 3*top^2 + 2*top <= 2^63 - 1, and the largest
+        # limit whose indices stay within it; np.arange marks a passed proof
+        most = 2**63 - 1
+        top = (math.isqrt(1 + 3 * most) - 1) // 3
+        assert 3 * top * top + 2 * top <= most < 3 * (top + 1) ** 2 + 2 * (top + 1)
+        limit = (top * top - 1) // 2
+        assert math.isqrt(2 * limit) + 1 == top < math.isqrt(2 * limit + 2) + 1
+
+        def proven(*args, **kwargs):
+            raise AssertionError("proven")
+
+        monkeypatch.setattr(np, "arange", proven)
+        for kind in FigurateKind:
+            with pytest.raises(AssertionError, match="proven"):
+                repcount._domain(kind, limit)
+            with pytest.raises(CoefficientOverflowError):
+                repcount._domain(kind, limit + 1)
 
 
 class TestRegistry:
@@ -263,8 +331,14 @@ def _imported_from(tree: ast.Module, modules: set[str]) -> set[str]:
 
 
 SERIES_ROUTE = {"series", "theta"}
-ENUMERATION_ONLY = {"_membership", "_MEMBERSHIP", "figurate_values", "figurate_value"}
-SERIES_ONLY = {"_factors", "_FACTORS"}
+# the one name both routes may read: an error type, which computes nothing
+SHARED = {"CoefficientOverflowError"}
+ENUMERATION_ONLY = {"_membership", "_MEMBERSHIP", "_domain", "figurate_values", "figurate_value"}
+SERIES_ONLY = {"_factors", "_FACTORS", "_UNIT"}
+
+
+def _series_code(tree: ast.Module) -> set[str]:
+    return _imported_from(tree, SERIES_ROUTE) - SHARED
 
 
 class TestRouteIndependence:
@@ -275,8 +349,13 @@ class TestRouteIndependence:
 
     def test_enumeration_reaches_no_series_code(self):
         reached = _reads(self.TREE, "count_enumerate")
-        assert "_membership" in reached  # the walk follows module calls
-        assert reached & _imported_from(self.TREE, SERIES_ROUTE) == set()
+        assert {"_membership", "_domain"} <= reached  # the walk follows module calls
+        assert reached & _series_code(self.TREE) == set()
+
+    def test_the_shared_error_type_holds_no_code(self):
+        assert SHARED <= _imported_from(self.TREE, SERIES_ROUTE)
+        assert issubclass(CoefficientOverflowError, OverflowError)
+        assert not [v for v in vars(CoefficientOverflowError).values() if callable(v)]
 
     def test_enumeration_reads_no_factor_tables(self):
         assert SERIES_ONLY <= _reads(self.TREE, "_count_columns")
@@ -296,10 +375,15 @@ class TestRouteIndependence:
          "    return _membership(s, n)\n", "_count_columns", ENUMERATION_ONLY),
         ("_FACTORS = {}\ndef count_enumerate(s, n):\n    return _FACTORS[s]\n",
          "count_enumerate", SERIES_ONLY),
+        ("from .series import CoefficientOverflowError, shifted_copies\n"
+         "def count_enumerate(s, n):\n    if n < 0:\n        raise CoefficientOverflowError\n"
+         "    return shifted_copies(s)\n", "count_enumerate", None),
+        ("def _domain(k, n):\n    pass\ndef _count_columns(s, n):\n"
+         "    return _domain(s, n)\n", "_count_columns", ENUMERATION_ONLY),
     ])
     def test_each_crossing_is_caught(self, source, root, forbidden):
         tree = ast.parse(source)
-        forbidden = forbidden or _imported_from(tree, SERIES_ROUTE)
+        forbidden = forbidden or _series_code(tree)
         assert _reads(tree, root) & forbidden
 
 
@@ -331,11 +415,23 @@ class TestNarrowTables:
             assert int(table[n]) == count_enumerate(spec, n), (spec, n)
 
 
+GENERATING = {FigurateKind.SQUARE: "phi", FigurateKind.TRIANGULAR: "psi",
+              FigurateKind.GEN_PENTAGONAL: "X", FigurateKind.GEN_OCTAGONAL: "Y"}
+
+
+def scaled_theta(a: int, kind: FigurateKind) -> ThetaArg:
+    """The generating theta of a*F on the whole-q grid, built from
+    ``theta_special``: its half-unit exponents are all even, so halving
+    them is exact."""
+    arg = theta_special(GENERATING[kind], a)
+    return ThetaArg(arg.eps, arg.a // 2, arg.b // 2)
+
+
 def term_product(spec: MixedSumSpec, limit: int) -> int:
     """Product of the generating thetas' term counts through ``limit``."""
     terms = 1
     for a, kind in spec.terms:
-        terms *= repcount.term_exponents([(repcount._generating_arg(a, kind), limit)])[1].size
+        terms *= repcount.term_exponents([(scaled_theta(a, kind), limit)])[1].size
     return terms
 
 
@@ -544,7 +640,7 @@ class TestFactorTables:
         return formed
 
     def test_grows_only_past_its_reach(self, requests):
-        unit = {kind: repcount._generating_arg(1, kind) for kind in FigurateKind}
+        unit = {kind: scaled_theta(1, kind) for kind in FigurateKind}
         count_table(MixedSumSpec.of("r", (1, 2, 3)), 1000)
         assert requests == [(unit[self.SQ], 1000)]  # one request for the widest slot
         assert repcount._FACTORS[self.SQ][1].size == 32  # 0, 1, 4, ..., 31^2
@@ -569,7 +665,7 @@ class TestFactorTables:
             for limit in limits + [400]:
                 spec = MixedSumSpec(((a, kind), (1, kind), (8, kind)))
                 want = repcount._runs(np.sort(repcount.term_exponents(
-                    [(repcount._generating_arg(a, kind), limit)])[1]))
+                    [(scaled_theta(a, kind), limit)])[1]))
                 exps, mult = repcount._factors(spec, limit)[0]
                 assert exps.tolist() == want[0].tolist(), (a, limit)
                 assert mult.tolist() == want[1].tolist(), (a, limit)
@@ -594,6 +690,18 @@ class TestFactorTables:
                 for j in [*rng.integers(0, table.size, 2).tolist(), table.size - 1]:
                     n = residue + modulus * j
                     assert int(table[j]) == count_enumerate(spec, n), (spec, n)
+
+    def test_a_warm_build_forms_one_theta_per_slot(self, monkeypatch):
+        spec = MixedSumSpec.of("rtp", (1, 2, 3))
+        count_table(spec, 500)  # warms every table it reads
+        calls = {"theta_special": 0, "ThetaArg": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(repcount, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(repcount, name, spy)
+        count_table(spec, 500)
+        assert calls == {"theta_special": 0, "ThetaArg": 3}  # one width proof per slot
 
     def _refused_leaves_tables(self, requests, build, match):
         count_table(MixedSumSpec.of("rtp", (1, 1, 1)), 500)

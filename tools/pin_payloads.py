@@ -25,12 +25,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from thetaq import cli  # noqa: E402
+from thetaq import REGISTRY, cli  # noqa: E402
 
 DATA = ROOT / "tests" / "data"
 
-SIGNATURES = ("r", "T", "P", "G", "Rt", "Rp", "Rg", "Tp", "Tg", "rT", "rP", "rG",
-              "pG", "tP", "tG", "Pg", "rtp", "rtg", "rpg", "tpg")
+SIGNATURES = tuple(REGISTRY)
 
 # pin name -> the commands whose records it holds, in order
 PINS = {
